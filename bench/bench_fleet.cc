@@ -1,12 +1,14 @@
 /**
  * @file
  * Device-fleet scenario: N independent simulated phones (default 100,
- * `--devices=N` up to 500) each running one of the 20 Table-5 buggy apps
- * round-robin, half vanilla Android and half LeaseOS, under a diurnal
- * glance script whose cadence varies per device (heavy users glance every
- * half minute, light users every few minutes). Every device is an
- * independent RunSpec executed on the ParallelRunner worker pool, so the
- * whole fleet is bit-identical for any `--jobs N`.
+ * `--devices=N` up to 500) in vanilla/LeaseOS pairs. Devices 2k and 2k+1
+ * run the same Table-5 buggy app (app k mod 20, round-robin), the same
+ * seed and the same diurnal glance script — whose cadence varies per pair
+ * (heavy users glance every half minute, light users every few minutes)
+ * — and differ only in the mode: vanilla Android on the even device,
+ * LeaseOS on the odd one. Every device is an independent RunSpec executed
+ * on the ParallelRunner worker pool, so the whole fleet is bit-identical
+ * for any `--jobs N`.
  *
  * This is the scale workload for the event-queue fast path: a fleet run
  * pushes tens of millions of events through sim::EventQueue, and the
@@ -16,14 +18,13 @@
  * BENCH_fleet.json.
  *
  * Flags: --devices=N (1..500, default 100), --minutes=M (virtual minutes
- * per device, up to a week = 10080, default 30), --shard-minutes=S (cut
- * each device's timeline into ceil(M/S) time slices executed on the
- * ShardedRunner with a checkpoint emitted every S virtual minutes —
- * results are bit-identical to the unsharded run), --jobs=N / -j N
- * (worker pool, default automatic), --trace=PATH (export the first
- * LeaseOS device's trace ring; needs a -DLEASEOS_TRACING=ON build). CI
- * smoke runs `--devices=50 --minutes=5`; the sharded smoke adds
- * `--shard-minutes=10`.
+ * per device, up to a week = 10080, default 30), --checkpoint-minutes=S
+ * (save a device checkpoint every S virtual minutes and report per-mode
+ * checkpoint sizes — results are bit-identical to a run without),
+ * --jobs=N / -j N (worker pool, default automatic), --trace=PATH (export
+ * the first LeaseOS device's trace ring; needs a -DLEASEOS_TRACING=ON
+ * build). CI smoke runs `--devices=50 --minutes=5`; the checkpointed
+ * smoke runs 30 minutes with `--checkpoint-minutes=10`.
  *
  * Runs of 12 h or longer coarsen the power-profiler sampling period from
  * 100 ms to 10 s so a week-long fleet's TimeSeries memory stays bounded;
@@ -33,7 +34,7 @@
  *
  * Every device runs with a MetricRegistry installed; per-device metric
  * rollups ride in the JSON artifact (stdout keeps the aggregate table);
- * sharded runs add per-mode checkpoint-size rows.
+ * checkpointed runs add per-mode checkpoint-size rows.
  */
 
 #include <algorithm>
@@ -51,7 +52,6 @@
 #include "harness/experiment.h"
 #include "harness/result_sink.h"
 #include "harness/runner.h"
-#include "harness/sharded_runner.h"
 #include "support/alloc_counter.h"
 
 using namespace leaseos;
@@ -76,7 +76,7 @@ usageError(const char *flag)
     std::fprintf(stderr,
                  "bench_fleet: bad value for %s\n"
                  "usage: bench_fleet [--devices=N (1..500)] "
-                 "[--minutes=M (1..10080)] [--shard-minutes=S] "
+                 "[--minutes=M (1..10080)] [--checkpoint-minutes=S] "
                  "[--jobs=N | -j N]\n",
                  flag);
     std::exit(2);
@@ -105,15 +105,15 @@ glanceCadence(int local, long &intervalSec, long &lengthSec)
 }
 
 /**
- * Per-device diurnal glance cadence for short runs. Device i is pinned
- * to a "time of day" phase; deterministic in i — no wall clock.
+ * Per-pair diurnal glance cadence for short runs. Pair k is pinned to a
+ * "time of day" phase; deterministic in k — no wall clock.
  */
 void
-diurnalGlances(harness::RunSpec &spec, int i)
+diurnalGlances(harness::RunSpec &spec, int pair)
 {
     long interval = 0;
     long length = 0;
-    glanceCadence(i % 24, interval, length);
+    glanceCadence(pair % 24, interval, length);
     spec.userGlances = true;
     spec.glanceInterval = sim::Time::fromSeconds(
         static_cast<double>(interval));
@@ -123,9 +123,8 @@ diurnalGlances(harness::RunSpec &spec, int i)
 /**
  * Hour-granular diurnal cycle for day/week-long runs: the glance script
  * is re-tuned every simulated hour to the cadence of the device's local
- * time of day (virtual hour + per-device phase shift, mod 24). Installed
- * as a postStart hook so it composes with sharded execution — all state
- * lives in simulator events, which migrate with the device.
+ * time of day (virtual hour + per-pair phase shift, mod 24). Installed
+ * as a postStart hook; all its state lives in simulator events.
  */
 void
 installWeekScript(harness::Device &d, int phase)
@@ -169,16 +168,16 @@ main(int argc, char **argv)
 {
     long devices = 100;
     long minutes = 30;
-    long shardMinutes = 0; // 0 = unsharded ParallelRunner
+    long checkpointMinutes = 0; // 0 = no checkpoints
     std::string tracePath;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--devices=", 10) == 0)
             devices = parseValue(argv[i] + 10, "--devices", 1, 500);
         else if (std::strncmp(argv[i], "--minutes=", 10) == 0)
             minutes = parseValue(argv[i] + 10, "--minutes", 1, 7 * 24 * 60);
-        else if (std::strncmp(argv[i], "--shard-minutes=", 16) == 0)
-            shardMinutes = parseValue(argv[i] + 16, "--shard-minutes", 1,
-                                      7 * 24 * 60);
+        else if (std::strncmp(argv[i], "--checkpoint-minutes=", 21) == 0)
+            checkpointMinutes = parseValue(
+                argv[i] + 21, "--checkpoint-minutes", 1, 7 * 24 * 60);
         else if (std::strncmp(argv[i], "--trace=", 8) == 0)
             tracePath = argv[i] + 8;
     }
@@ -190,34 +189,35 @@ main(int argc, char **argv)
     const MitigationMode modes[] = {MitigationMode::None,
                                     MitigationMode::LeaseOS};
 
-    // Device i: buggy app i mod 20, vanilla/LeaseOS alternating, diurnal
-    // glance cadence pinned to i. Seeds come from the runner's baseSeed so
-    // every device is an independent deterministic stream.
+    // Devices 2k (vanilla) and 2k+1 (LeaseOS) form pair k: buggy app
+    // k mod 20, one seed, one diurnal glance cadence. The pair differs only
+    // in the mode, so every per-class row compares the same apps; pairs
+    // are independent deterministic streams.
     std::vector<harness::RunSpec> specs;
     specs.reserve(static_cast<std::size_t>(devices));
     for (long i = 0; i < devices; ++i) {
-        const auto &app = corpus[static_cast<std::size_t>(i) %
+        const long pair = i / 2;
+        const auto &app = corpus[static_cast<std::size_t>(pair) %
                                  corpus.size()];
         MitigationMode mode = modes[i % 2];
         harness::MitigationRunOptions opt;
         opt.duration = sim::Time::fromMinutes(static_cast<double>(minutes));
+        opt.seed = harness::deriveSeed(0xf1ee7ULL,
+                                       static_cast<std::uint64_t>(pair));
         harness::RunSpec spec = mitigationCellSpec(app, mode, opt);
         spec.name = "dev" + std::to_string(i) + " " + spec.name;
         if (longRun) {
             spec.config.profilerPeriod = sim::Time::fromSeconds(10.0);
-            int phase = static_cast<int>(i) % 24;
+            int phase = static_cast<int>(pair) % 24;
             spec.postStart.push_back([phase](harness::Device &d) {
                 installWeekScript(d, phase);
             });
         } else {
-            diurnalGlances(spec, static_cast<int>(i));
+            diurnalGlances(spec, static_cast<int>(pair));
         }
-        if (shardMinutes > 0) {
-            spec.shards = static_cast<int>((minutes + shardMinutes - 1) /
-                                           shardMinutes);
-            spec.checkpointEvery =
-                sim::Time::fromMinutes(static_cast<double>(shardMinutes));
-        }
+        if (checkpointMinutes > 0)
+            spec.checkpointEvery = sim::Time::fromMinutes(
+                static_cast<double>(checkpointMinutes));
         spec.probes.emplace_back("events", [](harness::Device &d) {
             return static_cast<double>(d.simulator().executedEvents());
         });
@@ -227,39 +227,20 @@ main(int argc, char **argv)
         specs.push_back(std::move(spec));
     }
 
-    harness::RunnerOptions options =
-        harness::ParallelRunner::parseArgs(argc, argv);
-    options.baseSeed = 0xf1ee7ULL;
-    int jobs = 0;
-    std::int64_t t0 = 0;
-    std::uint64_t allocs0 = 0;
-    std::vector<harness::RunResult> results;
-    if (shardMinutes > 0) {
-        harness::ShardedRunner runner(options);
-        jobs = runner.jobs();
-        std::fprintf(stderr,
-                     "[fleet] %ld devices x %ld min on %d worker(s), "
-                     "%ld-min time slices\n",
-                     devices, minutes, jobs, shardMinutes);
-        t0 = nowNanos();
-        allocs0 = benchsupport::allocCount();
-        results = runner.run(specs);
-    } else {
-        harness::ParallelRunner runner(options);
-        jobs = runner.jobs();
-        std::fprintf(stderr,
-                     "[fleet] %ld devices x %ld min on %d worker(s)\n",
-                     devices, minutes, jobs);
-        t0 = nowNanos();
-        allocs0 = benchsupport::allocCount();
-        results = runner.run(specs);
-    }
+    harness::ParallelRunner runner(
+        harness::ParallelRunner::parseArgs(argc, argv));
+    const int jobs = runner.jobs();
+    std::fprintf(stderr, "[fleet] %ld devices x %ld min on %d worker(s)\n",
+                 devices, minutes, jobs);
+    const std::int64_t t0 = nowNanos();
+    const std::uint64_t allocs0 = benchsupport::allocCount();
+    std::vector<harness::RunResult> results = runner.run(specs);
     std::uint64_t allocs = benchsupport::allocCount() - allocs0;
     double wallSec = static_cast<double>(nowNanos() - t0) / 1e9;
 
     // Aggregate per mode and per (behaviour class, mode). The per-mode
     // split relies on result i being device i (vanilla on even indices,
-    // LeaseOS on odd): both runners guarantee spec-order collection for
+    // LeaseOS on odd): the runner guarantees spec-order collection for
     // any --jobs, and the name/specIndex check pins that contract — a
     // reordering would silently swap the modes in every fleet number.
     std::map<std::string, ModeAgg> perMode;
@@ -277,7 +258,7 @@ main(int argc, char **argv)
                          i, r.name.c_str(), r.specIndex);
             return 1;
         }
-        const auto &app = corpus[i % corpus.size()];
+        const auto &app = corpus[(i / 2) % corpus.size()];
         const char *mode = (i % 2 == 0) ? "None" : "LeaseOS";
         double events = r.probe("events");
         totalEvents += events;
@@ -303,7 +284,8 @@ main(int argc, char **argv)
                std::to_string(devices) + " devices x " +
                    std::to_string(minutes) +
                    " virtual minutes; Table-5 buggy apps round-robin, "
-                   "alternating vanilla/LeaseOS, diurnal glance script. "
+                   "each on a vanilla/LeaseOS device pair with one seed, "
+                   "diurnal glance script. "
                    "Mean app power (mW) per behaviour class and mode, "
                    "plus simulator throughput.");
 
@@ -354,8 +336,8 @@ main(int argc, char **argv)
          {"allocs_per_event",
           ResultSink::Value::num(
               static_cast<double>(allocs) / totalEvents, 4)}});
-    // Checkpoint-size stats (sharded runs only) — JSON artifact, one row
-    // per mode; the perf-bench CI job uploads these.
+    // Checkpoint-size stats (checkpointed runs only) — JSON artifact, one
+    // row per mode; the perf-bench CI job uploads these.
     for (const auto &[mode, c] : perModeCkpt) {
         if (c.count == 0) continue;
         json.addRow(

@@ -5,18 +5,6 @@
 namespace leaseos::app {
 
 void
-App::saveState(sim::CheckpointWriter &) const
-{
-    // Non-checkpointable apps never reach here (Device checks the flag);
-    // checkpointable subclasses must override both hooks.
-}
-
-void
-App::restoreState(sim::CheckpointReader &)
-{
-}
-
-void
 App::stop()
 {
     // Runs after the subclass released/destroyed its resource handles, so

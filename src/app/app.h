@@ -16,11 +16,6 @@
 #include "app/app_context.h"
 #include "app/app_process.h"
 
-namespace leaseos::sim {
-class CheckpointWriter;
-class CheckpointReader;
-} // namespace leaseos::sim
-
 namespace leaseos::app {
 
 /**
@@ -54,32 +49,6 @@ class App
     Uid uid() const { return process_.uid(); }
     const std::string &name() const { return name_; }
     bool processAlive() const { return process_.alive(); }
-
-    // ---- Checkpointing (DESIGN.md §11) ---------------------------------
-
-    /**
-     * Whether this app's behaviour state can round-trip through a
-     * checkpoint blob. Defaults to false: most app models drive
-     * themselves with scheduled closures that cannot be serialized, so
-     * restore-from-blob is only offered by apps that keep their next
-     * deadline as plain data (see apps/synthetic/snapshot_probe.h). The
-     * sharded runner never needs this — it hands live devices between
-     * workers instead of restoring.
-     */
-    virtual bool checkpointable() const { return false; }
-
-    /**
-     * Append behaviour state to the device's "apps" section. Only called
-     * when checkpointable(); the default writes nothing.
-     */
-    virtual void saveState(sim::CheckpointWriter &w) const;
-
-    /**
-     * Restore behaviour state saved by saveState() and re-arm the app's
-     * timer from its serialized deadline. Only called when
-     * checkpointable().
-     */
-    virtual void restoreState(sim::CheckpointReader &r);
 
   protected:
     /** Note a severe exception the app raised (feeds generic utility). */

@@ -1,5 +1,7 @@
 #include "harness/device.h"
 
+#include "sim/checkpoint.h"
+
 namespace leaseos::harness {
 
 const char *
@@ -140,20 +142,6 @@ std::vector<std::uint8_t>
 Device::saveCheckpoint() const
 {
     sim::CheckpointWriter w;
-    saveCheckpoint(w);
-    return w.finish();
-}
-
-void
-Device::restoreCheckpoint(const std::vector<std::uint8_t> &blob)
-{
-    sim::CheckpointReader r(blob);
-    restoreCheckpoint(r);
-}
-
-void
-Device::saveCheckpoint(sim::CheckpointWriter &w) const
-{
     w.beginSection("meta", 1);
     w.u8(static_cast<std::uint8_t>(config_.mode));
     w.u64(config_.seed);
@@ -163,8 +151,6 @@ Device::saveCheckpoint(sim::CheckpointWriter &w) const
     w.u64(apps_.size());
     w.endSection();
 
-    // "sim" first: restore needs the clock before any component re-arms
-    // a deadline against it.
     sim_.saveState(w);
     rng_.saveState(w);
     accountant_->saveState(w);
@@ -179,108 +165,15 @@ Device::saveCheckpoint(sim::CheckpointWriter &w) const
     profiler_->saveState(w);
     if (leaseos_) leaseos_->manager().saveState(w);
 
-    w.beginSection("apps", 1);
+    // Identity and liveness only: app behaviour state lives in closures.
+    w.beginSection("apps", 2);
     for (const auto &app : apps_) {
         w.u32(static_cast<std::uint32_t>(app->uid()));
         w.str(app->name());
         w.u8(app->processAlive() ? 1 : 0);
-        w.u8(app->checkpointable() ? 1 : 0);
-        if (app->checkpointable()) app->saveState(w);
     }
     w.endSection();
-}
-
-void
-Device::restoreCheckpoint(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("meta", r.beginSection("meta"), 1);
-    auto mode = static_cast<MitigationMode>(r.u8());
-    r.u64(); // seed: informational; the rng stream below overrides it
-    std::string profileName = r.str();
-    bool dvfs = r.u8() != 0;
-    sim::Time profilerPeriod = r.time();
-    std::uint64_t appCount = r.u64();
-    r.endSection();
-    if (mode != config_.mode)
-        throw sim::CheckpointError(
-            "blob was taken under a different mitigation mode");
-    if (profileName != config_.profile.name)
-        throw sim::CheckpointError("blob was taken on device profile '" +
-                                   profileName + "', this device is '" +
-                                   config_.profile.name + "'");
-    if (dvfs != config_.dvfsEnabled)
-        throw sim::CheckpointError("blob DVFS setting differs");
-    if (profilerPeriod != config_.profilerPeriod)
-        throw sim::CheckpointError("blob profiler period differs");
-    if (appCount != apps_.size())
-        throw sim::CheckpointError(
-            "blob has " + std::to_string(appCount) + " apps, device has " +
-            std::to_string(apps_.size()));
-
-    sim_.restoreState(r);
-    rng_.restoreState(r);
-    accountant_->restoreState(r);
-    battery_->restoreState(r);
-    cpu_->restoreState(r);
-    screen_->restoreState(r);
-    gps_->restoreState(r);
-    radio_->restoreState(r);
-    sensors_->restoreState(r);
-    audio_->restoreState(r);
-    bluetooth_->restoreState(r);
-    profiler_->restoreState(r);
-    if (leaseos_) leaseos_->manager().restoreState(r);
-
-    sim::requireSectionVersion("apps", r.beginSection("apps"), 1);
-    for (auto &app : apps_) {
-        Uid uid = static_cast<Uid>(r.u32());
-        std::string name = r.str();
-        bool alive = r.u8() != 0;
-        bool checkpointable = r.u8() != 0;
-        if (uid != app->uid() || name != app->name())
-            throw sim::CheckpointError(
-                "app mismatch: blob has uid " + std::to_string(uid) +
-                " '" + name + "', device has uid " +
-                std::to_string(app->uid()) + " '" + app->name() + "'");
-        if (!alive)
-            throw sim::CheckpointError(
-                "blob app '" + name +
-                "' was dead at checkpoint; restore requires live apps");
-        if (!checkpointable)
-            throw sim::CheckpointError(
-                "blob app '" + name +
-                "' is not checkpointable: its pending timers cannot be "
-                "re-armed from a blob (use live handoff instead)");
-        if (!app->checkpointable())
-            throw sim::CheckpointError(
-                "blob app '" + name +
-                "' carries behaviour state this app cannot restore");
-        app->restoreState(r);
-    }
-    r.endSection();
-
-    // The restored device is running: make a later start() a no-op and
-    // arm the checked-build audit the original armed in start().
-    started_ = true;
-    if (oracle_ && !auditTick_.active()) {
-        auditTick_ = sim_.schedulePeriodicScoped(
-            config_.checkedAuditPeriod,
-            [this] { auditInvariants(*oracle_); });
-    }
-}
-
-void
-Device::bindToThread()
-{
-    if (recorder_) recorder_->install();
-    if (oracle_) oracle_->install();
-}
-
-void
-Device::unbindFromThread()
-{
-    if (oracle_) oracle_->uninstall();
-    if (recorder_) recorder_->uninstall();
+    return w.finish();
 }
 
 void

@@ -22,7 +22,6 @@
 
 #include "analysis/invariants.h"
 #include "app/app.h"
-#include "sim/checkpoint.h"
 #include "obs/flight_recorder.h"
 #include "app/app_context.h"
 #include "env/gps_environment.h"
@@ -263,40 +262,17 @@ class Device
     // ---- Checkpointing (DESIGN.md §11) ----------------------------------
 
     /**
-     * Serialize the whole device — simulator clock, RNG stream, every
-     * power model's integrals, lease service (LeaseOS mode), and app
-     * states — into one framed blob. Deterministic: equal device state
-     * yields byte-identical blobs, which is what the sharded-determinism
-     * CI gate diffs. Always succeeds; the quiescence requirements live on
-     * the restore side.
+     * Serialize the device's explicit state — simulator clock, RNG
+     * stream, every power model's integrals, lease service (LeaseOS
+     * mode), and app identities — into one framed blob. Deterministic:
+     * equal device state yields byte-identical blobs, so the blob's
+     * digest is a per-interval state fingerprint that must agree across
+     * job counts. Save-only: OS-service tables and pending events are
+     * not captured, so a blob cannot rebuild a device.
      */
     std::vector<std::uint8_t> saveCheckpoint() const;
 
-    /**
-     * Restore a blob from saveCheckpoint() onto a freshly built device
-     * with the same config and the same install<T>() sequence, *before*
-     * start() has been called. Components re-arm their recomputable
-     * deadlines (profiler tick, lease term/deferral expiries, app
-     * timers). Throws sim::CheckpointError if the blob is malformed,
-     * was taken on an incompatible device, or carries state only live
-     * handoff can preserve (in-flight CPU work, parked wake waiters, a
-     * mid-acquisition GPS fix, non-checkpointable apps).
-     */
-    void restoreCheckpoint(const std::vector<std::uint8_t> &blob);
-
-    /**
-     * Re-install this device's thread-local telemetry (flight recorder,
-     * checked-build oracle) on the calling thread. The constructor binds
-     * the constructing thread; the sharded runner calls this when a
-     * device migrates to another worker for its next time slice.
-     * unbindFromThread() must run on the old thread first.
-     */
-    void bindToThread();
-    void unbindFromThread();
-
   private:
-    void saveCheckpoint(sim::CheckpointWriter &w) const;
-    void restoreCheckpoint(sim::CheckpointReader &r);
     DeviceConfig config_;
     sim::Simulator sim_;
     sim::RandomSource rng_;

@@ -226,54 +226,4 @@ JsonSink::finish()
     std::cerr << "[result_sink] wrote " << path_ << "\n";
 }
 
-// ---- CsvSink ------------------------------------------------------------
-
-CsvSink::CsvSink(std::string path) : path_(std::move(path)) {}
-
-void
-CsvSink::begin(const std::string &, const std::string &)
-{
-    // CSV carries no caption; the artefact is named by its path.
-}
-
-void
-CsvSink::addRow(const Row &row)
-{
-    rows_.push_back(row);
-}
-
-std::string
-CsvSink::document() const
-{
-    std::ostringstream os;
-    if (rows_.empty()) return {};
-    const Row &first = rows_.front();
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        if (i) os << ",";
-        os << csvEscape(first[i].first);
-    }
-    os << "\n";
-    for (const Row &row : rows_) {
-        for (std::size_t i = 0; i < row.size(); ++i) {
-            if (i) os << ",";
-            os << csvEscape(row[i].second.toText());
-        }
-        os << "\n";
-    }
-    return os.str();
-}
-
-void
-CsvSink::finish()
-{
-    if (path_.empty()) return;
-    std::ofstream out(path_);
-    if (!out) {
-        std::cerr << "[result_sink] cannot write " << path_ << "\n";
-        return;
-    }
-    out << document();
-    std::cerr << "[result_sink] wrote " << path_ << "\n";
-}
-
 } // namespace leaseos::harness

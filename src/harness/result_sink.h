@@ -8,9 +8,8 @@
  * A bench assembles rows of named cells once and hands them to one or
  * more ResultSinks: TextTableSink renders the familiar aligned table on
  * stdout, JsonSink writes a `BENCH_<name>.json` artifact so sweeps can be
- * diffed, plotted, and regression-checked without scraping text, CsvSink
- * writes the same rows as a spreadsheet-ready CSV file. Key order is
- * stable: cells serialise in insertion order in every emitter.
+ * diffed, plotted, and regression-checked without scraping text. Key
+ * order is stable: cells serialise in insertion order in every emitter.
  *
  * The module also owns the $LEASEOS_OUT artifact-directory convention and
  * the figure benches' raw time-series CSV export (maybeExportSeriesCsv),
@@ -143,34 +142,6 @@ class JsonSink : public ResultSink
     std::string path_;
     std::string benchId_;
     std::string caption_;
-    std::vector<Row> rows_;
-};
-
-/**
- * Serialises the result set as RFC-4180-style CSV: one header line from
- * the first row's keys, then one line per row. Fields containing commas,
- * quotes, or newlines are quoted with doubled inner quotes (csvEscape).
- * With a path, finish() writes the file; document() returns the text
- * either way. Separators are ignored (CSV has no visual rows).
- */
-class CsvSink : public ResultSink
-{
-  public:
-    /** In-memory document only (tests, embedding). */
-    CsvSink() = default;
-    /** Write to @p path on finish(). */
-    explicit CsvSink(std::string path);
-
-    void begin(const std::string &benchId,
-               const std::string &caption) override;
-    void addRow(const Row &row) override;
-    void finish() override;
-
-    std::string document() const;
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
     std::vector<Row> rows_;
 };
 

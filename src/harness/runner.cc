@@ -65,9 +65,8 @@ runScenario(const RunSpec &spec)
 RunResult
 runScenario(const RunSpec &spec, const DeviceConfig &config)
 {
-    // Single-shot execution is just a one-slice session. ShardedRunner
-    // drives the same class slice by slice, which is why the two agree
-    // bit-for-bit (see tests/test_sharded_runner.cc).
+    // A one-step session. Stepping the same session in several calls
+    // gives the same result (tests/harness/test_runner.cc pins this).
     ScenarioSession session(spec, config);
     session.advanceTo(spec.duration);
     return session.finish();

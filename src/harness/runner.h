@@ -109,27 +109,17 @@ struct RunSpec {
     std::string flightRecordDir;
 
     /**
-     * Checkpointing (DESIGN.md §11). When checkpointEvery is non-zero,
-     * the run emits a device snapshot at every multiple of that interval
-     * (k·every ≤ duration, k ≥ 1); each snapshot's {time, size, digest}
-     * lands in RunResult::checkpoints, and the blob itself is written to
-     * checkpointDir when that is non-empty. The emission instants depend
-     * only on the spec — never on shard count or job count — which is
-     * what makes the digests comparable across execution slicings (the
-     * CI sharded-determinism gate diffs exactly these).
+     * State digests (DESIGN.md §11). When checkpointEvery is non-zero,
+     * the run saves a device checkpoint at every multiple of that
+     * interval (k·every ≤ duration, k ≥ 1); each one's {time, size,
+     * digest} lands in RunResult::checkpoints, and the blob itself is
+     * written to checkpointDir when that is non-empty (for tracereplay
+     * --checkpoint). The instants depend only on the spec, never on the
+     * job count or on how a ScenarioSession is stepped, so the digests
+     * of two runs of one spec must agree interval by interval.
      */
     sim::Time checkpointEvery;
     std::string checkpointDir;
-
-    /**
-     * Time slices for ShardedRunner: the run is cut at shard boundaries
-     * (i·duration/shards) and each slice is scheduled independently, so
-     * one long scenario pipelines across workers. runScenario() and
-     * ParallelRunner ignore this field — a single-shot run of the same
-     * spec is the equivalence baseline the sharded path is checked
-     * against.
-     */
-    int shards = 1;
 
     // ---- Fluent helpers (keep spec lists declarative) -------------------
 
@@ -219,12 +209,6 @@ struct RunSpec {
         checkpointDir = std::move(dir);
         return *this;
     }
-    RunSpec &
-    withShards(int n)
-    {
-        shards = n;
-        return *this;
-    }
 };
 
 /** Outcome of one scenario run. Field-wise comparable for determinism
@@ -260,7 +244,7 @@ struct RunResult {
     std::uint64_t traceEventsRetained = 0;
     std::uint64_t traceEventsEmitted = 0;
 
-    /** One emitted device snapshot (RunSpec::checkpointEvery). */
+    /** One saved device checkpoint (RunSpec::checkpointEvery). */
     struct CheckpointStat {
         std::int64_t timeNanos = 0;   ///< sim time of the boundary
         std::uint64_t sizeBytes = 0;  ///< framed blob size
@@ -270,9 +254,9 @@ struct RunResult {
     };
 
     /**
-     * Snapshots emitted during the run, in time order. Equal across job
-     * counts and shard counts for the same spec — the byte-level
-     * determinism signal the sharded CI gate keys on.
+     * Checkpoints saved during the run, in time order. Equal across job
+     * counts for the same spec; the first differing digest between two
+     * runs names the interval where they diverged.
      */
     std::vector<CheckpointStat> checkpoints;
 

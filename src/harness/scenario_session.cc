@@ -63,7 +63,7 @@ ScenarioSession::ScenarioSession(const RunSpec &spec,
 
 ScenarioSession::~ScenarioSession()
 {
-    // An abandoned session (error path) tears down in slice order:
+    // An abandoned session (error path) tears down in dependency order:
     // glance handle before the simulator it points into.
     glanceTick_.cancel();
     device_.reset();
@@ -149,27 +149,12 @@ ScenarioSession::finish()
 
     telemetry_->finish(spec, result);
 
-    // Tear down eagerly: the sharded runner keeps finished sessions
-    // around until every spec completes, and a dead Device frees its
-    // whole event queue + time series.
+    // Tear down eagerly, before the caller's own bookkeeping: a dead
+    // Device frees its whole event queue + time series.
     glanceTick_.cancel();
     device_.reset();
     telemetry_.reset();
     return result;
-}
-
-void
-ScenarioSession::bind()
-{
-    telemetry_->install();
-    device_->bindToThread();
-}
-
-void
-ScenarioSession::unbind()
-{
-    device_->unbindFromThread();
-    telemetry_->uninstall();
 }
 
 } // namespace leaseos::harness

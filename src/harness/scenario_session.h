@@ -3,22 +3,19 @@
 
 /**
  * @file
- * One in-flight scenario run, advanceable in time slices (DESIGN.md §11).
+ * One in-flight scenario run, advanceable in steps (DESIGN.md §11).
  *
- * ScenarioSession is the unit both execution engines drive:
+ * runScenario() — and through it every ParallelRunner worker — constructs
+ * a session and advances it to the full duration in one call. Callers
+ * that need to look at the device mid-run (leasebench's per-slice probes)
+ * advance the same session in several steps on the same thread instead;
+ * a discrete-event simulator satisfies run(T1); run(T2) ≡ run(T2), so the
+ * result does not depend on the step sizes.
  *
- *  - runScenario() constructs one and advances it to the full duration in
- *    a single call — the single-shot baseline;
- *  - ShardedRunner constructs one per spec and advances it slice by
- *    slice, handing the *live* session between worker threads (pending
- *    event closures cannot be serialized, so migration — not
- *    restore-from-blob — is how a long scenario crosses workers).
- *
- * Checkpoint blobs are emitted whenever the clock reaches a multiple of
- * RunSpec::checkpointEvery, regardless of how advanceTo() calls slice the
- * timeline; since equal device state serializes to byte-identical blobs,
- * the digests double as a cheap proof that sliced execution matched the
- * single shot.
+ * Checkpoint digests are emitted whenever the clock reaches a multiple of
+ * RunSpec::checkpointEvery, regardless of how advanceTo() calls step
+ * through the timeline; since equal device state serializes to
+ * byte-identical blobs, the digests fingerprint each interval.
  */
 
 #include <cstdint>
@@ -33,6 +30,8 @@ namespace leaseos::harness {
 
 /**
  * A scenario mid-run: device, telemetry sinks, and checkpoint cursor.
+ * Thread-local telemetry is installed on the constructing thread, so a
+ * session must be advanced and finished on that thread.
  */
 class ScenarioSession
 {
@@ -40,8 +39,7 @@ class ScenarioSession
     /**
      * Build the device, run RunSpec::setup, install apps, start the
      * device, and run RunSpec::postStart — everything up to the first
-     * advance of virtual time. The calling thread becomes the bound
-     * thread (thread-local telemetry is installed on it).
+     * advance of virtual time.
      */
     ScenarioSession(const RunSpec &spec, const DeviceConfig &config);
 
@@ -52,34 +50,17 @@ class ScenarioSession
     /**
      * Run virtual time forward to @p target (absolute; clamped to the
      * spec duration), emitting a checkpoint at every multiple of
-     * checkpointEvery crossed on the way. Caller must be bound.
+     * checkpointEvery crossed on the way.
      */
     void advanceTo(sim::Time target);
-
-    /** Current virtual time. */
-    sim::Time now() const { return device_->simulator().now(); }
-
-    /** True once the clock has reached the spec duration. */
-    bool done() const { return now() >= spec_->duration; }
 
     /**
      * Collect the RunResult (identical to what runScenario() returns,
      * RunResult::specIndex aside) and tear the session down — the device
      * is destroyed and the telemetry sinks drained. Call exactly once,
-     * after advancing to the full duration, on the bound thread.
+     * after advancing to the full duration.
      */
     RunResult finish();
-
-    /**
-     * Thread-handoff hooks: unbind() on the worker that just finished a
-     * slice, bind() on the worker about to run the next one. The
-     * telemetry sinks and the device's own thread-local hooks (flight
-     * recorder, checked-build oracle) move together.
-     */
-    void bind();
-    void unbind();
-
-    const RunSpec &spec() const { return *spec_; }
 
   private:
     void emitCheckpoint();

@@ -23,26 +23,17 @@ TelemetryScope::TelemetryScope(const RunSpec &spec)
         recorder_ = std::make_unique<obs::FlightRecorder>(
             spec.flightRecordDir, spec.name.empty() ? "run" : spec.name);
     }
-    install();
-}
-
-void
-TelemetryScope::install()
-{
     // Recorder last so its abort-path dump sees the registry and ring.
     if (registry_) registry_->install();
     if (trace_) trace_->install();
     if (recorder_) recorder_->install();
-    installed_ = true;
 }
 
-void
-TelemetryScope::uninstall()
+TelemetryScope::~TelemetryScope()
 {
     if (recorder_) recorder_->uninstall();
     if (trace_) trace_->uninstall();
     if (registry_) registry_->uninstall();
-    installed_ = false;
 }
 
 void

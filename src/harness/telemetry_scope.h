@@ -6,14 +6,10 @@
  * Per-run telemetry scope: owns the MetricRegistry / TraceBuffer /
  * FlightRecorder a scenario run installs thread-locally (DESIGN.md §9).
  *
- * Historically an RAII block inside runScenario(); now a standalone class
- * with explicit install()/uninstall() because the sharded runner migrates
- * a live device between worker threads mid-run — the sinks are owned by
- * the session and re-installed on whichever thread executes the next time
- * slice. Components cache MetricRegistry::current() at construction, so
- * the sinks must be installed on the constructing thread before the
- * Device is built; the runtime hooks (oracle macro, flight-recorder dump)
- * consult the *current* thread's installation on every use.
+ * RAII: the constructor installs the sinks on the calling thread and the
+ * destructor removes them. Components cache MetricRegistry::current() at
+ * construction, so the scope must exist before the Device is built and
+ * the run must stay on the constructing thread.
  */
 
 #include <cstdio>
@@ -34,22 +30,14 @@ struct RunResult;
 class TelemetryScope
 {
   public:
-    /** Create the sinks @p spec asks for and install() them here. */
+    /** Create the sinks @p spec asks for and install them here. */
     explicit TelemetryScope(const RunSpec &spec);
 
-    ~TelemetryScope()
-    {
-        if (installed_) uninstall();
-    }
+    /** Remove the sinks from the calling thread. */
+    ~TelemetryScope();
 
     TelemetryScope(const TelemetryScope &) = delete;
     TelemetryScope &operator=(const TelemetryScope &) = delete;
-
-    /** Install the sinks on the calling thread (handoff rebind). */
-    void install();
-
-    /** Remove the sinks from the calling thread (handoff unbind). */
-    void uninstall();
 
     /** Snapshot metrics / export the trace into @p result. */
     void finish(const RunSpec &spec, RunResult &result) const;
@@ -58,7 +46,6 @@ class TelemetryScope
     std::unique_ptr<obs::MetricRegistry> registry_;
     std::unique_ptr<obs::TraceBuffer> trace_;
     std::unique_ptr<obs::FlightRecorder> recorder_;
-    bool installed_ = false;
 };
 
 } // namespace leaseos::harness

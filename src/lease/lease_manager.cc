@@ -526,52 +526,4 @@ LeaseManagerService::saveState(sim::CheckpointWriter &w) const
     w.endSection();
 }
 
-void
-LeaseManagerService::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("leases", r.beginSection("leases"), 1);
-    table_.restoreState(r);
-    reputations_.clear();
-    std::uint64_t repCount = r.u64();
-    for (std::uint64_t i = 0; i < repCount; ++i) {
-        Uid uid = static_cast<Uid>(r.u32());
-        ResourceType rtype = static_cast<ResourceType>(r.u8());
-        Reputation rep;
-        rep.consecutiveMisbehaved = static_cast<int>(r.i64());
-        rep.diedAt = r.time();
-        reputations_[{uid, rtype}] = rep;
-    }
-    totalDeferrals_ = r.u64();
-    totalRenewals_ = r.u64();
-    termChecks_ = r.u64();
-    totalDeferralSeconds_ = r.f64();
-    behaviorCounts_.clear();
-    std::uint64_t behaviors = r.u64();
-    for (std::uint64_t i = 0; i < behaviors; ++i) {
-        BehaviorType b = static_cast<BehaviorType>(r.u8());
-        behaviorCounts_[b] = r.u64();
-    }
-    lifespans_.restoreState(r);
-    termCounts_.restoreState(r);
-    r.endSection();
-
-    // Re-arm expiries at the instants the original events sat at. The
-    // deferral deadline recomputes exactly: consecutiveMisbehaved was
-    // already incremented when tau was chosen and cannot change while
-    // the lease sits in DEFERRED.
-    for (Lease *lease : table_.all()) {
-        LeaseId id = lease->id;
-        if (lease->state == LeaseState::Active) {
-            lease->pendingEvent =
-                sim_.scheduleAt(lease->termStart + lease->termLength,
-                                [this, id] { onTermEnd(id); });
-        } else if (lease->state == LeaseState::Deferred) {
-            sim::Time tau =
-                policy_.deferralFor(lease->consecutiveMisbehaved);
-            lease->pendingEvent = sim_.scheduleAt(
-                lease->deferredAt + tau, [this, id] { onDeferralEnd(id); });
-        }
-    }
-}
-
 } // namespace leaseos::lease

@@ -133,16 +133,6 @@ class LeaseManagerService
      */
     void saveState(sim::CheckpointWriter &w) const;
 
-    /**
-     * Restore onto a freshly built service (same policy, same proxies
-     * registered). Every ACTIVE lease's term-expiry and every DEFERRED
-     * lease's deferral-end event is re-armed from its recomputable
-     * deadline: termStart + termLength, and deferredAt +
-     * policy().deferralFor(consecutiveMisbehaved) respectively —
-     * exactly the instants the original events sat at.
-     */
-    void restoreState(sim::CheckpointReader &r);
-
   private:
     LeaseProxy *proxyFor(ResourceType rtype) const;
     IUtilityCounter *utilityFor(Uid uid, ResourceType rtype) const;

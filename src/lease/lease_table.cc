@@ -96,26 +96,6 @@ writeStat(sim::CheckpointWriter &w, const LeaseStat &s)
     w.u8(s.heldAtTermEnd ? 1 : 0);
 }
 
-LeaseStat
-readStat(sim::CheckpointReader &r)
-{
-    LeaseStat s;
-    s.termStart = r.time();
-    s.termEnd = r.time();
-    s.requestSeconds = r.f64();
-    s.failedRequestSeconds = r.f64();
-    s.holdingSeconds = r.f64();
-    s.usageSeconds = r.f64();
-    s.utilityScore = r.f64();
-    s.exceptions = r.u64();
-    s.uiUpdates = r.u64();
-    s.interactions = r.u64();
-    s.distanceMeters = r.f64();
-    s.acquires = r.u64();
-    s.heldAtTermEnd = r.u8() != 0;
-    return s;
-}
-
 } // namespace
 
 void
@@ -149,48 +129,6 @@ LeaseTable::saveState(sim::CheckpointWriter &w) const
     for (const auto &[token, id] : byToken_) {
         w.u64(token);
         w.u64(id);
-    }
-}
-
-void
-LeaseTable::restoreState(sim::CheckpointReader &r)
-{
-    leases_.clear();
-    byToken_.clear();
-    nextId_ = r.u64();
-    std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        auto lease = std::make_unique<Lease>();
-        lease->id = r.u64();
-        lease->uid = static_cast<Uid>(r.u32());
-        lease->rtype = static_cast<ResourceType>(r.u8());
-        lease->token = r.u64();
-        lease->state = static_cast<LeaseState>(r.u8());
-        lease->createdAt = r.time();
-        lease->termStart = r.time();
-        lease->termLength = r.time();
-        lease->termIndex = static_cast<int>(r.i64());
-        lease->consecutiveNormal = static_cast<int>(r.i64());
-        lease->consecutiveMisbehaved = static_cast<int>(r.i64());
-        lease->renewals = r.u64();
-        lease->deferrals = r.u64();
-        lease->deferredAt = r.time();
-        lease->totalDeferralSeconds = r.f64();
-        std::uint64_t records = r.u64();
-        for (std::uint64_t k = 0; k < records; ++k) {
-            TermRecord rec;
-            rec.stat = readStat(r);
-            rec.behavior = static_cast<BehaviorType>(r.u8());
-            lease->history.push_back(rec);
-        }
-        lease->pendingEvent = sim::kInvalidEventId;
-        LeaseId id = lease->id;
-        leases_.emplace(id, std::move(lease));
-    }
-    std::uint64_t tokens = r.u64();
-    for (std::uint64_t i = 0; i < tokens; ++i) {
-        os::TokenId token = r.u64();
-        byToken_[token] = r.u64();
     }
 }
 

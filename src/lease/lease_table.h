@@ -14,6 +14,10 @@
 
 #include "lease/lease.h"
 
+namespace leaseos::sim {
+class CheckpointWriter;
+} // namespace leaseos::sim
+
 namespace leaseos::lease {
 
 /**
@@ -47,12 +51,10 @@ class LeaseTable
 
     /**
      * Raw-field serialization, embedded in the manager's "leases"
-     * section (DESIGN.md §11). Each lease's pendingEvent handle is NOT
-     * captured — the manager re-arms term/deferral expiries from the
-     * recomputable deadlines on restore.
+     * section (DESIGN.md §11). Each lease's pendingEvent handle is not
+     * captured: it names a closure in the event queue.
      */
     void saveState(sim::CheckpointWriter &w) const;
-    void restoreState(sim::CheckpointReader &r);
 
   private:
     std::map<LeaseId, std::unique_ptr<Lease>> leases_;

@@ -13,15 +13,4 @@ AudioModel::saveState(sim::CheckpointWriter &w) const
     w.endSection();
 }
 
-void
-AudioModel::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("audio", r.beginSection("audio"), 1);
-    players_.clear();
-    std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i)
-        players_.insert(static_cast<Uid>(r.u32()));
-    r.endSection();
-}
-
 } // namespace leaseos::power

@@ -43,7 +43,6 @@ class AudioModel : public PowerComponent
 
     /** Serialize open players as an "audio" section (DESIGN.md §11). */
     void saveState(sim::CheckpointWriter &w) const;
-    void restoreState(sim::CheckpointReader &r);
 
   private:
     void

@@ -12,12 +12,4 @@ Battery::saveState(sim::CheckpointWriter &w) const
     w.endSection();
 }
 
-void
-Battery::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("battery", r.beginSection("battery"), 1);
-    baseMj_ = r.f64();
-    r.endSection();
-}
-
 } // namespace leaseos::power

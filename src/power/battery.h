@@ -68,7 +68,6 @@ class Battery
 
     /** Serialize the recharge baseline as a "battery" section. */
     void saveState(sim::CheckpointWriter &w) const;
-    void restoreState(sim::CheckpointReader &r);
 
   private:
     EnergyAccountant &accountant_;

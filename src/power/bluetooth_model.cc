@@ -14,14 +14,4 @@ BluetoothModel::saveState(sim::CheckpointWriter &w) const
     w.endSection();
 }
 
-void
-BluetoothModel::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("bt", r.beginSection("bt"), 1);
-    owners_ = ckpt::readUids(r);
-    lastAdvance_ = r.time();
-    scanSeconds_ = ckpt::readUidDoubleMap(r);
-    r.endSection();
-}
-
 } // namespace leaseos::power

@@ -94,7 +94,6 @@ class BluetoothModel : public PowerComponent
   public:
     /** Serialize scan state as a "bt" section (DESIGN.md §11). */
     void saveState(sim::CheckpointWriter &w) const;
-    void restoreState(sim::CheckpointReader &r);
 };
 
 } // namespace leaseos::power

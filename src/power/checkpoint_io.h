@@ -3,10 +3,10 @@
 
 /**
  * @file
- * Shared encode/decode helpers for the power models' saveState /
- * restoreState implementations (DESIGN.md §11). All containers travel
- * with an explicit element count; std::map iteration is key-ordered, so
- * the emitted bytes are deterministic.
+ * Shared encode helpers for the power models' saveState implementations
+ * (DESIGN.md §11). All containers travel with an explicit element count;
+ * std::map iteration is key-ordered, so the emitted bytes are
+ * deterministic.
  */
 
 #include <map>
@@ -18,7 +18,7 @@
 namespace leaseos::power::ckpt {
 
 // Ordered on purpose: blob bytes must be a pure function of state, and
-// encode/decode runs once per checkpoint, never in the event loop.
+// encoding runs once per checkpoint, never in the event loop.
 // leaselint: allow(flat-map-hotpath) -- checkpoint tables, once per blob
 using UidDoubleMap = std::map<Uid, double>;
 // leaselint: allow(flat-map-hotpath) -- checkpoint tables, once per blob
@@ -31,17 +31,6 @@ writeUids(sim::CheckpointWriter &w, const std::vector<Uid> &uids)
     for (Uid u : uids) w.u32(static_cast<std::uint32_t>(u));
 }
 
-inline std::vector<Uid>
-readUids(sim::CheckpointReader &r)
-{
-    std::uint64_t n = r.u64();
-    std::vector<Uid> uids;
-    uids.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        uids.push_back(static_cast<Uid>(r.u32()));
-    return uids;
-}
-
 inline void
 writeUidDoubleMap(sim::CheckpointWriter &w, const UidDoubleMap &m)
 {
@@ -52,18 +41,6 @@ writeUidDoubleMap(sim::CheckpointWriter &w, const UidDoubleMap &m)
     }
 }
 
-inline UidDoubleMap
-readUidDoubleMap(sim::CheckpointReader &r)
-{
-    UidDoubleMap m;
-    std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Uid uid = static_cast<Uid>(r.u32());
-        m[uid] = r.f64();
-    }
-    return m;
-}
-
 inline void
 writeUidIntMap(sim::CheckpointWriter &w, const UidIntMap &m)
 {
@@ -72,18 +49,6 @@ writeUidIntMap(sim::CheckpointWriter &w, const UidIntMap &m)
         w.u32(static_cast<std::uint32_t>(uid));
         w.i64(v);
     }
-}
-
-inline UidIntMap
-readUidIntMap(sim::CheckpointReader &r)
-{
-    UidIntMap m;
-    std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Uid uid = static_cast<Uid>(r.u32());
-        m[uid] = static_cast<int>(r.i64());
-    }
-    return m;
 }
 
 } // namespace leaseos::power::ckpt

@@ -343,51 +343,4 @@ CpuModel::saveState(sim::CheckpointWriter &w) const
     w.endSection();
 }
 
-void
-CpuModel::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("cpu", r.beginSection("cpu"), 1);
-    wakelockOwners_ = ckpt::readUids(r);
-    audioOwners_ = ckpt::readUids(r);
-    screenOn_ = r.u8() != 0;
-    wakeWindows_ = static_cast<int>(r.i64());
-    awake_ = r.u8() != 0;
-    std::uint64_t taskCount = r.u64();
-    tasks_.clear();
-    for (std::uint64_t i = 0; i < taskCount; ++i) {
-        WorkToken token = r.u64();
-        Uid uid = static_cast<Uid>(r.u32());
-        double load = r.f64();
-        tasks_.push_back({token, Task{uid, load}});
-    }
-    nextToken_ = r.u64();
-    std::uint64_t waiterCount = r.u64();
-    if (taskCount != 0 || waiterCount != 0)
-        throw sim::CheckpointError(
-            "cpu checkpoint carries in-flight work (" +
-            std::to_string(taskCount) + " tasks, " +
-            std::to_string(waiterCount) +
-            " wake waiters); restore requires a quiescent boundary");
-    dvfsEnabled_ = r.u8() != 0;
-    dvfsLevel_ = r.u64();
-    std::uint64_t levels = r.u64();
-    levelSeconds_.assign(levels, 0.0);
-    for (std::uint64_t i = 0; i < levels; ++i) levelSeconds_[i] = r.f64();
-    lastAdvance_ = r.time();
-    auto readUidDoubles =
-        [&r](common::InlineVec<std::pair<Uid, double>, 8> &v) {
-            v.clear();
-            std::uint64_t n = r.u64();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                Uid uid = static_cast<Uid>(r.u32());
-                v.push_back({uid, r.f64()});
-            }
-        };
-    readUidDoubles(cpuSeconds_);
-    readUidDoubles(normalizedCpuSeconds_);
-    awakeSeconds_ = r.f64();
-    asleepSeconds_ = r.f64();
-    r.endSection();
-}
-
 } // namespace leaseos::power

@@ -133,19 +133,10 @@ class CpuModel : public PowerComponent
 
     /**
      * Serialize wake sources, tasks, DVFS, and the per-uid integrals as
-     * a "cpu" section (DESIGN.md §11). Always succeeds; parked wake
-     * waiters are counted but not captured (they are closures).
+     * a "cpu" section (DESIGN.md §11). Parked wake waiters are counted
+     * but not captured (they are closures).
      */
     void saveState(sim::CheckpointWriter &w) const;
-
-    /**
-     * Restore state saved by saveState(). Throws CheckpointError when
-     * the blob carries in-flight work (running tasks whose end events
-     * are closures) or parked wake waiters — restore-from-blob requires
-     * a quiescent boundary; the sharded runner never needs one because
-     * it hands live devices between workers instead.
-     */
-    void restoreState(sim::CheckpointReader &r);
 
   private:
     struct Task {

@@ -207,48 +207,4 @@ EnergyAccountant::saveState(sim::CheckpointWriter &w) const
     w.endSection();
 }
 
-void
-EnergyAccountant::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("energy", r.beginSection("energy"), 1);
-    lastSync_ = r.time();
-    totalMj_ = r.f64();
-    std::uint64_t uidCount = r.u64();
-    uids_.clear();
-    uidMj_.clear();
-    uids_.reserve(uidCount);
-    uidMj_.reserve(uidCount);
-    for (std::uint64_t i = 0; i < uidCount; ++i) {
-        uids_.push_back(static_cast<Uid>(r.u32()));
-        uidMj_.push_back(r.f64());
-    }
-    std::uint64_t channelCount = r.u64();
-    if (channelCount != channels_.size())
-        throw sim::CheckpointError(
-            "energy section has " + std::to_string(channelCount) +
-            " channels; this device has " +
-            std::to_string(channels_.size()));
-    for (Channel &c : channels_) {
-        std::string name = r.str();
-        if (name != c.name)
-            throw sim::CheckpointError("energy channel mismatch: blob '" +
-                                       name + "' vs device '" + c.name +
-                                       "'");
-        c.energyMj = r.f64();
-        std::uint64_t slots = r.u64();
-        c.uidMj.assign(slots, 0.0);
-        for (std::uint64_t i = 0; i < slots; ++i) c.uidMj[i] = r.f64();
-        c.shares.clear();
-        std::uint64_t shareCount = r.u64();
-        for (std::uint64_t i = 0; i < shareCount; ++i) {
-            Share s;
-            s.uid = static_cast<Uid>(r.u32());
-            s.slot = r.u32();
-            s.mw = r.f64();
-            c.shares.push_back(s);
-        }
-    }
-    r.endSection();
-}
-
 } // namespace leaseos::power

@@ -143,14 +143,6 @@ class EnergyAccountant
      */
     void saveState(sim::CheckpointWriter &w) const;
 
-    /**
-     * Restore integrals saved by saveState() onto an accountant whose
-     * channels were created in the same order with the same names
-     * (i.e. an identically configured device); throws CheckpointError
-     * on any mismatch.
-     */
-    void restoreState(sim::CheckpointReader &r);
-
   private:
     /** One attribution entry; the uid's dense slot is cached at set time. */
     struct Share {

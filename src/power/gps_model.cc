@@ -150,24 +150,4 @@ GpsModel::saveState(sim::CheckpointWriter &w) const
     w.endSection();
 }
 
-void
-GpsModel::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("gps", r.beginSection("gps"), 1);
-    state_ = static_cast<State>(r.u8());
-    signalGood_ = r.u8() != 0;
-    bool fixPending = r.u8() != 0;
-    if (fixPending)
-        throw sim::CheckpointError(
-            "gps checkpoint taken mid-fix-acquisition; restore requires "
-            "a quiescent boundary");
-    owners_ = ckpt::readUids(r);
-    fixAcquireDelay_ = r.time();
-    lastAdvance_ = r.time();
-    searchSeconds_ = ckpt::readUidDoubleMap(r);
-    trackSeconds_ = ckpt::readUidDoubleMap(r);
-    fixEvent_ = sim::kInvalidEventId;
-    r.endSection();
-}
-
 } // namespace leaseos::power

@@ -56,14 +56,6 @@ class GpsModel : public PowerComponent
     /** Serialize receiver state as a "gps" section (DESIGN.md §11). */
     void saveState(sim::CheckpointWriter &w) const;
 
-    /**
-     * Restore state saved by saveState(). Throws CheckpointError when
-     * the blob was taken mid-fix-acquisition (the pending fix event is a
-     * closure and cannot be re-armed) — checkpoint at a boundary where
-     * the receiver is Off, Tracking, or searching with bad signal.
-     */
-    void restoreState(sim::CheckpointReader &r);
-
   private:
     void advance();
     void reevaluate();

@@ -87,38 +87,4 @@ PowerProfiler::saveState(sim::CheckpointWriter &w) const
     w.endSection();
 }
 
-void
-PowerProfiler::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("profiler", r.beginSection("profiler"), 1);
-    bool wasRunning = r.u8() != 0;
-    sim::Time period = r.time();
-    if (period != period_)
-        throw sim::CheckpointError(
-            "profiler period mismatch: blob " + period.toString() +
-            " vs device " + period_.toString());
-    lastTotalMj_ = r.f64();
-    total_.restoreState(r);
-    std::uint64_t uidCount = r.u64();
-    if (uidCount != perUid_.size())
-        throw sim::CheckpointError(
-            "profiler watches " + std::to_string(perUid_.size()) +
-            " uids; blob has " + std::to_string(uidCount));
-    lastUidMj_.clear();
-    for (auto &[uid, series] : perUid_) {
-        Uid saved = static_cast<Uid>(r.u32());
-        if (saved != uid)
-            throw sim::CheckpointError(
-                "profiler uid mismatch: blob " + std::to_string(saved) +
-                " vs device " + std::to_string(uid));
-        lastUidMj_[uid] = r.f64();
-        series.restoreState(r);
-    }
-    r.endSection();
-    tick_.cancel();
-    running_ = wasRunning;
-    if (running_)
-        tick_ = sim_.schedulePeriodicScoped(period_, [this] { sample(); });
-}
-
 } // namespace leaseos::power

@@ -61,18 +61,9 @@ class PowerProfiler
 
     /**
      * Serialize the sampled series and interval baselines as a
-     * "profiler" section (DESIGN.md §11). Checkpoints must be taken at a
-     * multiple of the sampling period so the due tick has already fired.
+     * "profiler" section (DESIGN.md §11).
      */
     void saveState(sim::CheckpointWriter &w) const;
-
-    /**
-     * Restore onto a profiler watching the same uids; when the saved
-     * profiler was running, the sampling loop is re-armed one period
-     * from the (restored) current time — exactly where the original's
-     * next tick sat.
-     */
-    void restoreState(sim::CheckpointReader &r);
 
   private:
     void sample();

@@ -148,20 +148,4 @@ RadioModel::saveState(sim::CheckpointWriter &w) const
     w.endSection();
 }
 
-void
-RadioModel::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("radio", r.beginSection("radio"), 1);
-    wifiLockOwners_ = ckpt::readUids(r);
-    wifiActive_ = static_cast<int>(r.i64());
-    wifiActiveUids_ = ckpt::readUids(r);
-    cellActive_ = static_cast<int>(r.i64());
-    cellActiveUids_ = ckpt::readUids(r);
-    lastAdvance_ = r.time();
-    wifiLockSeconds_ = ckpt::readUidDoubleMap(r);
-    wifiActiveCount_ = ckpt::readUidIntMap(r);
-    wifiActiveSeconds_ = ckpt::readUidDoubleMap(r);
-    r.endSection();
-}
-
 } // namespace leaseos::power

@@ -55,7 +55,6 @@ class RadioModel : public PowerComponent
 
     /** Serialize radio state as a "radio" section (DESIGN.md §11). */
     void saveState(sim::CheckpointWriter &w) const;
-    void restoreState(sim::CheckpointReader &r);
 
   private:
     void advance();

@@ -14,14 +14,4 @@ ScreenModel::saveState(sim::CheckpointWriter &w) const
     w.endSection();
 }
 
-void
-ScreenModel::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("screen", r.beginSection("screen"), 1);
-    on_ = r.u8() != 0;
-    brightness_ = r.f64();
-    owners_ = ckpt::readUids(r);
-    r.endSection();
-}
-
 } // namespace leaseos::power

@@ -58,7 +58,6 @@ class ScreenModel : public PowerComponent
 
     /** Serialize panel state as a "screen" section (DESIGN.md §11). */
     void saveState(sim::CheckpointWriter &w) const;
-    void restoreState(sim::CheckpointReader &r);
 
   private:
     void

@@ -126,19 +126,4 @@ SensorModel::saveState(sim::CheckpointWriter &w) const
     w.endSection();
 }
 
-void
-SensorModel::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("sensors", r.beginSection("sensors"), 1);
-    for (UserList &users : uses_) {
-        users.clear();
-        std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Uid uid = static_cast<Uid>(r.u32());
-            users.push_back({uid, static_cast<int>(r.i64())});
-        }
-    }
-    r.endSection();
-}
-
 } // namespace leaseos::power

@@ -47,7 +47,6 @@ class SensorModel : public PowerComponent
 
     /** Serialize registrations as a "sensors" section (DESIGN.md §11). */
     void saveState(sim::CheckpointWriter &w) const;
-    void restoreState(sim::CheckpointReader &r);
 
   private:
     /** Registered (uid, count) pairs kept sorted by uid. */

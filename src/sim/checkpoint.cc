@@ -129,7 +129,7 @@ const std::uint8_t *
 CheckpointReader::take(std::size_t n)
 {
     std::size_t limit = inSection_ ? sectionEnd_ : end_;
-    if (pos_ + n > limit)
+    if (n > limit - pos_)
         throw CheckpointError("checkpoint read past " +
                               std::string(inSection_ ? "section" : "payload") +
                               " end");
@@ -158,7 +158,9 @@ CheckpointReader::nextSection(std::uint32_t &versionOut)
     std::string name(reinterpret_cast<const char *>(take(nameLen)), nameLen);
     versionOut = u32();
     std::uint64_t bodyLen = u64();
-    if (pos_ + bodyLen > end_)
+    // Compared against the bytes left, not as pos_ + bodyLen: a length
+    // near 2^64 would wrap that sum and put the section end behind pos_.
+    if (bodyLen > end_ - pos_)
         throw CheckpointError("section '" + name + "' body truncated");
     sectionEnd_ = pos_ + bodyLen;
     inSection_ = true;
@@ -191,19 +193,6 @@ CheckpointReader::skipSection()
     if (!inSection_) throw CheckpointError("skipSection() with none open");
     pos_ = sectionEnd_;
     inSection_ = false;
-}
-
-bool
-CheckpointReader::seekSection(std::string_view name)
-{
-    if (inSection_) skipSection();
-    while (pos_ != end_) {
-        std::uint32_t version = 0;
-        std::string actual = nextSection(version);
-        if (actual == name) return true;
-        skipSection();
-    }
-    return false;
 }
 
 std::uint8_t

@@ -3,25 +3,20 @@
 
 /**
  * @file
- * Deterministic device snapshots (DESIGN.md §11).
+ * Deterministic device state digests (DESIGN.md §11).
  *
  * A checkpoint serializes the explicit state of a running simulation to a
  * byte blob at a sim-time boundary: fixed little-endian encoding, named
  * versioned sections (one per component), and an FNV-1a digest over the
  * payload, so two runs that reach the same state produce byte-identical
- * blobs regardless of host, thread, or how execution was sliced. The
- * blobs back three things:
+ * blobs regardless of host, thread, or job count. Checkpoints are
+ * save-only; the blobs back two things:
  *
- *  - the sharded runner's boundary verification (equal state ⇒ equal
- *    blob bytes, cheap to compare or checksum across job counts);
+ *  - per-interval state digests (equal state ⇒ equal blob bytes), which
+ *    must agree across job counts and tell which interval of two runs
+ *    diverged first;
  *  - offline triage: tools/tracereplay decodes a blob and re-drives a
- *    slice's validation from it without replaying the whole prefix;
- *  - component restore: every component with saveState() has a
- *    restoreState() that reloads the state onto a freshly-built peer and
- *    re-arms its own timers, so save→restore→run matches run-through
- *    (see the §11 resume contract for what is and isn't captured —
- *    pending closure callbacks are NOT serialized; components re-arm
- *    from recomputable deadlines instead).
+ *    trace's validation from it without replaying the whole prefix.
  *
  * Wire format (all integers little-endian):
  *
@@ -31,8 +26,8 @@
  *     section: u32 nameLen | name bytes | u32 version | u64 bodyLen | body
  *
  * Readers fail with CheckpointError (an exception, never abort) on bad
- * magic, unknown format, digest mismatch, truncation, out-of-order
- * sections, or a component version they do not understand.
+ * magic, unknown format, digest mismatch, truncation, an out-of-range
+ * section length, or out-of-order sections.
  */
 
 #include <cstdint>
@@ -114,9 +109,6 @@ class CheckpointWriter
     /** Frame header + payload + digest. The writer is spent afterwards. */
     std::vector<std::uint8_t> finish();
 
-    /** Bytes appended so far (diagnostics / size accounting). */
-    std::size_t payloadSize() const { return buf_.size(); }
-
   private:
     template <typename T>
     void
@@ -135,11 +127,11 @@ class CheckpointWriter
  * Validates and decodes a checkpoint blob.
  *
  * Construction verifies the frame (magic, format, size, digest).
- * Components consume their own section with beginSection(name) — which
- * enforces that the next section is the expected one and returns its
+ * Readers consume an expected section with beginSection(name) — which
+ * enforces that the next section is the named one and returns its
  * version — and endSection(), which enforces the body was read exactly.
  * Tools can instead walk sections generically with nextSection() /
- * skipSection(), or jump with seekSection().
+ * skipSection().
  */
 class CheckpointReader
 {
@@ -168,12 +160,6 @@ class CheckpointReader
 
     /** Skip the remainder of the open section's body. */
     void skipSection();
-
-    /**
-     * Scan forward from the current position for section @p name and
-     * open it. @retval false when no such section remains.
-     */
-    bool seekSection(std::string_view name);
 
     std::uint8_t u8();
     std::uint32_t u32();
@@ -206,23 +192,6 @@ class CheckpointReader
     std::size_t sectionEnd_ = 0;
     bool inSection_ = false;
 };
-
-/**
- * Version gate for component restoreState(): throws CheckpointError when
- * @p found is not @p supported. Kept trivial on purpose — components bump
- * their section version on layout changes, and old readers must refuse
- * rather than misparse.
- */
-inline void
-requireSectionVersion(std::string_view name, std::uint32_t found,
-                      std::uint32_t supported)
-{
-    if (found != supported)
-        throw CheckpointError("section '" + std::string(name) +
-                              "' has version " + std::to_string(found) +
-                              "; this build restores version " +
-                              std::to_string(supported));
-}
 
 /** Write @p blob to @p path (binary). @retval false on I/O failure. */
 bool writeCheckpointFile(const std::string &path,

@@ -3,24 +3,7 @@
 #include <cassert>
 #include <utility>
 
-#include "sim/checkpoint.h"
-
 namespace leaseos::sim {
-
-void
-EventQueue::saveState(CheckpointWriter &) const
-{
-    // Nothing: see the header for why nextSeq_ must stay off the wire.
-}
-
-void
-EventQueue::restoreState(CheckpointReader &)
-{
-    if (liveCount_ != 0)
-        throw CheckpointError(
-            "EventQueue::restoreState on a non-empty queue (" +
-            std::to_string(liveCount_) + " live events)");
-}
 
 EventId
 EventQueue::schedule(Time when, Callback cb)

@@ -35,9 +35,6 @@
 
 namespace leaseos::sim {
 
-class CheckpointWriter;
-class CheckpointReader;
-
 /**
  * Opaque handle identifying a scheduled event; 0 is "invalid".
  * Layout: low 32 bits = slot index + 1, high 32 bits = slot generation.
@@ -95,28 +92,6 @@ class EventQueue
 
     /** Total number of events ever scheduled (for stats/debug). */
     std::uint64_t scheduledCount() const { return nextSeq_; }
-
-    /**
-     * Serialize the queue's checkpoint-relevant state (DESIGN.md §11) —
-     * currently nothing. Pending callbacks are closures and are NOT
-     * serialized — checkpoints are taken at boundaries where every due
-     * event has fired, and restored components re-arm their own timers
-     * from recomputable deadlines. The nextSeq_ tie-break counter is
-     * runtime bookkeeping, deliberately excluded: re-arms consume fresh
-     * sequence numbers, yet ordering is preserved because every re-armed
-     * event — like every pre-save pending event — carries a smaller
-     * sequence than anything scheduled afterwards. Serializing it would
-     * make a restored run's later blobs differ from the original's by
-     * exactly the number of re-armed events.
-     */
-    void saveState(CheckpointWriter &w) const;
-
-    /**
-     * Counterpart of saveState(). The queue must be empty (throws
-     * CheckpointError otherwise): restore happens on a fresh simulation
-     * before components re-arm their events.
-     */
-    void restoreState(CheckpointReader &r);
 
   private:
     /** Free-list terminator / "no slot" marker. */

@@ -21,16 +21,4 @@ RandomSource::saveState(CheckpointWriter &w) const
     w.endSection();
 }
 
-void
-RandomSource::restoreState(CheckpointReader &r)
-{
-    requireSectionVersion("rng", r.beginSection("rng"), 1);
-    std::istringstream is(r.str());
-    is.imbue(std::locale::classic());
-    is >> rng_;
-    r.endSection();
-    if (is.fail())
-        throw CheckpointError("rng section does not decode as mt19937_64");
-}
-
 } // namespace leaseos::sim

@@ -24,7 +24,6 @@
 namespace leaseos::sim {
 
 class CheckpointWriter;
-class CheckpointReader;
 
 /**
  * Seeded pseudo-random generator with simulation-friendly helpers.
@@ -33,9 +32,6 @@ class RandomSource
 {
   public:
     explicit RandomSource(std::uint64_t seed = 0x1ea5e05) : rng_(seed) {}
-
-    /** Re-seed, restarting the stream. */
-    void reseed(std::uint64_t seed) { rng_.seed(seed); }
 
     /** Uniform double in [0, 1). */
     double
@@ -61,13 +57,6 @@ class RandomSource
     /** Bernoulli trial with probability @p p of true. */
     bool chance(double p) { return uniform() < p; }
 
-    /** Normal variate; @p sd must be >= 0. */
-    double
-    gaussian(double mean, double sd)
-    {
-        return std::normal_distribution<double>(mean, sd)(rng_);
-    }
-
     /** Exponential variate with the given mean (for arrival processes). */
     double
     exponential(double mean)
@@ -91,9 +80,6 @@ class RandomSource
      * representation under the classic locale.
      */
     void saveState(CheckpointWriter &w) const;
-
-    /** Restore a stream position saved by saveState(). */
-    void restoreState(CheckpointReader &r);
 
   private:
     std::mt19937_64 rng_;

@@ -14,18 +14,7 @@ Simulator::saveState(CheckpointWriter &w) const
     w.beginSection("sim", 1);
     w.time(now_);
     w.u64(executed_);
-    queue_.saveState(w);
     w.endSection();
-}
-
-void
-Simulator::restoreState(CheckpointReader &r)
-{
-    requireSectionVersion("sim", r.beginSection("sim"), 1);
-    now_ = r.time();
-    executed_ = r.u64();
-    queue_.restoreState(r);
-    r.endSection();
 }
 
 void

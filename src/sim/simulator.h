@@ -27,6 +27,7 @@
 
 namespace leaseos::sim {
 
+class CheckpointWriter;
 class Simulator;
 
 namespace detail {
@@ -160,18 +161,10 @@ class Simulator
     std::uint64_t executedEvents() const { return executed_; }
 
     /**
-     * Serialize the clock and event counters as a "sim" section
-     * (DESIGN.md §11). Pending events are deliberately not captured —
-     * see EventQueue::saveState.
+     * Serialize the clock and event counter as a "sim" section
+     * (DESIGN.md §11). Pending events are closures and are not captured.
      */
     void saveState(CheckpointWriter &w) const;
-
-    /**
-     * Restore the clock onto a fresh simulator (empty queue required).
-     * After this, now() reports the checkpoint time and newly scheduled
-     * events run at their absolute deadlines.
-     */
-    void restoreState(CheckpointReader &r);
 
   private:
     EventQueue queue_;

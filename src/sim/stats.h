@@ -3,48 +3,16 @@
 
 /**
  * @file
- * Lightweight statistics primitives used across the simulator.
- *
- * Counter accumulates monotonically-increasing totals (CPU time, bytes);
- * Accumulator tracks moments of a sample stream (mean / min / max / stddev);
- * Histogram buckets samples for distribution reporting.
+ * Streaming sample statistics: Accumulator tracks the moments of a sample
+ * stream (mean / min / max / stddev). Distribution reporting goes through
+ * the MetricRegistry's histograms (obs/metric_registry.h).
  */
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace leaseos::sim {
 
 class CheckpointWriter;
-class CheckpointReader;
-
-/**
- * Monotonic counter with checkpoint support.
- *
- * Lease accounting reads per-term deltas of OS counters (e.g. per-uid CPU
- * time); checkpoint()/delta() give that without the caller storing copies.
- */
-class Counter
-{
-  public:
-    void add(double v) { total_ += v; }
-    void increment() { total_ += 1.0; }
-
-    double total() const { return total_; }
-
-    /** Record the current total as the new reference point. */
-    void checkpoint() { mark_ = total_; }
-
-    /** Total accumulated since the last checkpoint(). */
-    double delta() const { return total_ - mark_; }
-
-    void reset() { total_ = 0.0; mark_ = 0.0; }
-
-  private:
-    double total_ = 0.0;
-    double mark_ = 0.0;
-};
 
 /**
  * Streaming sample statistics (Welford's algorithm for variance).
@@ -63,11 +31,8 @@ class Accumulator
     double variance() const;
     double stddev() const;
 
-    void reset();
-
     /** Raw-field serialization (embedded in the owner's section). */
     void saveState(CheckpointWriter &w) const;
-    void restoreState(CheckpointReader &r);
 
   private:
     std::uint64_t n_ = 0;
@@ -76,38 +41,6 @@ class Accumulator
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/**
- * Fixed-width histogram over [lo, hi) with overflow/underflow buckets.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void record(double v);
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t bucketCount(std::size_t i) const { return buckets_.at(i); }
-    std::size_t buckets() const { return buckets_.size(); }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-
-    /** Approximate quantile (linear within the winning bucket). */
-    double quantile(double q) const;
-
-    /** Multi-line ASCII rendering for reports. */
-    std::string toString(const std::string &label = "") const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t count_ = 0;
 };
 
 } // namespace leaseos::sim

@@ -19,19 +19,6 @@ TimeSeries::saveState(CheckpointWriter &w) const
     }
 }
 
-void
-TimeSeries::restoreState(CheckpointReader &r)
-{
-    std::uint64_t n = r.u64();
-    points_.clear();
-    points_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Time t = r.time();
-        double v = r.f64();
-        points_.push_back({t, v});
-    }
-}
-
 double
 TimeSeries::sum() const
 {
@@ -61,25 +48,6 @@ TimeSeries::min() const
     double m = points_.empty() ? 0.0 : points_.front().value;
     for (const auto &p : points_) m = std::min(m, p.value);
     return m;
-}
-
-double
-TimeSeries::sumBetween(Time from, Time to) const
-{
-    double s = 0.0;
-    for (const auto &p : points_)
-        if (p.t >= from && p.t < to) s += p.value;
-    return s;
-}
-
-std::string
-TimeSeries::toCsv() const
-{
-    std::ostringstream os;
-    os << "time_s," << (name_.empty() ? "value" : name_) << "\n";
-    for (const auto &p : points_)
-        os << p.t.seconds() << "," << p.value << "\n";
-    return os.str();
 }
 
 std::string

@@ -8,8 +8,8 @@
  * The paper's characterisation figures (Figs. 1-4) are per-minute metric
  * vectors; the evaluation figures (Figs. 9, 11-14) are series or grouped
  * bars. TimeSeries collects (time, value) points and renders them as
- * aligned text columns or CSV so the bench binaries can print the same
- * series the paper plots.
+ * aligned text columns so the bench binaries can print the same series
+ * the paper plots (CSV export: harness::maybeExportSeriesCsv).
  */
 
 #include <string>
@@ -20,7 +20,6 @@
 namespace leaseos::sim {
 
 class CheckpointWriter;
-class CheckpointReader;
 
 /**
  * Ordered sequence of (timestamp, value) samples.
@@ -47,15 +46,8 @@ class TimeSeries
     double max() const;
     double min() const;
 
-    /** Sum of values where the sample time lies in [from, to). */
-    double sumBetween(Time from, Time to) const;
-
-    /** CSV rendering: "t_seconds,value" lines. */
-    std::string toCsv() const;
-
     /** Raw-point serialization (embedded in the owner's section). */
     void saveState(CheckpointWriter &w) const;
-    void restoreState(CheckpointReader &r);
 
   private:
     std::string name_;

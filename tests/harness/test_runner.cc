@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the parallel experiment engine: scenario runs, deterministic
- * seed derivation, ordered collection, and bit-identical results across
- * worker-pool sizes.
+ * seed derivation, ordered collection, and bit-identical results
+ * (checkpoint digests included) across worker-pool sizes.
  */
 
 #include <gtest/gtest.h>
@@ -126,7 +126,10 @@ TEST(RunScenarioTest, MitigationCellSpecDescribesTheStandardCell)
 
 TEST(ParallelRunnerTest, ResultsIdenticalAcrossJobCounts)
 {
+    // Per-minute checkpoints: jobs=1 vs jobs=8 also compares every
+    // interval's state digest, not only the end-of-run numbers.
     std::vector<RunSpec> specs = sampleSpecs();
+    for (RunSpec &spec : specs) spec.withCheckpoints(1_min);
 
     RunnerOptions one;
     one.jobs = 1;
@@ -145,7 +148,8 @@ TEST(ParallelRunnerTest, ResultsIdenticalAcrossJobCounts)
     for (std::size_t i = 0; i < a.size(); ++i) {
         SCOPED_TRACE(specs[i].name);
         EXPECT_EQ(a[i].specIndex, i);
-        EXPECT_EQ(a[i], b[i]); // power, behaviour counts, deferrals, ...
+        EXPECT_EQ(a[i].checkpoints.size(), 5u);
+        EXPECT_EQ(a[i], b[i]); // power, counters, digests, ...
     }
     // The workload is not degenerate: different cells disagree.
     EXPECT_NE(a[0].appPowerMw, a[1].appPowerMw);

@@ -1,165 +1,148 @@
 /**
  * @file
- * ShardedRunner equivalence tests (DESIGN.md §11).
+ * Sharded-run equivalence tests (DESIGN.md §11).
  *
- * The sharded runner's whole contract is "same answer, different
- * wall-clock shape": cutting a scenario into K time slices, migrating
- * the live device between workers at each boundary, must be
- * *bit-identical* to the single-shot run — including the checkpoint
- * digests emitted along the way. These tests pin that equivalence for
- * real Table-5 cells, across shard counts and job counts, plus the
- * shardBounds partition arithmetic.
+ * A sharded run cuts one scenario's timeline into time slices and
+ * advances a single ScenarioSession through them on one thread. Its
+ * whole contract is "same answer, different stepping": for any slicing
+ * the result must be *bit-identical* to the single-shot runScenario() —
+ * including the checkpoint digests emitted along the way — because a
+ * discrete-event run satisfies run(T1); run(T2) ≡ run(T2). leasebench's
+ * traced half probes the device between slices and relies on this.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "apps/registry.h"
 #include "harness/experiment.h"
 #include "harness/runner.h"
-#include "harness/sharded_runner.h"
+#include "harness/scenario_session.h"
 
 namespace leaseos::harness {
 namespace {
 
+using sim::operator""_min;
+
 /** Two Table-5 cells (vanilla + LeaseOS torch), 10 min, 4 checkpoints. */
 std::vector<RunSpec>
-cellSpecs(int shards)
+cellSpecs()
 {
     MitigationRunOptions opt;
-    opt.duration = sim::Time::fromMinutes(10.0);
+    opt.duration = 10_min;
     std::vector<RunSpec> specs;
     for (MitigationMode mode :
          {MitigationMode::None, MitigationMode::LeaseOS}) {
         RunSpec spec = mitigationCellSpec(apps::buggySpec("torch"), mode, opt);
-        spec.withCheckpoints(sim::Time::fromNanos(spec.duration.nanos() / 4))
-            .withShards(shards);
+        spec.withCheckpoints(sim::Time::fromNanos(opt.duration.nanos() / 4));
         specs.push_back(std::move(spec));
     }
     return specs;
 }
 
-TEST(ShardBoundsTest, PartitionsExactly)
+/**
+ * Advance a fresh session for @p spec under @p config to each cut (a
+ * fraction of the duration), then to the end, and collect its result.
+ */
+RunResult
+runInSteps(const RunSpec &spec, const DeviceConfig &config,
+           const std::vector<double> &cuts)
 {
-    // Non-divisible duration: bounds are strictly increasing and land
-    // exactly on the duration with no rounding residue.
-    sim::Time d = sim::Time::fromNanos(1000000007);
-    auto bounds = shardBounds(d, 7);
-    ASSERT_EQ(bounds.size(), 7u);
-    sim::Time prev = sim::Time::fromNanos(0);
-    for (sim::Time b : bounds) {
-        EXPECT_GT(b, prev);
-        prev = b;
-    }
-    EXPECT_EQ(bounds.back(), d);
-
-    auto one = shardBounds(d, 1);
-    ASSERT_EQ(one.size(), 1u);
-    EXPECT_EQ(one[0], d);
-
-    // More shards than nanoseconds would produce empty slices but must
-    // still end exactly at the duration.
-    auto tiny = shardBounds(sim::Time::fromNanos(3), 8);
-    EXPECT_EQ(tiny.back(), sim::Time::fromNanos(3));
+    ScenarioSession session(spec, config);
+    for (double cut : cuts)
+        session.advanceTo(sim::Time::fromNanos(static_cast<std::int64_t>(
+            cut * static_cast<double>(spec.duration.nanos()))));
+    session.advanceTo(spec.duration);
+    return session.finish();
 }
 
-TEST(ShardedRunnerTest, BitIdenticalToSingleShot)
+/** Run @p spec in @p shards equal slices. */
+RunResult
+runSharded(const RunSpec &spec, const DeviceConfig &config, int shards)
 {
-    // Baseline: single-shot runScenario, no slicing machinery.
-    std::vector<RunSpec> specs = cellSpecs(/*shards=*/4);
-    std::vector<RunResult> expected;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        expected.push_back(runScenario(specs[i]));
-        expected.back().specIndex = i;
-    }
-    ASSERT_EQ(expected[0].checkpoints.size(), 4u);
-
-    RunnerOptions options;
-    options.jobs = 2;
-    ShardedRunner runner(options);
-    std::vector<RunResult> sharded = runner.run(specs);
-
-    ASSERT_EQ(sharded.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-        EXPECT_EQ(sharded[i], expected[i]) << specs[i].name;
+    std::vector<double> cuts;
+    for (int k = 1; k < shards; ++k)
+        cuts.push_back(static_cast<double>(k) / shards);
+    return runInSteps(spec, config, cuts);
 }
 
-TEST(ShardedRunnerTest, JobCountDoesNotChangeResults)
+TEST(ShardedRunTest, BitIdenticalToSingleShot)
 {
-    // The device-migration schedule differs wildly between jobs=1 and
-    // jobs=8; the results (and checkpoint digests) must not.
-    std::vector<RunSpec> specs = cellSpecs(/*shards=*/5);
-
-    RunnerOptions serial;
-    serial.jobs = 1;
-    std::vector<RunResult> a = ShardedRunner(serial).run(specs);
-
-    RunnerOptions wide;
-    wide.jobs = 8;
-    std::vector<RunResult> b = ShardedRunner(wide).run(specs);
-
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].specIndex, i);
-        EXPECT_EQ(a[i], b[i]) << specs[i].name;
+    // 4 slices land every boundary on a checkpoint instant; 3 and 7
+    // slices interleave boundaries and checkpoint instants without
+    // double-emitting or skipping one.
+    for (const RunSpec &spec : cellSpecs()) {
+        SCOPED_TRACE(spec.name);
+        RunResult expected = runScenario(spec);
+        ASSERT_EQ(expected.checkpoints.size(), 4u);
+        for (int shards : {1, 3, 4, 7}) {
+            SCOPED_TRACE("shards=" + std::to_string(shards));
+            EXPECT_EQ(runSharded(spec, spec.config, shards), expected);
+        }
     }
 }
 
-TEST(ShardedRunnerTest, ResultsStayInSpecOrderWithDerivedSeeds)
+TEST(ScenarioSessionTest, ResultIndependentOfStepping)
 {
-    // Mirror of ParallelRunner's ordering contract: per-spec derived
-    // seeds and spec-order collection are scheduling-independent, so the
-    // half-vanilla/half-LeaseOS device-index pinning in bench_fleet
-    // cannot be reordered by --jobs.
+    // The torch cells stepped in 3 and in 8 uneven steps (two of them
+    // landing exactly on checkpoint instants) must equal the one-step
+    // run, checkpoint instants and digests included.
+    for (const RunSpec &spec : cellSpecs()) {
+        SCOPED_TRACE(spec.name);
+        RunResult expected = runScenario(spec);
+        ASSERT_EQ(expected.checkpoints.size(), 4u);
+        EXPECT_EQ(runInSteps(spec, spec.config, {0.13, 0.58}), expected);
+        EXPECT_EQ(runInSteps(spec, spec.config,
+                             {0.05, 0.11, 0.25, 0.31, 0.5, 0.77, 0.9}),
+                  expected);
+
+        // Saving a checkpoint has no side effect on the simulation.
+        RunSpec plain = spec;
+        plain.withCheckpoints(sim::Time{});
+        RunResult unprobed = runScenario(plain);
+        EXPECT_TRUE(unprobed.checkpoints.empty());
+        unprobed.checkpoints = expected.checkpoints;
+        EXPECT_EQ(unprobed, expected);
+    }
+}
+
+TEST(ShardedRunTest, MatchesParallelRunnerWithDerivedSeeds)
+{
+    // A sharded session under the config ParallelRunner derives for spec
+    // i (baseSeed reseeding) reproduces that runner's result i, so the
+    // half-vanilla/half-LeaseOS device-index pairing in bench_fleet does
+    // not depend on how a device's run is stepped.
     std::vector<RunSpec> specs;
     for (int i = 0; i < 6; ++i) {
         MitigationRunOptions opt;
-        opt.duration = sim::Time::fromMinutes(2.0);
+        opt.duration = 2_min;
         specs.push_back(mitigationCellSpec(
             apps::buggySpec("torch"),
             i % 2 == 0 ? MitigationMode::None : MitigationMode::LeaseOS,
             opt));
-        specs.back().withName("dev" + std::to_string(i)).withShards(3);
+        specs.back().withName("dev" + std::to_string(i));
     }
 
     RunnerOptions options;
     options.jobs = 4;
     options.baseSeed = 0x5eedULL;
-    ShardedRunner sharded(options);
-    ParallelRunner parallel(options);
+    std::vector<RunResult> parallel = ParallelRunner(options).run(specs);
 
-    std::size_t reported = 0;
-    std::vector<RunResult> a =
-        sharded.run(specs, [&reported](const RunResult &) { ++reported; });
-    std::vector<RunResult> b = parallel.run(specs);
-    EXPECT_EQ(reported, specs.size());
-
-    ASSERT_EQ(a.size(), specs.size());
+    ASSERT_EQ(parallel.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_EQ(a[i].name, "dev" + std::to_string(i));
-        EXPECT_EQ(a[i].specIndex, i);
-        EXPECT_EQ(a[i].seed, deriveSeed(0x5eedULL, i));
-        EXPECT_EQ(a[i], b[i]) << "sharded vs parallel, spec " << i;
-    }
-}
+        SCOPED_TRACE(specs[i].name);
+        EXPECT_EQ(parallel[i].name, "dev" + std::to_string(i));
+        EXPECT_EQ(parallel[i].specIndex, i);
+        EXPECT_EQ(parallel[i].seed, deriveSeed(0x5eedULL, i));
 
-TEST(ShardedRunnerTest, CheckpointInstantsIndependentOfSlicing)
-{
-    // 3 shards with 4 checkpoints: boundaries and emission instants
-    // interleave without double-emitting or skipping.
-    std::vector<RunSpec> s3 = cellSpecs(/*shards=*/3);
-    std::vector<RunSpec> s8 = cellSpecs(/*shards=*/8);
-
-    RunnerOptions options;
-    options.jobs = 2;
-    std::vector<RunResult> a = ShardedRunner(options).run(s3);
-    std::vector<RunResult> b = ShardedRunner(options).run(s8);
-
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i].checkpoints.size(), 4u);
-        EXPECT_EQ(a[i].checkpoints, b[i].checkpoints)
-            << "checkpoint stream depends on slicing for " << s3[i].name;
+        DeviceConfig config = specs[i].config;
+        config.seed = deriveSeed(0x5eedULL, i);
+        RunResult sharded = runSharded(specs[i], config, 3);
+        sharded.specIndex = i;
+        EXPECT_EQ(sharded, parallel[i]);
     }
 }
 

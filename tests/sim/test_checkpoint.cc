@@ -16,8 +16,6 @@
 #include <vector>
 
 #include "sim/checkpoint.h"
-#include "sim/random.h"
-#include "sim/simulator.h"
 
 namespace leaseos::sim {
 namespace {
@@ -33,6 +31,29 @@ hex(const std::vector<std::uint8_t> &bytes)
         out.push_back(digits[b & 0xf]);
     }
     return out;
+}
+
+/**
+ * A 57-byte frame with a valid digest whose only section, "x", claims a
+ * body of 2^64 - 17 bytes. Added to the reader's position, that length
+ * wraps to an offset behind it.
+ */
+std::vector<std::uint8_t>
+wrappedLengthBlob()
+{
+    CheckpointWriter w;
+    w.beginSection("x", 1);
+    w.u64(0);
+    w.endSection();
+    std::vector<std::uint8_t> blob = w.finish();
+    auto putLe64 = [&blob](std::size_t at, std::uint64_t v) {
+        for (std::size_t i = 0; i < 8; ++i)
+            blob[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    };
+    // Header 32 bytes, then u32 nameLen | "x" | u32 version | u64 bodyLen.
+    putLe64(32 + 4 + 1 + 4, ~std::uint64_t{0} - 16);
+    putLe64(24, checkpointDigest(blob.data() + 32, blob.size() - 32));
+    return blob;
 }
 
 TEST(CheckpointWireTest, ScalarRoundTrip)
@@ -155,74 +176,31 @@ TEST(CheckpointWireTest, SectionDisciplineEnforced)
         r.u32();
         EXPECT_THROW(r.u32(), CheckpointError);
     }
-    // seekSection scans forward; skipSection closes.
+    // nextSection walks generically; skipSection closes.
     {
         CheckpointReader r(blob);
-        ASSERT_TRUE(r.seekSection("second"));
+        std::uint32_t version = 0;
+        EXPECT_EQ(r.nextSection(version), "first");
+        r.skipSection();
+        EXPECT_EQ(r.peekSection(), "second");
+        EXPECT_EQ(r.nextSection(version), "second");
+        EXPECT_EQ(version, 1u);
         EXPECT_EQ(r.sectionRemaining(), 4u);
         EXPECT_EQ(r.u32(), 2u);
         r.endSection();
-        EXPECT_FALSE(r.seekSection("first")); // no rewind
+        EXPECT_TRUE(r.atEnd());
+        EXPECT_THROW(r.nextSection(version), CheckpointError);
     }
-}
-
-TEST(CheckpointWireTest, VersionGateRefusesUnknownVersions)
-{
-    EXPECT_NO_THROW(requireSectionVersion("cpu", 1, 1));
-    EXPECT_THROW(requireSectionVersion("cpu", 2, 1), CheckpointError);
-    EXPECT_THROW(requireSectionVersion("cpu", 0, 1), CheckpointError);
-}
-
-TEST(CheckpointComponentTest, RandomSourceResumesExactStream)
-{
-    RandomSource original(0xfeedULL);
-    for (int i = 0; i < 1000; ++i) original.uniform();
-
-    CheckpointWriter w;
-    original.saveState(w);
-    std::vector<std::uint8_t> blob = w.finish();
-
-    RandomSource restored(0x0); // wrong seed on purpose
-    CheckpointReader r(blob);
-    restored.restoreState(r);
-
-    // Identical draws across every helper after the restore point.
-    for (int i = 0; i < 200; ++i) {
-        EXPECT_EQ(original.engine()(), restored.engine()());
-        EXPECT_EQ(original.uniform(), restored.uniform());
-        EXPECT_EQ(original.uniformInt(0, 1000000),
-                  restored.uniformInt(0, 1000000));
-        EXPECT_EQ(original.gaussian(5.0, 2.0),
-                  restored.gaussian(5.0, 2.0));
+    // A body length that would wrap the reader's position is refused,
+    // not turned into a backwards skip.
+    {
+        std::vector<std::uint8_t> wrapped = wrappedLengthBlob();
+        ASSERT_EQ(wrapped.size(), 57u);
+        CheckpointReader r(wrapped); // frame and digest are valid
+        EXPECT_THROW(r.peekSection(), CheckpointError);
+        std::uint32_t version = 0;
+        EXPECT_THROW(r.nextSection(version), CheckpointError);
     }
-}
-
-TEST(CheckpointComponentTest, SimulatorClockAndCountersRoundTrip)
-{
-    Simulator sim;
-    int fired = 0;
-    for (int i = 1; i <= 5; ++i)
-        sim.scheduleAt(Time::fromSeconds(static_cast<double>(i)),
-                       [&fired] { ++fired; });
-    sim.run(Time::fromSeconds(3.5));
-    ASSERT_EQ(fired, 3);
-
-    CheckpointWriter w;
-    sim.saveState(w);
-    std::vector<std::uint8_t> blob = w.finish();
-
-    Simulator fresh;
-    CheckpointReader r(blob);
-    fresh.restoreState(r);
-    EXPECT_EQ(fresh.now(), Time::fromSeconds(3.5));
-    EXPECT_EQ(fresh.executedEvents(), sim.executedEvents());
-
-    // New events on the restored clock run at their absolute deadlines.
-    int after = 0;
-    fresh.scheduleAt(Time::fromSeconds(4.0), [&after] { ++after; });
-    fresh.run(Time::fromSeconds(5.0));
-    EXPECT_EQ(after, 1);
-    EXPECT_EQ(fresh.now(), Time::fromSeconds(5.0));
 }
 
 } // namespace

@@ -31,25 +31,6 @@ TEST(TimeSeriesTest, EmptyAggregatesAreZero)
     EXPECT_DOUBLE_EQ(s.max(), 0.0);
 }
 
-TEST(TimeSeriesTest, SumBetweenHalfOpenInterval)
-{
-    TimeSeries s;
-    s.record(1_s, 1.0);
-    s.record(2_s, 10.0);
-    s.record(3_s, 100.0);
-    EXPECT_DOUBLE_EQ(s.sumBetween(1_s, 3_s), 11.0);
-    EXPECT_DOUBLE_EQ(s.sumBetween(2_s, 2_s), 0.0);
-}
-
-TEST(TimeSeriesTest, CsvHasHeaderAndRows)
-{
-    TimeSeries s("power_mw");
-    s.record(1_s, 3.5);
-    std::string csv = s.toCsv();
-    EXPECT_NE(csv.find("time_s,power_mw"), std::string::npos);
-    EXPECT_NE(csv.find("1,3.5"), std::string::npos);
-}
-
 TEST(RenderSeriesTableTest, AlignsSharedTimestamps)
 {
     TimeSeries a("alpha");

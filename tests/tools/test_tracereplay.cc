@@ -20,6 +20,7 @@
 #include "apps/registry.h"
 #include "harness/experiment.h"
 #include "harness/runner.h"
+#include "sim/checkpoint.h"
 #include "support/minijson.h"
 #include "tracereplay/checkpoint_view.h"
 #include "tracereplay/replay.h"
@@ -400,6 +401,27 @@ TEST(CheckpointViewTest, LoadsBlobWrittenByHarnessRun)
     CheckpointView missing =
         loadCheckpointView((dir.path / "absent.ckpt").string());
     EXPECT_FALSE(missing.ok());
+
+    // A digest-valid blob whose one section claims 2^64 - 17 body bytes:
+    // the length must not wrap the reader backwards into an endless walk
+    // over the same section.
+    sim::CheckpointWriter w;
+    w.beginSection("x", 1);
+    w.u64(0);
+    w.endSection();
+    std::vector<std::uint8_t> blob = w.finish();
+    auto putLe64 = [&blob](std::size_t at, std::uint64_t v) {
+        for (std::size_t i = 0; i < 8; ++i)
+            blob[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    };
+    putLe64(32 + 4 + 1 + 4, ~std::uint64_t{0} - 16); // section "x" bodyLen
+    putLe64(24, sim::checkpointDigest(blob.data() + 32, blob.size() - 32));
+    ASSERT_EQ(blob.size(), 57u);
+    std::string wrappedPath = (dir.path / "wrapped.ckpt").string();
+    ASSERT_TRUE(sim::writeCheckpointFile(wrappedPath, blob));
+    CheckpointView wrapped = loadCheckpointView(wrappedPath);
+    EXPECT_FALSE(wrapped.ok());
+    EXPECT_TRUE(wrapped.sections.empty());
 }
 
 TEST(CheckpointViewTest, ChecksFlagCorruptedLeaseTables)

@@ -15,10 +15,6 @@
 # (red) night. Use this script when a deliberate change moves a
 # committed baseline — e.g. a new allocation in the event loop you have
 # justified, or a leaselint rule landing with pre-existing findings.
-#
-# When a perf gate moved because checkpoint emission or sharding changed
-# behaviour, first confirm the sharded-determinism job still passes:
-# baselines may move, byte-identity across slicings may not.
 
 set -euo pipefail
 
@@ -39,10 +35,10 @@ echo "== BENCH_eventqueue.json (allocs/op is the gated column) =="
 "$build/bench/bench_eventqueue" >/dev/null
 test -s BENCH_eventqueue.json
 
-echo "== BENCH_fleet.json (sharded, so checkpoint-size rows refresh" \
-     "too) =="
+echo "== BENCH_fleet.json (checkpointed, so checkpoint-size rows" \
+     "refresh too) =="
 "$build/bench/bench_fleet" --devices=50 --minutes=30 \
-    --shard-minutes=10 --jobs "$jobs" >/dev/null
+    --checkpoint-minutes=10 --jobs "$jobs" >/dev/null
 test -s BENCH_fleet.json
 
 echo "== tools/leaselint/baseline.lint =="

@@ -5,20 +5,23 @@
  * @file
  * Offline view of a device checkpoint blob (DESIGN.md §11).
  *
- * The sharded runner (and `bench_fleet --shard-minutes`) writes framed
- * snapshot blobs at slice boundaries. This module lets tracereplay
- * triage them without a simulator:
+ * A run with RunSpec::checkpointEvery and checkpointDir set writes a
+ * framed blob (Device::saveCheckpoint) at every checkpoint instant. This
+ * module lets tracereplay triage them without a simulator:
  *
  *  - decode the section table and the load-bearing scalars (sim clock,
  *    event count, energy integral, lease table);
  *  - sanity-check the lease table against the §4.3 invariants that must
- *    hold at any quiescent boundary (states in range, token index
- *    consistent, no ACTIVE lease past its term end, no DEFERRED lease
- *    deferred in the future);
+ *    hold once every event due at the checkpoint instant has fired
+ *    (states in range, token index consistent, no ACTIVE lease past its
+ *    term end, no DEFERRED lease deferred in the future);
  *  - seed replay::validate() with the blob's lease states, so a trace
- *    captured *after* the boundary is validated from the checkpoint
+ *    captured *after* the checkpoint is validated from the blob as a
  *    baseline instead of replaying the whole prefix (leases alive at
- *    the boundary would otherwise all count as ring-wrap inferences).
+ *    the checkpoint would otherwise all count as ring-wrap inferences).
+ *
+ * Malformed blobs, including section lengths that overrun the payload,
+ * come back as CheckpointView::error, never as an abort.
  */
 
 #include <cstdint>

@@ -101,8 +101,8 @@ struct CheckpointView; // checkpoint_view.h
  * blob is pre-seeded with its snapshotted state (counted in
  * ReplayReport::baselineLeases, not as inferences), and the replay clock
  * starts at the blob's sim time — a trace captured before the boundary
- * fails time monotonicity. This is how a sharded run's per-slice trace
- * is triaged without replaying the slices before it.
+ * fails time monotonicity. This is how a trace that starts mid-run is
+ * triaged without replaying the prefix before the blob.
  */
 ReplayReport validate(const Trace &trace, const CheckpointView &baseline);
 

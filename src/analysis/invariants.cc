@@ -3,8 +3,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <sstream>
 
+#include "lease/lease_proxy.h"
 #include "lease/lease_table.h"
 #include "obs/flight_recorder.h"
 #include "os/binder.h"
@@ -162,6 +164,71 @@ InvariantOracle::auditLeaseTable(const sim::Simulator &sim,
             report({"lease-table", sim.now(), l->id,
                     "INACTIVE lease still has a timer event armed"});
         }
+    }
+}
+
+namespace {
+
+/** "N records, M live, K indexed" when @p table's index is off, else "". */
+template <typename Table>
+std::string
+liveIndexMismatch(const Table &table)
+{
+    if (table.indexMatchesRecords()) return {};
+    std::size_t live = 0;
+    for (const auto &entry : table.records())
+        if (entry.second.live) ++live;
+    std::ostringstream detail;
+    detail << table.records().size() << " records, " << live
+           << " live, but the live index lists " << table.live().size();
+    return detail.str();
+}
+
+} // namespace
+
+void
+InvariantOracle::auditServiceIndexes(sim::Time now, os::SystemServer &server)
+{
+    const std::pair<const char *, std::string> mismatches[] = {
+        {"power", liveIndexMismatch(server.powerManager().records())},
+        {"location", liveIndexMismatch(server.locationManager().records())},
+        {"sensor", liveIndexMismatch(server.sensorManager().records())},
+        {"wifi", liveIndexMismatch(server.wifiManager().records())},
+        {"audio", liveIndexMismatch(server.audioSessions().records())},
+        {"bluetooth",
+         liveIndexMismatch(server.bluetoothService().records())},
+    };
+    for (const auto &[service, mismatch] : mismatches) {
+        if (mismatch.empty()) continue;
+        report({"service-index", now, lease::kInvalidLeaseId,
+                std::string(service) + " service: " + mismatch});
+    }
+}
+
+void
+InvariantOracle::auditProxySnapshots(sim::Time now,
+                                     const lease::LeaseTable &table,
+                                     const lease::LeaseProxy &proxy)
+{
+    std::set<lease::LeaseId> active;
+    for (const lease::Lease *l : table.all())
+        if (l->rtype == proxy.rtype() && l->state == lease::LeaseState::Active)
+            active.insert(l->id);
+    const char *rtype = lease::resourceTypeName(proxy.rtype());
+    for (lease::LeaseId id : proxy.snapshotLeases()) {
+        if (active.erase(id)) continue;
+        const lease::Lease *l = table.find(id);
+        std::ostringstream detail;
+        detail << rtype << " proxy holds a term snapshot for a lease that is "
+               << (l ? lease::leaseStateName(l->state) : "no longer in the "
+                                                         "lease table");
+        report({"proxy-snapshot", now, id, detail.str()});
+    }
+    for (lease::LeaseId id : active) {
+        std::ostringstream detail;
+        detail << "ACTIVE " << rtype
+               << " lease has no term snapshot in its proxy";
+        report({"proxy-snapshot", now, id, detail.str()});
     }
 }
 

@@ -22,7 +22,11 @@
  *    wakelocks, GPS requests, or sensor registrations;
  *  - deferral τ accounting: when a lease leaves DEFERRED, the seconds
  *    credited to totalDeferralSeconds equal the wall deferral time that
- *    actually elapsed.
+ *    actually elapsed;
+ *  - service live indexes: each resource service's index of live records
+ *    lists exactly its live records, in token order;
+ *  - proxy term snapshots: each lease proxy holds a snapshot for exactly
+ *    the ACTIVE leases of its resource type.
  *
  * Violations produce a structured diagnostic carrying the simulated time
  * and lease id (when one is involved). In Abort mode (the default for
@@ -61,6 +65,7 @@ class EnergyAccountant;
 } // namespace leaseos::power
 
 namespace leaseos::lease {
+class LeaseProxy;
 class LeaseTable;
 } // namespace leaseos::lease
 
@@ -137,6 +142,21 @@ class InvariantOracle
      */
     void auditEnergy(sim::Time now, power::EnergyAccountant &accountant,
                      power::Battery &battery, double tolerance = 1e-6);
+
+    /**
+     * Each resource service's live index lists exactly its live records
+     * (held locks, active requests and registrations, open sessions,
+     * running scans) in token order.
+     */
+    void auditServiceIndexes(sim::Time now, os::SystemServer &server);
+
+    /**
+     * @p proxy holds a term snapshot for exactly the ACTIVE leases of its
+     * resource type in @p table: none for a reaped, INACTIVE or DEFERRED
+     * lease, and one for every lease whose term is running.
+     */
+    void auditProxySnapshots(sim::Time now, const lease::LeaseTable &table,
+                             const lease::LeaseProxy &proxy);
 
     /** Wakelock/GPS/sensor balance when the app with @p uid stops. */
     void checkAppTeardown(sim::Time now, os::SystemServer &server, Uid uid);

@@ -253,9 +253,10 @@ class Device
 
     /**
      * Run the pull-style invariant audits (lease table ↔ binder, energy
-     * conservation) against @p oracle now. Checked builds call this
-     * periodically and at teardown through the device's own oracle; tests
-     * can call it directly with a Record-mode oracle in any build.
+     * conservation, service live indexes, proxy term snapshots) against
+     * @p oracle now. Checked builds call this periodically and at
+     * teardown through the device's own oracle; tests can call it
+     * directly with a Record-mode oracle in any build.
      */
     void auditInvariants(analysis::InvariantOracle &oracle);
 

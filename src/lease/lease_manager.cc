@@ -229,6 +229,7 @@ LeaseManagerService::remove(LeaseId id)
                                        LeaseState::Dead));
     noteTransition(*lease, LeaseState::Dead);
     lease->state = LeaseState::Dead;
+    if (LeaseProxy *proxy = proxyFor(lease->rtype)) proxy->dropSnapshot(id);
     recordDeath(*lease);
     table_.reap(id);
     return true;
@@ -325,6 +326,7 @@ LeaseManagerService::onTermEnd(LeaseId id)
                                            LeaseState::Inactive));
         noteTransition(*lease, LeaseState::Inactive);
         lease->state = LeaseState::Inactive;
+        proxy->dropSnapshot(id);
         return;
     }
 

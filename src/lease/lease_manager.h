@@ -63,6 +63,13 @@ class LeaseManagerService
     bool registerProxy(LeaseProxy *proxy);
     bool unregisterProxy(LeaseProxy *proxy);
 
+    /** Registered proxies by resource type (the oracle audits them). */
+    const std::map<ResourceType, LeaseProxy *> &
+    proxies() const
+    {
+        return proxies_;
+    }
+
     /** Create a lease for a kernel object; returns its descriptor. */
     LeaseId create(ResourceType rtype, os::TokenId token, Uid uid);
 

@@ -16,9 +16,12 @@
  * common logic is provided via a generic lease proxy class." Subclasses
  * implement the resource-specific parts: how to suspend/restore the kernel
  * object, and how to compute a term's LeaseStat from service counters.
+ * SnapshotLeaseProxy holds the term snapshots those counters are read
+ * against.
  */
 
 #include <map>
+#include <vector>
 
 #include "lease/lease.h"
 #include "lease/lease_stat.h"
@@ -62,6 +65,15 @@ class LeaseProxy : public os::ResourceListener
     /** Term over: compute the term's stats from counter deltas. */
     virtual LeaseStat collectStat(const Lease &lease) = 0;
 
+    /**
+     * The lease left ACTIVE without a collectStat (released at term end,
+     * or dead): forget its term snapshot.
+     */
+    virtual void dropSnapshot(LeaseId id) = 0;
+
+    /** Leases holding a term snapshot, in id order (for the oracle). */
+    virtual std::vector<LeaseId> snapshotLeases() const = 0;
+
     // ---- ResourceListener: generic forwarding to the manager ------------
 
     void onCreated(os::TokenId token, Uid uid) override;
@@ -78,6 +90,54 @@ class LeaseProxy : public os::ResourceListener
 
   private:
     ResourceType rtype_;
+};
+
+/**
+ * The term bookkeeping all proxies share. beginTerm() records a Snapshot
+ * of the service counters a term is measured against; collectStat() takes
+ * it back out and hands start and end counters to termStat(). A snapshot
+ * therefore exists exactly while its lease is ACTIVE.
+ */
+template <typename Snapshot>
+class SnapshotLeaseProxy : public LeaseProxy
+{
+  public:
+    using LeaseProxy::LeaseProxy;
+
+    void
+    beginTerm(const Lease &lease) final
+    {
+        snapshots_[lease.id] = snapshot(lease);
+    }
+
+    LeaseStat
+    collectStat(const Lease &lease) final
+    {
+        auto taken = snapshots_.extract(lease.id);
+        Snapshot start = taken ? taken.mapped() : Snapshot{};
+        return termStat(lease, start, snapshot(lease));
+    }
+
+    void dropSnapshot(LeaseId id) final { snapshots_.erase(id); }
+
+    std::vector<LeaseId>
+    snapshotLeases() const final
+    {
+        std::vector<LeaseId> ids;
+        for (const auto &entry : snapshots_) ids.push_back(entry.first);
+        return ids;
+    }
+
+  protected:
+    /** Read the service counters for @p lease now. */
+    virtual Snapshot snapshot(const Lease &lease) = 0;
+
+    /** The term's stats from its start and end counters. */
+    virtual LeaseStat termStat(const Lease &lease, const Snapshot &start,
+                               const Snapshot &now) = 0;
+
+  private:
+    std::map<LeaseId, Snapshot> snapshots_;
 };
 
 } // namespace leaseos::lease

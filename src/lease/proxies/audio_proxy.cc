@@ -6,7 +6,7 @@ namespace leaseos::lease {
 
 AudioLeaseProxy::AudioLeaseProxy(os::AudioSessionService &audio,
                                  os::ActivityManagerService &am)
-    : LeaseProxy(ResourceType::Audio), audio_(audio), am_(am)
+    : SnapshotLeaseProxy(ResourceType::Audio), audio_(audio), am_(am)
 {
     audio_.addListener(this);
 }
@@ -29,10 +29,10 @@ AudioLeaseProxy::resourceHeld(const Lease &lease)
     return audio_.isOpen(lease.token);
 }
 
-AudioLeaseProxy::Snapshot
+AudioSnapshot
 AudioLeaseProxy::snapshot(const Lease &lease)
 {
-    Snapshot s;
+    AudioSnapshot s;
     s.openSeconds = audio_.openSeconds(lease.uid);
     s.playingSeconds = audio_.playingSeconds(lease.uid);
     s.uiUpdates = am_.uiUpdateCount(lease.uid);
@@ -40,18 +40,10 @@ AudioLeaseProxy::snapshot(const Lease &lease)
     return s;
 }
 
-void
-AudioLeaseProxy::beginTerm(const Lease &lease)
-{
-    snapshots_[lease.id] = snapshot(lease);
-}
-
 LeaseStat
-AudioLeaseProxy::collectStat(const Lease &lease)
+AudioLeaseProxy::termStat(const Lease &lease, const AudioSnapshot &start,
+                          const AudioSnapshot &now)
 {
-    Snapshot start = snapshots_[lease.id];
-    Snapshot now = snapshot(lease);
-
     LeaseStat stat;
     stat.termStart = lease.termStart;
     stat.termEnd = lease.termStart + lease.termLength;

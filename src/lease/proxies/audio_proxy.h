@@ -12,18 +12,24 @@
  * lists audio among the leasable resources).
  */
 
-#include <map>
-
 #include "lease/lease_proxy.h"
 #include "os/activity_manager_service.h"
 #include "os/audio_session_service.h"
 
 namespace leaseos::lease {
 
+/** Service counters a audio lease term is measured against. */
+struct AudioSnapshot {
+    double openSeconds = 0.0;
+    double playingSeconds = 0.0;
+    std::uint64_t uiUpdates = 0;
+    std::uint64_t interactions = 0;
+};
+
 /**
  * Audio-session lease proxy.
  */
-class AudioLeaseProxy : public LeaseProxy
+class AudioLeaseProxy : public SnapshotLeaseProxy<AudioSnapshot>
 {
   public:
     AudioLeaseProxy(os::AudioSessionService &audio,
@@ -32,22 +38,14 @@ class AudioLeaseProxy : public LeaseProxy
     void onExpire(const Lease &lease) override;
     void onRenew(const Lease &lease) override;
     bool resourceHeld(const Lease &lease) override;
-    void beginTerm(const Lease &lease) override;
-    LeaseStat collectStat(const Lease &lease) override;
 
   private:
-    struct Snapshot {
-        double openSeconds = 0.0;
-        double playingSeconds = 0.0;
-        std::uint64_t uiUpdates = 0;
-        std::uint64_t interactions = 0;
-    };
-
-    Snapshot snapshot(const Lease &lease);
+    AudioSnapshot snapshot(const Lease &lease) override;
+    LeaseStat termStat(const Lease &lease, const AudioSnapshot &start,
+                       const AudioSnapshot &now) override;
 
     os::AudioSessionService &audio_;
     os::ActivityManagerService &am_;
-    std::map<LeaseId, Snapshot> snapshots_;
 };
 
 } // namespace leaseos::lease

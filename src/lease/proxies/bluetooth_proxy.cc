@@ -6,7 +6,7 @@ namespace leaseos::lease {
 
 BluetoothLeaseProxy::BluetoothLeaseProxy(os::BluetoothService &bt,
                                          os::ActivityManagerService &am)
-    : LeaseProxy(ResourceType::Bluetooth), bt_(bt), am_(am)
+    : SnapshotLeaseProxy(ResourceType::Bluetooth), bt_(bt), am_(am)
 {
     bt_.addListener(this);
 }
@@ -29,10 +29,10 @@ BluetoothLeaseProxy::resourceHeld(const Lease &lease)
     return bt_.isActive(lease.token);
 }
 
-BluetoothLeaseProxy::Snapshot
+BluetoothSnapshot
 BluetoothLeaseProxy::snapshot(const Lease &lease)
 {
-    Snapshot s;
+    BluetoothSnapshot s;
     s.scanSeconds = bt_.scanSeconds(lease.uid);
     s.activitySeconds = am_.activityAliveSeconds(lease.uid);
     s.uiUpdates = am_.uiUpdateCount(lease.uid);
@@ -40,18 +40,11 @@ BluetoothLeaseProxy::snapshot(const Lease &lease)
     return s;
 }
 
-void
-BluetoothLeaseProxy::beginTerm(const Lease &lease)
-{
-    snapshots_[lease.id] = snapshot(lease);
-}
-
 LeaseStat
-BluetoothLeaseProxy::collectStat(const Lease &lease)
+BluetoothLeaseProxy::termStat(const Lease &lease,
+                              const BluetoothSnapshot &start,
+                              const BluetoothSnapshot &now)
 {
-    Snapshot start = snapshots_[lease.id];
-    Snapshot now = snapshot(lease);
-
     LeaseStat stat;
     stat.termStart = lease.termStart;
     stat.termEnd = lease.termStart + lease.termLength;

@@ -8,18 +8,24 @@
  * Activity, with UI evidence as the generic utility).
  */
 
-#include <map>
-
 #include "lease/lease_proxy.h"
 #include "os/activity_manager_service.h"
 #include "os/bluetooth_service.h"
 
 namespace leaseos::lease {
 
+/** Service counters a bluetooth lease term is measured against. */
+struct BluetoothSnapshot {
+    double scanSeconds = 0.0;
+    double activitySeconds = 0.0;
+    std::uint64_t uiUpdates = 0;
+    std::uint64_t interactions = 0;
+};
+
 /**
  * Bluetooth scan lease proxy.
  */
-class BluetoothLeaseProxy : public LeaseProxy
+class BluetoothLeaseProxy : public SnapshotLeaseProxy<BluetoothSnapshot>
 {
   public:
     BluetoothLeaseProxy(os::BluetoothService &bt,
@@ -28,22 +34,14 @@ class BluetoothLeaseProxy : public LeaseProxy
     void onExpire(const Lease &lease) override;
     void onRenew(const Lease &lease) override;
     bool resourceHeld(const Lease &lease) override;
-    void beginTerm(const Lease &lease) override;
-    LeaseStat collectStat(const Lease &lease) override;
 
   private:
-    struct Snapshot {
-        double scanSeconds = 0.0;
-        double activitySeconds = 0.0;
-        std::uint64_t uiUpdates = 0;
-        std::uint64_t interactions = 0;
-    };
-
-    Snapshot snapshot(const Lease &lease);
+    BluetoothSnapshot snapshot(const Lease &lease) override;
+    LeaseStat termStat(const Lease &lease, const BluetoothSnapshot &start,
+                       const BluetoothSnapshot &now) override;
 
     os::BluetoothService &bt_;
     os::ActivityManagerService &am_;
-    std::map<LeaseId, Snapshot> snapshots_;
 };
 
 } // namespace leaseos::lease

@@ -6,7 +6,7 @@ namespace leaseos::lease {
 
 GpsLeaseProxy::GpsLeaseProxy(os::LocationManagerService &lms,
                              os::ActivityManagerService &am)
-    : LeaseProxy(ResourceType::Gps), lms_(lms), am_(am)
+    : SnapshotLeaseProxy(ResourceType::Gps), lms_(lms), am_(am)
 {
     lms_.addListener(this);
 }
@@ -29,10 +29,10 @@ GpsLeaseProxy::resourceHeld(const Lease &lease)
     return lms_.isActive(lease.token);
 }
 
-GpsLeaseProxy::Snapshot
+GpsSnapshot
 GpsLeaseProxy::snapshot(const Lease &lease)
 {
-    Snapshot s;
+    GpsSnapshot s;
     s.requestSeconds = lms_.requestSeconds(lease.uid);
     s.noFixSeconds = lms_.noFixSeconds(lease.uid);
     s.activitySeconds = am_.activityAliveSeconds(lease.uid);
@@ -43,18 +43,10 @@ GpsLeaseProxy::snapshot(const Lease &lease)
     return s;
 }
 
-void
-GpsLeaseProxy::beginTerm(const Lease &lease)
-{
-    snapshots_[lease.id] = snapshot(lease);
-}
-
 LeaseStat
-GpsLeaseProxy::collectStat(const Lease &lease)
+GpsLeaseProxy::termStat(const Lease &lease, const GpsSnapshot &start,
+                        const GpsSnapshot &now)
 {
-    Snapshot start = snapshots_[lease.id];
-    Snapshot now = snapshot(lease);
-
     LeaseStat stat;
     stat.termStart = lease.termStart;
     stat.termEnd = lease.termStart + lease.termLength;

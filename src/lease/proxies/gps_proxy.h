@@ -12,18 +12,27 @@
  * utility.
  */
 
-#include <map>
-
 #include "lease/lease_proxy.h"
 #include "os/activity_manager_service.h"
 #include "os/location_manager_service.h"
 
 namespace leaseos::lease {
 
+/** Service counters a GPS lease term is measured against. */
+struct GpsSnapshot {
+    double requestSeconds = 0.0;
+    double noFixSeconds = 0.0;
+    double activitySeconds = 0.0;
+    double distanceMeters = 0.0;
+    std::uint64_t uiUpdates = 0;
+    std::uint64_t interactions = 0;
+    std::uint64_t requests = 0;
+};
+
 /**
  * GPS request lease proxy.
  */
-class GpsLeaseProxy : public LeaseProxy
+class GpsLeaseProxy : public SnapshotLeaseProxy<GpsSnapshot>
 {
   public:
     GpsLeaseProxy(os::LocationManagerService &lms,
@@ -32,25 +41,14 @@ class GpsLeaseProxy : public LeaseProxy
     void onExpire(const Lease &lease) override;
     void onRenew(const Lease &lease) override;
     bool resourceHeld(const Lease &lease) override;
-    void beginTerm(const Lease &lease) override;
-    LeaseStat collectStat(const Lease &lease) override;
 
   private:
-    struct Snapshot {
-        double requestSeconds = 0.0;
-        double noFixSeconds = 0.0;
-        double activitySeconds = 0.0;
-        double distanceMeters = 0.0;
-        std::uint64_t uiUpdates = 0;
-        std::uint64_t interactions = 0;
-        std::uint64_t requests = 0;
-    };
-
-    Snapshot snapshot(const Lease &lease);
+    GpsSnapshot snapshot(const Lease &lease) override;
+    LeaseStat termStat(const Lease &lease, const GpsSnapshot &start,
+                       const GpsSnapshot &now) override;
 
     os::LocationManagerService &lms_;
     os::ActivityManagerService &am_;
-    std::map<LeaseId, Snapshot> snapshots_;
 };
 
 } // namespace leaseos::lease

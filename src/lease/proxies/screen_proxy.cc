@@ -6,7 +6,7 @@ namespace leaseos::lease {
 
 ScreenLeaseProxy::ScreenLeaseProxy(os::PowerManagerService &pms,
                                    os::ActivityManagerService &am)
-    : LeaseProxy(ResourceType::Screen), pms_(pms), am_(am)
+    : SnapshotLeaseProxy(ResourceType::Screen), pms_(pms), am_(am)
 {
     pms_.addListener(this);
 }
@@ -59,10 +59,10 @@ ScreenLeaseProxy::resourceHeld(const Lease &lease)
     return pms_.isHeld(lease.token);
 }
 
-ScreenLeaseProxy::Snapshot
+ScreenSnapshot
 ScreenLeaseProxy::snapshot(const Lease &lease)
 {
-    Snapshot s;
+    ScreenSnapshot s;
     s.enabledSeconds = pms_.enabledSecondsForToken(lease.token);
     s.activitySeconds = am_.activityAliveSeconds(lease.uid);
     s.uiUpdates = am_.uiUpdateCount(lease.uid);
@@ -71,18 +71,10 @@ ScreenLeaseProxy::snapshot(const Lease &lease)
     return s;
 }
 
-void
-ScreenLeaseProxy::beginTerm(const Lease &lease)
-{
-    snapshots_[lease.id] = snapshot(lease);
-}
-
 LeaseStat
-ScreenLeaseProxy::collectStat(const Lease &lease)
+ScreenLeaseProxy::termStat(const Lease &lease, const ScreenSnapshot &start,
+                           const ScreenSnapshot &now)
 {
-    Snapshot start = snapshots_[lease.id];
-    Snapshot now = snapshot(lease);
-
     LeaseStat stat;
     stat.termStart = lease.termStart;
     stat.termEnd = lease.termStart + lease.termLength;

@@ -12,18 +12,25 @@
  * background screen-holds as Long-Holding.
  */
 
-#include <map>
-
 #include "lease/lease_proxy.h"
 #include "os/activity_manager_service.h"
 #include "os/power_manager_service.h"
 
 namespace leaseos::lease {
 
+/** Service counters a screen lease term is measured against. */
+struct ScreenSnapshot {
+    double enabledSeconds = 0.0;
+    double activitySeconds = 0.0;
+    std::uint64_t uiUpdates = 0;
+    std::uint64_t interactions = 0;
+    std::uint64_t acquires = 0;
+};
+
 /**
  * Full-wakelock (screen) lease proxy.
  */
-class ScreenLeaseProxy : public LeaseProxy
+class ScreenLeaseProxy : public SnapshotLeaseProxy<ScreenSnapshot>
 {
   public:
     ScreenLeaseProxy(os::PowerManagerService &pms,
@@ -32,8 +39,6 @@ class ScreenLeaseProxy : public LeaseProxy
     void onExpire(const Lease &lease) override;
     void onRenew(const Lease &lease) override;
     bool resourceHeld(const Lease &lease) override;
-    void beginTerm(const Lease &lease) override;
-    LeaseStat collectStat(const Lease &lease) override;
 
     void onCreated(os::TokenId token, Uid uid) override;
     void onAcquired(os::TokenId token, Uid uid) override;
@@ -41,20 +46,13 @@ class ScreenLeaseProxy : public LeaseProxy
     void onDestroyed(os::TokenId token, Uid uid) override;
 
   private:
-    struct Snapshot {
-        double enabledSeconds = 0.0;
-        double activitySeconds = 0.0;
-        std::uint64_t uiUpdates = 0;
-        std::uint64_t interactions = 0;
-        std::uint64_t acquires = 0;
-    };
-
     bool mine(os::TokenId token) const;
-    Snapshot snapshot(const Lease &lease);
+    ScreenSnapshot snapshot(const Lease &lease) override;
+    LeaseStat termStat(const Lease &lease, const ScreenSnapshot &start,
+                       const ScreenSnapshot &now) override;
 
     os::PowerManagerService &pms_;
     os::ActivityManagerService &am_;
-    std::map<LeaseId, Snapshot> snapshots_;
 };
 
 } // namespace leaseos::lease

@@ -6,7 +6,7 @@ namespace leaseos::lease {
 
 SensorLeaseProxy::SensorLeaseProxy(os::SensorManagerService &sms,
                                    os::ActivityManagerService &am)
-    : LeaseProxy(ResourceType::Sensor), sms_(sms), am_(am)
+    : SnapshotLeaseProxy(ResourceType::Sensor), sms_(sms), am_(am)
 {
     sms_.addListener(this);
 }
@@ -29,10 +29,10 @@ SensorLeaseProxy::resourceHeld(const Lease &lease)
     return sms_.isActive(lease.token);
 }
 
-SensorLeaseProxy::Snapshot
+SensorSnapshot
 SensorLeaseProxy::snapshot(const Lease &lease)
 {
-    Snapshot s;
+    SensorSnapshot s;
     s.registeredSeconds = sms_.registeredSeconds(lease.uid);
     s.activitySeconds = am_.activityAliveSeconds(lease.uid);
     s.uiUpdates = am_.uiUpdateCount(lease.uid);
@@ -40,18 +40,10 @@ SensorLeaseProxy::snapshot(const Lease &lease)
     return s;
 }
 
-void
-SensorLeaseProxy::beginTerm(const Lease &lease)
-{
-    snapshots_[lease.id] = snapshot(lease);
-}
-
 LeaseStat
-SensorLeaseProxy::collectStat(const Lease &lease)
+SensorLeaseProxy::termStat(const Lease &lease, const SensorSnapshot &start,
+                           const SensorSnapshot &now)
 {
-    Snapshot start = snapshots_[lease.id];
-    Snapshot now = snapshot(lease);
-
     LeaseStat stat;
     stat.termStart = lease.termStart;
     stat.termEnd = lease.termStart + lease.termLength;

@@ -10,18 +10,24 @@
  * (Fig. 6, TapAndTurn) matter most.
  */
 
-#include <map>
-
 #include "lease/lease_proxy.h"
 #include "os/activity_manager_service.h"
 #include "os/sensor_manager_service.h"
 
 namespace leaseos::lease {
 
+/** Service counters a sensor lease term is measured against. */
+struct SensorSnapshot {
+    double registeredSeconds = 0.0;
+    double activitySeconds = 0.0;
+    std::uint64_t uiUpdates = 0;
+    std::uint64_t interactions = 0;
+};
+
 /**
  * Sensor registration lease proxy.
  */
-class SensorLeaseProxy : public LeaseProxy
+class SensorLeaseProxy : public SnapshotLeaseProxy<SensorSnapshot>
 {
   public:
     SensorLeaseProxy(os::SensorManagerService &sms,
@@ -30,22 +36,14 @@ class SensorLeaseProxy : public LeaseProxy
     void onExpire(const Lease &lease) override;
     void onRenew(const Lease &lease) override;
     bool resourceHeld(const Lease &lease) override;
-    void beginTerm(const Lease &lease) override;
-    LeaseStat collectStat(const Lease &lease) override;
 
   private:
-    struct Snapshot {
-        double registeredSeconds = 0.0;
-        double activitySeconds = 0.0;
-        std::uint64_t uiUpdates = 0;
-        std::uint64_t interactions = 0;
-    };
-
-    Snapshot snapshot(const Lease &lease);
+    SensorSnapshot snapshot(const Lease &lease) override;
+    LeaseStat termStat(const Lease &lease, const SensorSnapshot &start,
+                       const SensorSnapshot &now) override;
 
     os::SensorManagerService &sms_;
     os::ActivityManagerService &am_;
-    std::map<LeaseId, Snapshot> snapshots_;
 };
 
 } // namespace leaseos::lease

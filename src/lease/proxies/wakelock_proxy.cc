@@ -8,7 +8,7 @@ WakelockLeaseProxy::WakelockLeaseProxy(os::PowerManagerService &pms,
                                        power::CpuModel &cpu,
                                        os::ExceptionNoteHandler &exceptions,
                                        os::ActivityManagerService &am)
-    : LeaseProxy(ResourceType::Wakelock), pms_(pms), cpu_(cpu),
+    : SnapshotLeaseProxy(ResourceType::Wakelock), pms_(pms), cpu_(cpu),
       exceptions_(exceptions), am_(am)
 {
     pms_.addListener(this);
@@ -64,10 +64,10 @@ WakelockLeaseProxy::resourceHeld(const Lease &lease)
     return pms_.isHeld(lease.token);
 }
 
-WakelockLeaseProxy::Snapshot
+WakelockSnapshot
 WakelockLeaseProxy::snapshot(const Lease &lease)
 {
-    Snapshot s;
+    WakelockSnapshot s;
     s.enabledSeconds = pms_.enabledSecondsForToken(lease.token);
     // §8: under DVFS the utilisation metric must be adjusted by device
     // state — frequency-normalised busy time measures work done, not
@@ -82,18 +82,10 @@ WakelockLeaseProxy::snapshot(const Lease &lease)
     return s;
 }
 
-void
-WakelockLeaseProxy::beginTerm(const Lease &lease)
-{
-    snapshots_[lease.id] = snapshot(lease);
-}
-
 LeaseStat
-WakelockLeaseProxy::collectStat(const Lease &lease)
+WakelockLeaseProxy::termStat(const Lease &lease, const WakelockSnapshot &start,
+                             const WakelockSnapshot &now)
 {
-    Snapshot start = snapshots_[lease.id];
-    Snapshot now = snapshot(lease);
-
     LeaseStat stat;
     stat.termStart = lease.termStart;
     stat.termEnd = lease.termStart + lease.termLength;

@@ -12,8 +12,6 @@
  * signals.
  */
 
-#include <map>
-
 #include "lease/lease_proxy.h"
 #include "os/activity_manager_service.h"
 #include "os/exception_note_handler.h"
@@ -22,10 +20,20 @@
 
 namespace leaseos::lease {
 
+/** Service counters a wakelock lease term is measured against. */
+struct WakelockSnapshot {
+    double enabledSeconds = 0.0;
+    double cpuSeconds = 0.0;
+    std::uint64_t exceptions = 0;
+    std::uint64_t uiUpdates = 0;
+    std::uint64_t interactions = 0;
+    std::uint64_t acquires = 0;
+};
+
 /**
  * Partial-wakelock lease proxy.
  */
-class WakelockLeaseProxy : public LeaseProxy
+class WakelockLeaseProxy : public SnapshotLeaseProxy<WakelockSnapshot>
 {
   public:
     WakelockLeaseProxy(os::PowerManagerService &pms, power::CpuModel &cpu,
@@ -35,8 +43,6 @@ class WakelockLeaseProxy : public LeaseProxy
     void onExpire(const Lease &lease) override;
     void onRenew(const Lease &lease) override;
     bool resourceHeld(const Lease &lease) override;
-    void beginTerm(const Lease &lease) override;
-    LeaseStat collectStat(const Lease &lease) override;
 
     // Filtered forwarding: only partial locks belong to this proxy.
     void onCreated(os::TokenId token, Uid uid) override;
@@ -45,23 +51,15 @@ class WakelockLeaseProxy : public LeaseProxy
     void onDestroyed(os::TokenId token, Uid uid) override;
 
   private:
-    struct Snapshot {
-        double enabledSeconds = 0.0;
-        double cpuSeconds = 0.0;
-        std::uint64_t exceptions = 0;
-        std::uint64_t uiUpdates = 0;
-        std::uint64_t interactions = 0;
-        std::uint64_t acquires = 0;
-    };
-
     bool mine(os::TokenId token) const;
-    Snapshot snapshot(const Lease &lease);
+    WakelockSnapshot snapshot(const Lease &lease) override;
+    LeaseStat termStat(const Lease &lease, const WakelockSnapshot &start,
+                       const WakelockSnapshot &now) override;
 
     os::PowerManagerService &pms_;
     power::CpuModel &cpu_;
     os::ExceptionNoteHandler &exceptions_;
     os::ActivityManagerService &am_;
-    std::map<LeaseId, Snapshot> snapshots_;
 };
 
 } // namespace leaseos::lease

@@ -7,7 +7,7 @@ namespace leaseos::lease {
 WifiLeaseProxy::WifiLeaseProxy(os::WifiManagerService &wms,
                                power::RadioModel &radio,
                                os::ActivityManagerService &am)
-    : LeaseProxy(ResourceType::Wifi), wms_(wms), radio_(radio), am_(am)
+    : SnapshotLeaseProxy(ResourceType::Wifi), wms_(wms), radio_(radio), am_(am)
 {
     wms_.addListener(this);
 }
@@ -30,10 +30,10 @@ WifiLeaseProxy::resourceHeld(const Lease &lease)
     return wms_.isHeld(lease.token);
 }
 
-WifiLeaseProxy::Snapshot
+WifiSnapshot
 WifiLeaseProxy::snapshot(const Lease &lease)
 {
-    Snapshot s;
+    WifiSnapshot s;
     s.enabledSeconds = wms_.enabledSeconds(lease.uid);
     s.activeSeconds = radio_.wifiActiveSeconds(lease.uid);
     s.uiUpdates = am_.uiUpdateCount(lease.uid);
@@ -42,18 +42,10 @@ WifiLeaseProxy::snapshot(const Lease &lease)
     return s;
 }
 
-void
-WifiLeaseProxy::beginTerm(const Lease &lease)
-{
-    snapshots_[lease.id] = snapshot(lease);
-}
-
 LeaseStat
-WifiLeaseProxy::collectStat(const Lease &lease)
+WifiLeaseProxy::termStat(const Lease &lease, const WifiSnapshot &start,
+                         const WifiSnapshot &now)
 {
-    Snapshot start = snapshots_[lease.id];
-    Snapshot now = snapshot(lease);
-
     LeaseStat stat;
     stat.termStart = lease.termStart;
     stat.termEnd = lease.termStart + lease.termLength;

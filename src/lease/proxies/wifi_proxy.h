@@ -10,8 +10,6 @@
  * Long-Holding.
  */
 
-#include <map>
-
 #include "lease/lease_proxy.h"
 #include "os/activity_manager_service.h"
 #include "os/wifi_manager_service.h"
@@ -19,10 +17,19 @@
 
 namespace leaseos::lease {
 
+/** Service counters a Wi-Fi lease term is measured against. */
+struct WifiSnapshot {
+    double enabledSeconds = 0.0;
+    double activeSeconds = 0.0;
+    std::uint64_t uiUpdates = 0;
+    std::uint64_t interactions = 0;
+    std::uint64_t acquires = 0;
+};
+
 /**
  * Wi-Fi lock lease proxy.
  */
-class WifiLeaseProxy : public LeaseProxy
+class WifiLeaseProxy : public SnapshotLeaseProxy<WifiSnapshot>
 {
   public:
     WifiLeaseProxy(os::WifiManagerService &wms, power::RadioModel &radio,
@@ -31,24 +38,15 @@ class WifiLeaseProxy : public LeaseProxy
     void onExpire(const Lease &lease) override;
     void onRenew(const Lease &lease) override;
     bool resourceHeld(const Lease &lease) override;
-    void beginTerm(const Lease &lease) override;
-    LeaseStat collectStat(const Lease &lease) override;
 
   private:
-    struct Snapshot {
-        double enabledSeconds = 0.0;
-        double activeSeconds = 0.0;
-        std::uint64_t uiUpdates = 0;
-        std::uint64_t interactions = 0;
-        std::uint64_t acquires = 0;
-    };
-
-    Snapshot snapshot(const Lease &lease);
+    WifiSnapshot snapshot(const Lease &lease) override;
+    LeaseStat termStat(const Lease &lease, const WifiSnapshot &start,
+                       const WifiSnapshot &now) override;
 
     os::WifiManagerService &wms_;
     power::RadioModel &radio_;
     os::ActivityManagerService &am_;
-    std::map<LeaseId, Snapshot> snapshots_;
 };
 
 } // namespace leaseos::lease

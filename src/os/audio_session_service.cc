@@ -7,9 +7,10 @@ namespace leaseos::os {
 AudioSessionService::AudioSessionService(
     sim::Simulator &sim, power::CpuModel &cpu, power::AudioModel &audio,
     power::EnergyAccountant &accountant, TokenAllocator &tokens)
-    : Service(sim, cpu, "audio"), audio_(audio), accountant_(accountant),
+    : ResourceService(sim, cpu, "audio", tokens), audio_(audio),
+      accountant_(accountant),
       pipelineChannel_(accountant.makeChannel("audio_pipeline")),
-      tokens_(tokens), lastAdvance_(sim.now())
+      lastAdvance_(sim.now())
 {
 }
 
@@ -22,18 +23,14 @@ AudioSessionService::advance()
         return;
     }
     double dt = (now - lastAdvance_).seconds();
-    for (auto &[token, session] : sessions_) {
+    for (const auto *entry : records_.live()) {
+        const AudioSession &session = entry->second;
         if (!session.enabled) continue;
-        openSeconds_[session.uid] += dt;
-        if (session.playing) playingSeconds_[session.uid] += dt;
+        auto &totals = records_.accrue(session.uid);
+        totals.openSeconds += dt;
+        if (session.playing) totals.playingSeconds += dt;
     }
     lastAdvance_ = now;
-}
-
-bool
-AudioSessionService::allowedByFilter(Uid uid) const
-{
-    return !filter_ || filter_(uid);
 }
 
 void
@@ -41,14 +38,13 @@ AudioSessionService::apply()
 {
     std::set<Uid> open_owners;
     std::map<Uid, bool> playing;
-    for (auto &[token, session] : sessions_) {
-        session.enabled = session.open && !session.suspended &&
-            allowedByFilter(session.uid);
+    records_.sweep([&](TokenId, AudioSession &session) {
+        session.enabled = shouldEnable(session);
         if (session.enabled) {
             open_owners.insert(session.uid);
             if (session.playing) playing[session.uid] = true;
         }
-    }
+    });
     // Open sessions keep the pipeline powered and the app runnable (the
     // iOS background-audio semantics behind the Facebook leak).
     std::vector<Uid> owners(open_owners.begin(), open_owners.end());
@@ -68,10 +64,10 @@ AudioSessionService::openSession(Uid uid)
     chargeIpc(uid, kResourceIpcLatency);
     advance();
     TokenId token = tokens_.next();
-    Session session;
+    AudioSession session;
     session.uid = uid;
-    session.open = true;
-    sessions_.emplace(token, session);
+    session.live = true;
+    records_.add(token, session);
     apply();
     for (auto *l : listeners_) l->onCreated(token, uid);
     for (auto *l : listeners_) l->onAcquired(token, uid);
@@ -81,35 +77,35 @@ AudioSessionService::openSession(Uid uid)
 void
 AudioSessionService::startPlayback(TokenId token)
 {
-    auto it = sessions_.find(token);
-    if (it == sessions_.end() || !it->second.open) return;
-    chargeIpc(it->second.uid, kBinderIpcLatency);
+    AudioSession *session = records_.find(token);
+    if (!session || !session->live) return;
+    chargeIpc(session->uid, kBinderIpcLatency);
     advance();
-    it->second.playing = true;
+    session->playing = true;
     apply();
 }
 
 void
 AudioSessionService::stopPlayback(TokenId token)
 {
-    auto it = sessions_.find(token);
-    if (it == sessions_.end()) return;
-    chargeIpc(it->second.uid, kBinderIpcLatency);
+    AudioSession *session = records_.find(token);
+    if (!session) return;
+    chargeIpc(session->uid, kBinderIpcLatency);
     advance();
-    it->second.playing = false;
+    session->playing = false;
     apply();
 }
 
 void
 AudioSessionService::closeSession(TokenId token)
 {
-    auto it = sessions_.find(token);
-    if (it == sessions_.end() || !it->second.open) return;
-    Uid uid = it->second.uid;
+    AudioSession *session = records_.find(token);
+    if (!session || !session->live) return;
+    Uid uid = session->uid;
     chargeIpc(uid, kBinderIpcLatency);
     advance();
-    it->second.open = false;
-    it->second.playing = false;
+    records_.setLive(token, false);
+    session->playing = false;
     apply();
     for (auto *l : listeners_) l->onReleased(token, uid);
 }
@@ -117,106 +113,28 @@ AudioSessionService::closeSession(TokenId token)
 void
 AudioSessionService::destroy(TokenId token)
 {
-    auto it = sessions_.find(token);
-    if (it == sessions_.end()) return;
+    const AudioSession *session = records_.find(token);
+    if (!session) return;
     advance();
-    Uid uid = it->second.uid;
-    sessions_.erase(it);
+    Uid uid = session->uid;
+    records_.erase(token);
     tokens_.retire(token);
     apply();
     for (auto *l : listeners_) l->onDestroyed(token, uid);
-}
-
-bool
-AudioSessionService::isOpen(TokenId token) const
-{
-    auto it = sessions_.find(token);
-    return it != sessions_.end() && it->second.open;
-}
-
-bool
-AudioSessionService::isPlaying(TokenId token) const
-{
-    auto it = sessions_.find(token);
-    return it != sessions_.end() && it->second.playing;
-}
-
-void
-AudioSessionService::suspend(TokenId token)
-{
-    auto it = sessions_.find(token);
-    if (it == sessions_.end() || it->second.suspended) return;
-    advance();
-    it->second.suspended = true;
-    apply();
-}
-
-void
-AudioSessionService::restore(TokenId token)
-{
-    auto it = sessions_.find(token);
-    if (it == sessions_.end() || !it->second.suspended) return;
-    advance();
-    it->second.suspended = false;
-    apply();
-}
-
-bool
-AudioSessionService::isSuspended(TokenId token) const
-{
-    auto it = sessions_.find(token);
-    return it != sessions_.end() && it->second.suspended;
-}
-
-bool
-AudioSessionService::isEnabled(TokenId token) const
-{
-    auto it = sessions_.find(token);
-    return it != sessions_.end() && it->second.enabled;
-}
-
-void
-AudioSessionService::setGlobalFilter(std::function<bool(Uid)> filter)
-{
-    advance();
-    filter_ = std::move(filter);
-    apply();
-}
-
-void
-AudioSessionService::refilter()
-{
-    advance();
-    apply();
-}
-
-void
-AudioSessionService::addListener(ResourceListener *listener)
-{
-    listeners_.push_back(listener);
 }
 
 double
 AudioSessionService::openSeconds(Uid uid)
 {
     advance();
-    auto it = openSeconds_.find(uid);
-    return it == openSeconds_.end() ? 0.0 : it->second;
+    return records_.totals(uid).openSeconds;
 }
 
 double
 AudioSessionService::playingSeconds(Uid uid)
 {
     advance();
-    auto it = playingSeconds_.find(uid);
-    return it == playingSeconds_.end() ? 0.0 : it->second;
-}
-
-Uid
-AudioSessionService::ownerOf(TokenId token) const
-{
-    auto it = sessions_.find(token);
-    return it == sessions_.end() ? kInvalidUid : it->second.uid;
+    return records_.totals(uid).playingSeconds;
 }
 
 } // namespace leaseos::os

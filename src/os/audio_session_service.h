@@ -15,22 +15,32 @@
  * resources Table 1 lists as leasable.
  */
 
-#include <cstdint>
-#include <functional>
 #include <map>
-#include <vector>
 
 #include "os/binder.h"
-#include "os/resource_listener.h"
-#include "os/service.h"
+#include "os/resource_service.h"
 #include "power/audio_model.h"
 
 namespace leaseos::os {
 
+/** One audio session kernel object. */
+struct AudioSession {
+    struct Totals {
+        double openSeconds = 0.0;
+        double playingSeconds = 0.0;
+    };
+
+    Uid uid = kInvalidUid;
+    bool live = false; ///< open (not closed)
+    bool playing = false;
+    bool suspended = false;
+    bool enabled = false;
+};
+
 /**
  * Audio session service with lease/throttle interposition hooks.
  */
-class AudioSessionService : public Service
+class AudioSessionService : public ResourceService<AudioSession>
 {
   public:
     /** Draw of an open-but-silent session's pipeline (DSP powered). */
@@ -56,18 +66,13 @@ class AudioSessionService : public Service
     /** Kernel object death. */
     void destroy(TokenId token);
 
-    bool isOpen(TokenId token) const;
-    bool isPlaying(TokenId token) const;
-
-    // ---- Interposition ---------------------------------------------------
-
-    void suspend(TokenId token);
-    void restore(TokenId token);
-    bool isSuspended(TokenId token) const;
-    bool isEnabled(TokenId token) const;
-    void setGlobalFilter(std::function<bool(Uid)> filter);
-    void refilter();
-    void addListener(ResourceListener *listener);
+    bool isOpen(TokenId token) const { return isLive(token); }
+    bool
+    isPlaying(TokenId token) const
+    {
+        const AudioSession *session = records_.find(token);
+        return session && session->playing;
+    }
 
     // ---- Metrics --------------------------------------------------------
 
@@ -77,32 +82,15 @@ class AudioSessionService : public Service
     /** Time @p uid spent audibly playing through enabled sessions. */
     double playingSeconds(Uid uid);
 
-    Uid ownerOf(TokenId token) const;
-
   private:
-    struct Session {
-        Uid uid = kInvalidUid;
-        bool open = false;
-        bool playing = false;
-        bool suspended = false;
-        bool enabled = false;
-    };
-
-    void advance();
-    void apply();
-    bool allowedByFilter(Uid uid) const;
+    void advance() override;
+    void apply() override;
 
     power::AudioModel &audio_;
     power::EnergyAccountant &accountant_;
     power::ChannelId pipelineChannel_;
-    TokenAllocator &tokens_;
-    std::map<TokenId, Session> sessions_;
-    std::function<bool(Uid)> filter_;
-    std::vector<ResourceListener *> listeners_;
 
     sim::Time lastAdvance_;
-    std::map<Uid, double> openSeconds_;
-    std::map<Uid, double> playingSeconds_;
     std::map<Uid, bool> lastPlaying_;
 };
 

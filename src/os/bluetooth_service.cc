@@ -8,24 +8,16 @@ BluetoothService::BluetoothService(sim::Simulator &sim,
                                    power::CpuModel &cpu,
                                    power::BluetoothModel &bluetooth,
                                    TokenAllocator &tokens)
-    : Service(sim, cpu, "bluetooth"), bluetooth_(bluetooth),
-      tokens_(tokens)
+    : ResourceService(sim, cpu, "bluetooth", tokens), bluetooth_(bluetooth)
 {
-}
-
-bool
-BluetoothService::allowedByFilter(Uid uid) const
-{
-    return !filter_ || filter_(uid);
 }
 
 void
 BluetoothService::apply()
 {
     std::set<Uid> owners;
-    for (auto &[token, scan] : scans_) {
-        bool enabled =
-            scan.active && !scan.suspended && allowedByFilter(scan.uid);
+    records_.sweep([&](TokenId token, BluetoothScan &scan) {
+        bool enabled = shouldEnable(scan);
         if (enabled && !scan.enabled) {
             scan.enabled = true;
             scheduleTick(token);
@@ -33,16 +25,16 @@ BluetoothService::apply()
             scan.enabled = enabled;
         }
         if (scan.enabled) owners.insert(scan.uid);
-    }
+    });
     bluetooth_.setScanOwners({owners.begin(), owners.end()});
 }
 
 void
 BluetoothService::scheduleTick(TokenId token)
 {
-    auto it = scans_.find(token);
-    if (it == scans_.end() || it->second.tickScheduled) return;
-    it->second.tickScheduled = true;
+    BluetoothScan *scan = records_.find(token);
+    if (!scan || scan->tickScheduled) return;
+    scan->tickScheduled = true;
     sim_.schedule(kDiscoveryInterval,
                   [this, token] { deliverTick(token); });
 }
@@ -50,16 +42,15 @@ BluetoothService::scheduleTick(TokenId token)
 void
 BluetoothService::deliverTick(TokenId token)
 {
-    auto it = scans_.find(token);
-    if (it == scans_.end()) return;
-    Scan &scan = it->second;
-    scan.tickScheduled = false;
-    if (!scan.enabled) return;
+    BluetoothScan *scan = records_.find(token);
+    if (!scan) return;
+    scan->tickScheduled = false;
+    if (!scan->enabled) return;
     if (nearbyDevices_ > 0) {
-        ++discoveries_[scan.uid];
-        if (scan.listener) {
-            cpu_.runWorkFor(scan.uid, 0.3, sim::Time::fromMillis(3));
-            scan.listener->onDeviceFound(
+        ++records_.accrue(scan->uid).discoveries;
+        if (scan->listener) {
+            cpu_.runWorkFor(scan->uid, 0.3, sim::Time::fromMillis(3));
+            scan->listener->onDeviceFound(
                 nextDeviceId_++ % static_cast<std::uint64_t>(
                                       nearbyDevices_));
         }
@@ -72,11 +63,11 @@ BluetoothService::startScan(Uid uid, ScanListener *listener)
 {
     chargeIpc(uid, kResourceIpcLatency);
     TokenId token = tokens_.next();
-    Scan scan;
+    BluetoothScan scan;
     scan.uid = uid;
     scan.listener = listener;
-    scan.active = true;
-    scans_.emplace(token, scan);
+    scan.live = true;
+    records_.add(token, scan);
     apply();
     for (auto *l : listeners_) l->onCreated(token, uid);
     for (auto *l : listeners_) l->onAcquired(token, uid);
@@ -86,11 +77,11 @@ BluetoothService::startScan(Uid uid, ScanListener *listener)
 void
 BluetoothService::stopScan(TokenId token)
 {
-    auto it = scans_.find(token);
-    if (it == scans_.end() || !it->second.active) return;
-    Uid uid = it->second.uid;
+    BluetoothScan *scan = records_.find(token);
+    if (!scan || !scan->live) return;
+    Uid uid = scan->uid;
     chargeIpc(uid, kBinderIpcLatency);
-    it->second.active = false;
+    records_.setLive(token, false);
     apply();
     for (auto *l : listeners_) l->onReleased(token, uid);
 }
@@ -98,85 +89,13 @@ BluetoothService::stopScan(TokenId token)
 void
 BluetoothService::destroy(TokenId token)
 {
-    auto it = scans_.find(token);
-    if (it == scans_.end()) return;
-    Uid uid = it->second.uid;
-    scans_.erase(it);
+    const BluetoothScan *scan = records_.find(token);
+    if (!scan) return;
+    Uid uid = scan->uid;
+    records_.erase(token);
     tokens_.retire(token);
     apply();
     for (auto *l : listeners_) l->onDestroyed(token, uid);
-}
-
-bool
-BluetoothService::isActive(TokenId token) const
-{
-    auto it = scans_.find(token);
-    return it != scans_.end() && it->second.active;
-}
-
-void
-BluetoothService::suspend(TokenId token)
-{
-    auto it = scans_.find(token);
-    if (it == scans_.end() || it->second.suspended) return;
-    it->second.suspended = true;
-    apply();
-}
-
-void
-BluetoothService::restore(TokenId token)
-{
-    auto it = scans_.find(token);
-    if (it == scans_.end() || !it->second.suspended) return;
-    it->second.suspended = false;
-    apply();
-}
-
-bool
-BluetoothService::isSuspended(TokenId token) const
-{
-    auto it = scans_.find(token);
-    return it != scans_.end() && it->second.suspended;
-}
-
-bool
-BluetoothService::isEnabled(TokenId token) const
-{
-    auto it = scans_.find(token);
-    return it != scans_.end() && it->second.enabled;
-}
-
-void
-BluetoothService::setGlobalFilter(std::function<bool(Uid)> filter)
-{
-    filter_ = std::move(filter);
-    apply();
-}
-
-void
-BluetoothService::refilter()
-{
-    apply();
-}
-
-void
-BluetoothService::addListener(ResourceListener *listener)
-{
-    listeners_.push_back(listener);
-}
-
-std::uint64_t
-BluetoothService::discoveries(Uid uid) const
-{
-    auto it = discoveries_.find(uid);
-    return it == discoveries_.end() ? 0 : it->second;
-}
-
-Uid
-BluetoothService::ownerOf(TokenId token) const
-{
-    auto it = scans_.find(token);
-    return it == scans_.end() ? kInvalidUid : it->second.uid;
 }
 
 } // namespace leaseos::os

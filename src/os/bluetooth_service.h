@@ -12,13 +12,9 @@
  */
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <vector>
 
 #include "os/binder.h"
-#include "os/resource_listener.h"
-#include "os/service.h"
+#include "os/resource_service.h"
 #include "power/bluetooth_model.h"
 
 namespace leaseos::os {
@@ -31,10 +27,24 @@ class ScanListener
     virtual void onDeviceFound(std::uint64_t deviceId) = 0;
 };
 
+/** One scan registration kernel object. */
+struct BluetoothScan {
+    struct Totals {
+        std::uint64_t discoveries = 0;
+    };
+
+    Uid uid = kInvalidUid;
+    ScanListener *listener = nullptr;
+    bool live = false; ///< scanning (not stopped)
+    bool suspended = false;
+    bool enabled = false;
+    bool tickScheduled = false;
+};
+
 /**
  * Bluetooth scan service with lease/throttle interposition hooks.
  */
-class BluetoothService : public Service
+class BluetoothService : public ResourceService<BluetoothScan>
 {
   public:
     /** Cadence of discovery callbacks while scanning near devices. */
@@ -53,46 +63,24 @@ class BluetoothService : public Service
     TokenId startScan(Uid uid, ScanListener *listener);
     void stopScan(TokenId token);
     void destroy(TokenId token);
-    bool isActive(TokenId token) const;
-
-    // ---- Interposition ---------------------------------------------------
-
-    void suspend(TokenId token);
-    void restore(TokenId token);
-    bool isSuspended(TokenId token) const;
-    bool isEnabled(TokenId token) const;
-    void setGlobalFilter(std::function<bool(Uid)> filter);
-    void refilter();
-    void addListener(ResourceListener *listener);
+    bool isActive(TokenId token) const { return isLive(token); }
 
     // ---- Metrics --------------------------------------------------------
 
     double scanSeconds(Uid uid) { return bluetooth_.scanSeconds(uid); }
-    std::uint64_t discoveries(Uid uid) const;
-    Uid ownerOf(TokenId token) const;
+    std::uint64_t
+    discoveries(Uid uid) const
+    {
+        return records_.totals(uid).discoveries;
+    }
 
   private:
-    struct Scan {
-        Uid uid = kInvalidUid;
-        ScanListener *listener = nullptr;
-        bool active = false;
-        bool suspended = false;
-        bool enabled = false;
-        bool tickScheduled = false;
-    };
-
-    void apply();
-    bool allowedByFilter(Uid uid) const;
+    void apply() override;
     void scheduleTick(TokenId token);
     void deliverTick(TokenId token);
 
     power::BluetoothModel &bluetooth_;
-    TokenAllocator &tokens_;
     int nearbyDevices_ = 3;
-    std::map<TokenId, Scan> scans_;
-    std::function<bool(Uid)> filter_;
-    std::vector<ResourceListener *> listeners_;
-    std::map<Uid, std::uint64_t> discoveries_;
     std::uint64_t nextDeviceId_ = 1;
 };
 

@@ -9,7 +9,7 @@ LocationManagerService::LocationManagerService(sim::Simulator &sim,
                                                power::CpuModel &cpu,
                                                power::GpsModel &gps,
                                                TokenAllocator &tokens)
-    : Service(sim, cpu, "location"), gps_(gps), tokens_(tokens),
+    : ResourceService(sim, cpu, "location", tokens), gps_(gps),
       lastAdvance_(sim.now())
 {
     positionFn_ = [](sim::Time) { return GeoPoint{}; };
@@ -25,27 +25,22 @@ LocationManagerService::advance()
     }
     double dt = (now - lastAdvance_).seconds();
     bool fix = gps_.hasFix();
-    for (auto &[token, req] : requests_) {
+    for (const auto *entry : records_.live()) {
+        const LocationRequest &req = entry->second;
         if (!req.enabled) continue;
-        requestSeconds_[req.uid] += dt;
-        if (!fix) noFixSeconds_[req.uid] += dt;
+        auto &totals = records_.accrue(req.uid);
+        totals.requestSeconds += dt;
+        if (!fix) totals.noFixSeconds += dt;
     }
     lastAdvance_ = now;
-}
-
-bool
-LocationManagerService::allowedByFilter(Uid uid) const
-{
-    return !filter_ || filter_(uid);
 }
 
 void
 LocationManagerService::apply()
 {
     std::set<Uid> owners;
-    for (auto &[token, req] : requests_) {
-        bool enabled =
-            req.active && !req.suspended && allowedByFilter(req.uid);
+    records_.sweep([&](TokenId token, LocationRequest &req) {
+        bool enabled = shouldEnable(req);
         if (enabled && !req.enabled) {
             req.enabled = true;
             scheduleTick(token);
@@ -53,40 +48,39 @@ LocationManagerService::apply()
             req.enabled = enabled;
         }
         if (req.enabled) owners.insert(req.uid);
-    }
+    });
     gps_.setRequestOwners({owners.begin(), owners.end()});
 }
 
 void
 LocationManagerService::scheduleTick(TokenId token)
 {
-    auto it = requests_.find(token);
-    if (it == requests_.end() || it->second.tickScheduled) return;
-    it->second.tickScheduled = true;
-    sim_.schedule(it->second.interval,
-                  [this, token] { deliverTick(token); });
+    LocationRequest *req = records_.find(token);
+    if (!req || req->tickScheduled) return;
+    req->tickScheduled = true;
+    sim_.schedule(req->interval, [this, token] { deliverTick(token); });
 }
 
 void
 LocationManagerService::deliverTick(TokenId token)
 {
-    auto it = requests_.find(token);
-    if (it == requests_.end()) return;
-    Request &req = it->second;
-    req.tickScheduled = false;
-    if (!req.enabled) return; // suspended/filtered: callbacks withheld
+    LocationRequest *req = records_.find(token);
+    if (!req) return;
+    req->tickScheduled = false;
+    if (!req->enabled) return; // suspended/filtered: callbacks withheld
     if (gps_.hasFix()) {
         GeoPoint here = positionFn_(sim_.now());
-        ++fixCount_[req.uid];
-        if (req.hasLastPoint)
-            distanceMeters_[req.uid] +=
-                leaseos::distanceMeters(req.lastPoint, here);
-        req.lastPoint = here;
-        req.hasLastPoint = true;
-        if (req.listener) {
+        auto &totals = records_.accrue(req->uid);
+        ++totals.fixes;
+        if (req->hasLastPoint)
+            totals.distanceMeters +=
+                leaseos::distanceMeters(req->lastPoint, here);
+        req->lastPoint = here;
+        req->hasLastPoint = true;
+        if (req->listener) {
             // Deliveries run a sliver of app CPU (listener invocation).
-            cpu_.runWorkFor(req.uid, 0.5, sim::Time::fromMillis(5));
-            req.listener->onLocation(here);
+            cpu_.runWorkFor(req->uid, 0.5, sim::Time::fromMillis(5));
+            req->listener->onLocation(here);
         }
     }
     scheduleTick(token);
@@ -99,13 +93,13 @@ LocationManagerService::requestLocationUpdates(Uid uid, sim::Time interval,
     chargeIpc(uid, kResourceIpcLatency);
     advance();
     TokenId token = tokens_.next();
-    Request req;
+    LocationRequest req;
     req.uid = uid;
     req.interval = interval;
     req.listener = listener;
-    req.active = true;
-    requests_.emplace(token, req);
-    ++requestCount_[uid];
+    req.live = true;
+    records_.add(token, req);
+    ++records_.accrue(uid).requests;
     apply();
     for (auto *l : listeners_) l->onCreated(token, uid);
     for (auto *l : listeners_) l->onAcquired(token, uid);
@@ -115,12 +109,12 @@ LocationManagerService::requestLocationUpdates(Uid uid, sim::Time interval,
 void
 LocationManagerService::removeUpdates(TokenId token)
 {
-    auto it = requests_.find(token);
-    if (it == requests_.end() || !it->second.active) return;
-    Uid uid = it->second.uid;
+    LocationRequest *req = records_.find(token);
+    if (!req || !req->live) return;
+    Uid uid = req->uid;
     chargeIpc(uid, kBinderIpcLatency);
     advance();
-    it->second.active = false;
+    records_.setLive(token, false);
     apply();
     for (auto *l : listeners_) l->onReleased(token, uid);
 }
@@ -128,129 +122,28 @@ LocationManagerService::removeUpdates(TokenId token)
 void
 LocationManagerService::destroy(TokenId token)
 {
-    auto it = requests_.find(token);
-    if (it == requests_.end()) return;
+    const LocationRequest *req = records_.find(token);
+    if (!req) return;
+    Uid uid = req->uid;
     advance();
-    Uid uid = it->second.uid;
-    requests_.erase(it);
+    records_.erase(token);
     tokens_.retire(token);
     apply();
     for (auto *l : listeners_) l->onDestroyed(token, uid);
-}
-
-bool
-LocationManagerService::isActive(TokenId token) const
-{
-    auto it = requests_.find(token);
-    return it != requests_.end() && it->second.active;
-}
-
-void
-LocationManagerService::suspend(TokenId token)
-{
-    auto it = requests_.find(token);
-    if (it == requests_.end() || it->second.suspended) return;
-    advance();
-    it->second.suspended = true;
-    apply();
-}
-
-void
-LocationManagerService::restore(TokenId token)
-{
-    auto it = requests_.find(token);
-    if (it == requests_.end() || !it->second.suspended) return;
-    advance();
-    it->second.suspended = false;
-    apply();
-}
-
-bool
-LocationManagerService::isSuspended(TokenId token) const
-{
-    auto it = requests_.find(token);
-    return it != requests_.end() && it->second.suspended;
-}
-
-bool
-LocationManagerService::isEnabled(TokenId token) const
-{
-    auto it = requests_.find(token);
-    return it != requests_.end() && it->second.enabled;
-}
-
-void
-LocationManagerService::setGlobalFilter(std::function<bool(Uid)> filter)
-{
-    advance();
-    filter_ = std::move(filter);
-    apply();
-}
-
-void
-LocationManagerService::refilter()
-{
-    advance();
-    apply();
-}
-
-void
-LocationManagerService::addListener(ResourceListener *listener)
-{
-    listeners_.push_back(listener);
 }
 
 double
 LocationManagerService::requestSeconds(Uid uid)
 {
     advance();
-    auto it = requestSeconds_.find(uid);
-    return it == requestSeconds_.end() ? 0.0 : it->second;
+    return records_.totals(uid).requestSeconds;
 }
 
 double
 LocationManagerService::noFixSeconds(Uid uid)
 {
     advance();
-    auto it = noFixSeconds_.find(uid);
-    return it == noFixSeconds_.end() ? 0.0 : it->second;
-}
-
-std::uint64_t
-LocationManagerService::fixCount(Uid uid) const
-{
-    auto it = fixCount_.find(uid);
-    return it == fixCount_.end() ? 0 : it->second;
-}
-
-std::uint64_t
-LocationManagerService::requestCount(Uid uid) const
-{
-    auto it = requestCount_.find(uid);
-    return it == requestCount_.end() ? 0 : it->second;
-}
-
-double
-LocationManagerService::distanceMeters(Uid uid) const
-{
-    auto it = distanceMeters_.find(uid);
-    return it == distanceMeters_.end() ? 0.0 : it->second;
-}
-
-Uid
-LocationManagerService::ownerOf(TokenId token) const
-{
-    auto it = requests_.find(token);
-    return it == requests_.end() ? kInvalidUid : it->second.uid;
-}
-
-std::vector<TokenId>
-LocationManagerService::activeRequests(Uid uid) const
-{
-    std::vector<TokenId> active;
-    for (const auto &[token, request] : requests_)
-        if (request.uid == uid && request.active) active.push_back(token);
-    return active;
+    return records_.totals(uid).noFixSeconds;
 }
 
 } // namespace leaseos::os

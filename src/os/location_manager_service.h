@@ -16,13 +16,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "common/geo.h"
 #include "os/binder.h"
-#include "os/resource_listener.h"
-#include "os/service.h"
+#include "os/resource_service.h"
 #include "power/gps_model.h"
 
 namespace leaseos::os {
@@ -35,10 +33,31 @@ class LocationListener
     virtual void onLocation(const GeoPoint &point) = 0;
 };
 
+/** One update request: the kernel object of a GPS subscription. */
+struct LocationRequest {
+    struct Totals {
+        double requestSeconds = 0.0;
+        double noFixSeconds = 0.0;
+        std::uint64_t fixes = 0;
+        std::uint64_t requests = 0;
+        double distanceMeters = 0.0;
+    };
+
+    Uid uid = kInvalidUid;
+    sim::Time interval;
+    LocationListener *listener = nullptr;
+    bool live = false; ///< outstanding (not removed)
+    bool suspended = false;
+    bool enabled = false;
+    bool tickScheduled = false;
+    bool hasLastPoint = false;
+    GeoPoint lastPoint;
+};
+
 /**
  * GPS request management with lease/throttle interposition hooks.
  */
-class LocationManagerService : public Service
+class LocationManagerService : public ResourceService<LocationRequest>
 {
   public:
     /** Provides the device's true position (from env::GpsEnvironment). */
@@ -65,17 +84,7 @@ class LocationManagerService : public Service
     /** Kernel object death (app exit). */
     void destroy(TokenId token);
 
-    bool isActive(TokenId token) const;
-
-    // ---- Interposition ---------------------------------------------------
-
-    void suspend(TokenId token);
-    void restore(TokenId token);
-    bool isSuspended(TokenId token) const;
-    bool isEnabled(TokenId token) const;
-    void setGlobalFilter(std::function<bool(Uid)> filter);
-    void refilter();
-    void addListener(ResourceListener *listener);
+    bool isActive(TokenId token) const { return isLive(token); }
 
     // ---- Metrics --------------------------------------------------------
 
@@ -85,50 +94,42 @@ class LocationManagerService : public Service
     /** Outstanding-and-enabled time during which there was no fix. */
     double noFixSeconds(Uid uid);
 
-    std::uint64_t fixCount(Uid uid) const;
-    std::uint64_t requestCount(Uid uid) const;
+    std::uint64_t
+    fixCount(Uid uid) const
+    {
+        return records_.totals(uid).fixes;
+    }
+    std::uint64_t
+    requestCount(Uid uid) const
+    {
+        return records_.totals(uid).requests;
+    }
 
     /** Metres moved between consecutive delivered fixes. */
-    double distanceMeters(Uid uid) const;
+    double
+    distanceMeters(Uid uid) const
+    {
+        return records_.totals(uid).distanceMeters;
+    }
 
-    Uid ownerOf(TokenId token) const;
     bool hasFix() const { return gps_.hasFix(); }
 
     /** Update requests @p uid still has outstanding (not removed). */
-    std::vector<TokenId> activeRequests(Uid uid) const;
+    std::vector<TokenId>
+    activeRequests(Uid uid) const
+    {
+        return records_.liveTokens(uid);
+    }
 
   private:
-    struct Request {
-        Uid uid = kInvalidUid;
-        sim::Time interval;
-        LocationListener *listener = nullptr;
-        bool active = false;
-        bool suspended = false;
-        bool enabled = false;
-        bool tickScheduled = false;
-        bool hasLastPoint = false;
-        GeoPoint lastPoint;
-    };
-
-    void advance();
-    void apply();
-    bool allowedByFilter(Uid uid) const;
+    void advance() override;
+    void apply() override;
     void scheduleTick(TokenId token);
     void deliverTick(TokenId token);
 
     power::GpsModel &gps_;
-    TokenAllocator &tokens_;
     PositionFn positionFn_;
-    std::map<TokenId, Request> requests_;
-    std::function<bool(Uid)> filter_;
-    std::vector<ResourceListener *> listeners_;
-
     sim::Time lastAdvance_;
-    std::map<Uid, double> requestSeconds_;
-    std::map<Uid, double> noFixSeconds_;
-    std::map<Uid, std::uint64_t> fixCount_;
-    std::map<Uid, std::uint64_t> requestCount_;
-    std::map<Uid, double> distanceMeters_;
 };
 
 } // namespace leaseos::os

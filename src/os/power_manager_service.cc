@@ -9,7 +9,7 @@ namespace leaseos::os {
 PowerManagerService::PowerManagerService(sim::Simulator &sim,
                                          power::CpuModel &cpu,
                                          TokenAllocator &tokens)
-    : Service(sim, cpu, "power"), tokens_(tokens), lastAdvance_(sim.now())
+    : ResourceService(sim, cpu, "power", tokens), lastAdvance_(sim.now())
 {
 }
 
@@ -22,23 +22,19 @@ PowerManagerService::advance()
         return;
     }
     double dt = (now - lastAdvance_).seconds();
-    for (auto &[token, lock] : locks_) {
-        if (lock.held) {
+    for (auto *entry : records_.live()) {
+        WakeLock &lock = entry->second;
+        auto &totals = records_.accrue(lock.uid);
+        if (lock.live) {
             lock.heldSeconds += dt;
-            heldSeconds_[lock.uid] += dt;
+            totals.heldSeconds += dt;
         }
         if (lock.enabled) {
             lock.enabledSeconds += dt;
-            enabledSeconds_[lock.uid] += dt;
+            totals.enabledSeconds += dt;
         }
     }
     lastAdvance_ = now;
-}
-
-bool
-PowerManagerService::allowedByFilter(Uid uid, WakeLockType type) const
-{
-    return !filter_ || filter_(uid, type);
 }
 
 void
@@ -46,13 +42,12 @@ PowerManagerService::apply()
 {
     std::set<Uid> partial;
     std::set<Uid> full;
-    for (auto &[token, lock] : locks_) {
-        lock.enabled = lock.held && !lock.suspended &&
-            allowedByFilter(lock.uid, lock.type);
-        if (!lock.enabled) continue;
+    records_.sweep([&](TokenId, WakeLock &lock) {
+        lock.enabled = shouldEnable(lock);
+        if (!lock.enabled) return;
         if (lock.type == WakeLockType::Partial) partial.insert(lock.uid);
         else full.insert(lock.uid);
-    }
+    });
     // Full locks also keep the CPU awake.
     std::set<Uid> cpu_owners = partial;
     cpu_owners.insert(full.begin(), full.end());
@@ -72,11 +67,11 @@ PowerManagerService::newWakeLock(Uid uid, WakeLockType type,
     chargeIpc(uid, kBinderIpcLatency);
     advance();
     TokenId token = tokens_.next();
-    Lock lock;
+    WakeLock lock;
     lock.uid = uid;
     lock.type = type;
     lock.tag = std::move(tag);
-    locks_.emplace(token, std::move(lock));
+    records_.add(token, std::move(lock));
     for (auto *l : listeners_) l->onCreated(token, uid);
     return token;
 }
@@ -84,214 +79,108 @@ PowerManagerService::newWakeLock(Uid uid, WakeLockType type,
 void
 PowerManagerService::acquire(TokenId token)
 {
-    auto it = locks_.find(token);
-    if (it == locks_.end()) return;
-    Lock &lock = it->second;
-    chargeIpc(lock.uid, kResourceIpcLatency);
+    WakeLock *lock = records_.find(token);
+    if (!lock) return;
+    chargeIpc(lock->uid, kResourceIpcLatency);
     advance();
-    lock.held = true;
-    ++acquireCount_[lock.uid];
+    records_.setLive(token, true);
+    ++records_.accrue(lock->uid).acquires;
     apply();
-    for (auto *l : listeners_) l->onAcquired(token, lock.uid);
+    for (auto *l : listeners_) l->onAcquired(token, lock->uid);
 }
 
 void
 PowerManagerService::release(TokenId token)
 {
-    auto it = locks_.find(token);
-    if (it == locks_.end()) return;
-    Lock &lock = it->second;
-    chargeIpc(lock.uid, kBinderIpcLatency);
+    WakeLock *lock = records_.find(token);
+    if (!lock) return;
+    chargeIpc(lock->uid, kBinderIpcLatency);
     advance();
-    if (!lock.held) return;
-    lock.held = false;
-    ++releaseCount_[lock.uid];
+    if (!lock->live) return;
+    records_.setLive(token, false);
+    ++records_.accrue(lock->uid).releases;
     apply();
-    for (auto *l : listeners_) l->onReleased(token, lock.uid);
+    for (auto *l : listeners_) l->onReleased(token, lock->uid);
 }
 
 void
 PowerManagerService::destroy(TokenId token)
 {
-    auto it = locks_.find(token);
-    if (it == locks_.end()) return;
+    const WakeLock *lock = records_.find(token);
+    if (!lock) return;
     advance();
-    Uid uid = it->second.uid;
-    locks_.erase(it);
+    Uid uid = lock->uid;
+    records_.erase(token);
     tokens_.retire(token);
     apply();
     for (auto *l : listeners_) l->onDestroyed(token, uid);
-}
-
-bool
-PowerManagerService::isHeld(TokenId token) const
-{
-    auto it = locks_.find(token);
-    return it != locks_.end() && it->second.held;
-}
-
-void
-PowerManagerService::suspend(TokenId token)
-{
-    auto it = locks_.find(token);
-    if (it == locks_.end() || it->second.suspended) return;
-    advance();
-    it->second.suspended = true;
-    apply();
-}
-
-void
-PowerManagerService::restore(TokenId token)
-{
-    auto it = locks_.find(token);
-    if (it == locks_.end() || !it->second.suspended) return;
-    advance();
-    it->second.suspended = false;
-    apply();
-}
-
-bool
-PowerManagerService::isSuspended(TokenId token) const
-{
-    auto it = locks_.find(token);
-    return it != locks_.end() && it->second.suspended;
-}
-
-bool
-PowerManagerService::isEnabled(TokenId token) const
-{
-    auto it = locks_.find(token);
-    return it != locks_.end() && it->second.enabled;
-}
-
-void
-PowerManagerService::setGlobalFilter(std::function<bool(Uid)> filter)
-{
-    if (!filter) {
-        clearGlobalFilter();
-        return;
-    }
-    advance();
-    filter_ = [filter = std::move(filter)](Uid uid, WakeLockType) {
-        return filter(uid);
-    };
-    apply();
-}
-
-void
-PowerManagerService::clearGlobalFilter()
-{
-    advance();
-    filter_ = nullptr;
-    apply();
 }
 
 void
 PowerManagerService::setGlobalFilter(
     std::function<bool(Uid, WakeLockType)> filter)
 {
-    advance();
-    filter_ = std::move(filter);
-    apply();
-}
-
-void
-PowerManagerService::refilter()
-{
-    advance();
-    apply();
-}
-
-void
-PowerManagerService::addListener(ResourceListener *listener)
-{
-    listeners_.push_back(listener);
+    if (!filter) {
+        setFilter(nullptr);
+        return;
+    }
+    setFilter([filter = std::move(filter)](const WakeLock &lock) {
+        return filter(lock.uid, lock.type);
+    });
 }
 
 double
 PowerManagerService::heldSeconds(Uid uid)
 {
     advance();
-    auto it = heldSeconds_.find(uid);
-    return it == heldSeconds_.end() ? 0.0 : it->second;
+    return records_.totals(uid).heldSeconds;
 }
 
 double
 PowerManagerService::heldSecondsForToken(TokenId token)
 {
     advance();
-    auto it = locks_.find(token);
-    return it == locks_.end() ? 0.0 : it->second.heldSeconds;
+    const WakeLock *lock = records_.find(token);
+    return lock ? lock->heldSeconds : 0.0;
 }
 
 double
 PowerManagerService::enabledSeconds(Uid uid)
 {
     advance();
-    auto it = enabledSeconds_.find(uid);
-    return it == enabledSeconds_.end() ? 0.0 : it->second;
+    return records_.totals(uid).enabledSeconds;
 }
 
 double
 PowerManagerService::enabledSecondsForToken(TokenId token)
 {
     advance();
-    auto it = locks_.find(token);
-    return it == locks_.end() ? 0.0 : it->second.enabledSeconds;
-}
-
-std::uint64_t
-PowerManagerService::acquireCount(Uid uid) const
-{
-    auto it = acquireCount_.find(uid);
-    return it == acquireCount_.end() ? 0 : it->second;
-}
-
-std::uint64_t
-PowerManagerService::releaseCount(Uid uid) const
-{
-    auto it = releaseCount_.find(uid);
-    return it == releaseCount_.end() ? 0 : it->second;
+    const WakeLock *lock = records_.find(token);
+    return lock ? lock->enabledSeconds : 0.0;
 }
 
 std::vector<Uid>
 PowerManagerService::enabledOwners() const
 {
     std::set<Uid> owners;
-    for (const auto &[token, lock] : locks_)
-        if (lock.enabled) owners.insert(lock.uid);
+    for (const auto *entry : records_.live())
+        if (entry->second.enabled) owners.insert(entry->second.uid);
     return {owners.begin(), owners.end()};
-}
-
-std::vector<TokenId>
-PowerManagerService::heldTokens(Uid uid) const
-{
-    std::vector<TokenId> held;
-    for (const auto &[token, lock] : locks_)
-        if (lock.uid == uid && lock.held) held.push_back(token);
-    return held;
-}
-
-Uid
-PowerManagerService::ownerOf(TokenId token) const
-{
-    auto it = locks_.find(token);
-    return it == locks_.end() ? kInvalidUid : it->second.uid;
 }
 
 WakeLockType
 PowerManagerService::typeOf(TokenId token) const
 {
-    auto it = locks_.find(token);
-    return it == locks_.end() ? WakeLockType::Partial : it->second.type;
+    const WakeLock *lock = records_.find(token);
+    return lock ? lock->type : WakeLockType::Partial;
 }
 
 const std::string &
 PowerManagerService::tagOf(TokenId token) const
 {
     static const std::string empty;
-    auto it = locks_.find(token);
-    return it == locks_.end() ? empty : it->second.tag;
+    const WakeLock *lock = records_.find(token);
+    return lock ? lock->tag : empty;
 }
 
 void

@@ -21,13 +21,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "os/binder.h"
-#include "os/resource_listener.h"
-#include "os/service.h"
+#include "os/resource_service.h"
 
 namespace leaseos::os {
 
@@ -37,10 +35,29 @@ enum class WakeLockType {
     Full     ///< CPU and screen stay on
 };
 
+/** One wakelock kernel object. */
+struct WakeLock {
+    struct Totals {
+        double heldSeconds = 0.0;
+        double enabledSeconds = 0.0;
+        std::uint64_t acquires = 0;
+        std::uint64_t releases = 0;
+    };
+
+    Uid uid = kInvalidUid;
+    WakeLockType type = WakeLockType::Partial;
+    std::string tag;
+    bool live = false; ///< held (acquired, not released)
+    bool suspended = false;
+    bool enabled = false;
+    double heldSeconds = 0.0;
+    double enabledSeconds = 0.0;
+};
+
 /**
  * Wakelock service with lease/throttle interposition hooks.
  */
-class PowerManagerService : public Service
+class PowerManagerService : public ResourceService<WakeLock>
 {
   public:
     PowerManagerService(sim::Simulator &sim, power::CpuModel &cpu,
@@ -60,41 +77,21 @@ class PowerManagerService : public Service
     /** Kernel object death (app exit / GC of the wrapper). */
     void destroy(TokenId token);
 
-    bool isHeld(TokenId token) const;
+    bool isHeld(TokenId token) const { return isLive(token); }
 
-    // ---- Interposition (same-address-space, no IPC) -------------------
+    // ---- Interposition (see ResourceService) --------------------------
 
-    /** Pull @p token out of the kernel array; the app keeps "holding" it. */
-    void suspend(TokenId token);
-
-    /** Undo suspend(); re-enables the lock if the app still holds it. */
-    void restore(TokenId token);
-
-    bool isSuspended(TokenId token) const;
+    using ResourceService::setGlobalFilter;
 
     /**
-     * Whether the token currently keeps hardware awake:
-     * held && !suspended && filter(uid).
-     */
-    bool isEnabled(TokenId token) const;
-
-    /**
-     * Doze-style global gate. Pass nullptr to clear. The filter is
-     * re-evaluated immediately and on every subsequent state change.
-     * The typed variant lets a policy exempt lock levels (Doze defers
+     * Typed gate: lets a policy exempt lock levels (Doze defers
      * background CPU but never forces the panel off).
      */
-    void setGlobalFilter(std::function<bool(Uid)> filter);
     void
     setGlobalFilter(std::function<bool(Uid, WakeLockType)> filter);
 
     /** Remove any global gate (avoids nullptr-overload ambiguity). */
-    void clearGlobalFilter();
-
-    /** Re-apply the global filter after external state changed. */
-    void refilter();
-
-    void addListener(ResourceListener *listener);
+    void clearGlobalFilter() { setFilter(nullptr); }
 
     // ---- Metrics --------------------------------------------------------
 
@@ -106,16 +103,27 @@ class PowerManagerService : public Service
     double enabledSeconds(Uid uid);
     double enabledSecondsForToken(TokenId token);
 
-    std::uint64_t acquireCount(Uid uid) const;
-    std::uint64_t releaseCount(Uid uid) const;
+    std::uint64_t
+    acquireCount(Uid uid) const
+    {
+        return records_.totals(uid).acquires;
+    }
+    std::uint64_t
+    releaseCount(Uid uid) const
+    {
+        return records_.totals(uid).releases;
+    }
 
     /** Uids with at least one enabled partial or full lock. */
     std::vector<Uid> enabledOwners() const;
 
     /** Tokens @p uid currently holds (acquired, not released/destroyed). */
-    std::vector<TokenId> heldTokens(Uid uid) const;
+    std::vector<TokenId>
+    heldTokens(Uid uid) const
+    {
+        return records_.liveTokens(uid);
+    }
 
-    Uid ownerOf(TokenId token) const;
     const std::string &tagOf(TokenId token) const;
     WakeLockType typeOf(TokenId token) const;
 
@@ -126,36 +134,14 @@ class PowerManagerService : public Service
     void setFullLockCallback(std::function<void(std::vector<Uid>)> cb);
 
   private:
-    struct Lock {
-        Uid uid = kInvalidUid;
-        WakeLockType type = WakeLockType::Partial;
-        std::string tag;
-        bool held = false;
-        bool suspended = false;
-        bool enabled = false;
-        double heldSeconds = 0.0;
-        double enabledSeconds = 0.0;
-    };
-
     /** Integrate per-token and per-uid times up to now. */
-    void advance();
+    void advance() override;
 
     /** Recompute enabled flags and push wake sources to hardware. */
-    void apply();
+    void apply() override;
 
-    bool allowedByFilter(Uid uid, WakeLockType type) const;
-
-    TokenAllocator &tokens_;
-    std::map<TokenId, Lock> locks_;
-    std::function<bool(Uid, WakeLockType)> filter_;
     std::function<void(std::vector<Uid>)> fullLockCb_;
-    std::vector<ResourceListener *> listeners_;
-
     sim::Time lastAdvance_;
-    std::map<Uid, double> heldSeconds_;
-    std::map<Uid, double> enabledSeconds_;
-    std::map<Uid, std::uint64_t> acquireCount_;
-    std::map<Uid, std::uint64_t> releaseCount_;
     std::vector<Uid> lastFullOwners_;
 };
 

@@ -8,7 +8,7 @@ SensorManagerService::SensorManagerService(sim::Simulator &sim,
                                            power::CpuModel &cpu,
                                            power::SensorModel &sensors,
                                            TokenAllocator &tokens)
-    : Service(sim, cpu, "sensor"), sensors_(sensors), tokens_(tokens),
+    : ResourceService(sim, cpu, "sensor", tokens), sensors_(sensors),
       lastAdvance_(sim.now())
 {
     readingFn_ = [](power::SensorType, sim::Time) { return 0.0; };
@@ -23,23 +23,18 @@ SensorManagerService::advance()
         return;
     }
     double dt = (now - lastAdvance_).seconds();
-    for (auto &[token, reg] : regs_)
-        if (reg.enabled) registeredSeconds_[reg.uid] += dt;
+    for (const auto *entry : records_.live()) {
+        const SensorRegistration &reg = entry->second;
+        if (reg.enabled) records_.accrue(reg.uid).registeredSeconds += dt;
+    }
     lastAdvance_ = now;
-}
-
-bool
-SensorManagerService::allowedByFilter(Uid uid) const
-{
-    return !filter_ || filter_(uid);
 }
 
 void
 SensorManagerService::apply()
 {
-    for (auto &[token, reg] : regs_) {
-        bool enabled =
-            reg.active && !reg.suspended && allowedByFilter(reg.uid);
+    records_.sweep([&](TokenId token, SensorRegistration &reg) {
+        bool enabled = shouldEnable(reg);
         bool was_hw = hwRegs_.count(token) != 0;
         if (enabled && !was_hw) {
             sensors_.registerUse(reg.type, reg.uid);
@@ -54,10 +49,10 @@ SensorManagerService::apply()
         } else {
             reg.enabled = enabled;
         }
-    }
+    });
     // Drop hardware registrations whose request object died.
     for (auto it = hwRegs_.begin(); it != hwRegs_.end();) {
-        if (regs_.count(it->first) == 0) {
+        if (!records_.find(it->first)) {
             sensors_.unregisterUse(it->second.first, it->second.second);
             it = hwRegs_.erase(it);
         } else {
@@ -69,25 +64,24 @@ SensorManagerService::apply()
 void
 SensorManagerService::scheduleTick(TokenId token)
 {
-    auto it = regs_.find(token);
-    if (it == regs_.end() || it->second.tickScheduled) return;
-    it->second.tickScheduled = true;
-    sim_.schedule(it->second.rate, [this, token] { deliverTick(token); });
+    SensorRegistration *reg = records_.find(token);
+    if (!reg || reg->tickScheduled) return;
+    reg->tickScheduled = true;
+    sim_.schedule(reg->rate, [this, token] { deliverTick(token); });
 }
 
 void
 SensorManagerService::deliverTick(TokenId token)
 {
-    auto it = regs_.find(token);
-    if (it == regs_.end()) return;
-    Registration &reg = it->second;
-    reg.tickScheduled = false;
-    if (!reg.enabled) return; // suspended: callbacks withheld
-    ++eventCount_[reg.uid];
-    if (reg.listener) {
-        cpu_.runWorkFor(reg.uid, 0.2, sim::Time::fromMillis(1));
-        reg.listener->onSensorEvent(reg.type,
-                                    readingFn_(reg.type, sim_.now()));
+    SensorRegistration *reg = records_.find(token);
+    if (!reg) return;
+    reg->tickScheduled = false;
+    if (!reg->enabled) return; // suspended: callbacks withheld
+    ++records_.accrue(reg->uid).events;
+    if (reg->listener) {
+        cpu_.runWorkFor(reg->uid, 0.2, sim::Time::fromMillis(1));
+        reg->listener->onSensorEvent(reg->type,
+                                     readingFn_(reg->type, sim_.now()));
     }
     scheduleTick(token);
 }
@@ -100,13 +94,13 @@ SensorManagerService::registerListener(Uid uid, power::SensorType type,
     chargeIpc(uid, kResourceIpcLatency);
     advance();
     TokenId token = tokens_.next();
-    Registration reg;
+    SensorRegistration reg;
     reg.uid = uid;
     reg.type = type;
     reg.rate = rate;
     reg.listener = listener;
-    reg.active = true;
-    regs_.emplace(token, reg);
+    reg.live = true;
+    records_.add(token, reg);
     apply();
     for (auto *l : listeners_) l->onCreated(token, uid);
     for (auto *l : listeners_) l->onAcquired(token, uid);
@@ -116,12 +110,12 @@ SensorManagerService::registerListener(Uid uid, power::SensorType type,
 void
 SensorManagerService::unregisterListener(TokenId token)
 {
-    auto it = regs_.find(token);
-    if (it == regs_.end() || !it->second.active) return;
-    Uid uid = it->second.uid;
+    SensorRegistration *reg = records_.find(token);
+    if (!reg || !reg->live) return;
+    Uid uid = reg->uid;
     chargeIpc(uid, kBinderIpcLatency);
     advance();
-    it->second.active = false;
+    records_.setLive(token, false);
     apply();
     for (auto *l : listeners_) l->onReleased(token, uid);
 }
@@ -129,107 +123,21 @@ SensorManagerService::unregisterListener(TokenId token)
 void
 SensorManagerService::destroy(TokenId token)
 {
-    auto it = regs_.find(token);
-    if (it == regs_.end()) return;
+    const SensorRegistration *reg = records_.find(token);
+    if (!reg) return;
     advance();
-    Uid uid = it->second.uid;
-    regs_.erase(it);
+    Uid uid = reg->uid;
+    records_.erase(token);
     tokens_.retire(token);
     apply();
     for (auto *l : listeners_) l->onDestroyed(token, uid);
-}
-
-bool
-SensorManagerService::isActive(TokenId token) const
-{
-    auto it = regs_.find(token);
-    return it != regs_.end() && it->second.active;
-}
-
-void
-SensorManagerService::suspend(TokenId token)
-{
-    auto it = regs_.find(token);
-    if (it == regs_.end() || it->second.suspended) return;
-    advance();
-    it->second.suspended = true;
-    apply();
-}
-
-void
-SensorManagerService::restore(TokenId token)
-{
-    auto it = regs_.find(token);
-    if (it == regs_.end() || !it->second.suspended) return;
-    advance();
-    it->second.suspended = false;
-    apply();
-}
-
-bool
-SensorManagerService::isSuspended(TokenId token) const
-{
-    auto it = regs_.find(token);
-    return it != regs_.end() && it->second.suspended;
-}
-
-bool
-SensorManagerService::isEnabled(TokenId token) const
-{
-    auto it = regs_.find(token);
-    return it != regs_.end() && it->second.enabled;
-}
-
-void
-SensorManagerService::setGlobalFilter(std::function<bool(Uid)> filter)
-{
-    advance();
-    filter_ = std::move(filter);
-    apply();
-}
-
-void
-SensorManagerService::refilter()
-{
-    advance();
-    apply();
-}
-
-void
-SensorManagerService::addListener(ResourceListener *listener)
-{
-    listeners_.push_back(listener);
 }
 
 double
 SensorManagerService::registeredSeconds(Uid uid)
 {
     advance();
-    auto it = registeredSeconds_.find(uid);
-    return it == registeredSeconds_.end() ? 0.0 : it->second;
-}
-
-std::uint64_t
-SensorManagerService::eventCount(Uid uid) const
-{
-    auto it = eventCount_.find(uid);
-    return it == eventCount_.end() ? 0 : it->second;
-}
-
-Uid
-SensorManagerService::ownerOf(TokenId token) const
-{
-    auto it = regs_.find(token);
-    return it == regs_.end() ? kInvalidUid : it->second.uid;
-}
-
-std::vector<TokenId>
-SensorManagerService::activeRegistrations(Uid uid) const
-{
-    std::vector<TokenId> active;
-    for (const auto &[token, reg] : regs_)
-        if (reg.uid == uid && reg.active) active.push_back(token);
-    return active;
+    return records_.totals(uid).registeredSeconds;
 }
 
 } // namespace leaseos::os

@@ -18,8 +18,7 @@
 #include <vector>
 
 #include "os/binder.h"
-#include "os/resource_listener.h"
-#include "os/service.h"
+#include "os/resource_service.h"
 #include "power/sensor_model.h"
 
 namespace leaseos::os {
@@ -32,10 +31,27 @@ class SensorEventListener
     virtual void onSensorEvent(power::SensorType type, double value) = 0;
 };
 
+/** One listener registration: the kernel object of a sensor subscription. */
+struct SensorRegistration {
+    struct Totals {
+        double registeredSeconds = 0.0;
+        std::uint64_t events = 0;
+    };
+
+    Uid uid = kInvalidUid;
+    power::SensorType type = power::SensorType::Accelerometer;
+    sim::Time rate;
+    SensorEventListener *listener = nullptr;
+    bool live = false; ///< registered (not unregistered)
+    bool suspended = false;
+    bool enabled = false;
+    bool tickScheduled = false;
+};
+
 /**
  * Sensor registration service with interposition hooks.
  */
-class SensorManagerService : public Service
+class SensorManagerService : public ResourceService<SensorRegistration>
 {
   public:
     /** Ground-truth reading source (from env::MotionModel). */
@@ -53,59 +69,38 @@ class SensorManagerService : public Service
                              sim::Time rate, SensorEventListener *listener);
     void unregisterListener(TokenId token);
     void destroy(TokenId token);
-    bool isActive(TokenId token) const;
-
-    // ---- Interposition ---------------------------------------------------
-
-    void suspend(TokenId token);
-    void restore(TokenId token);
-    bool isSuspended(TokenId token) const;
-    bool isEnabled(TokenId token) const;
-    void setGlobalFilter(std::function<bool(Uid)> filter);
-    void refilter();
-    void addListener(ResourceListener *listener);
+    bool isActive(TokenId token) const { return isLive(token); }
 
     // ---- Metrics --------------------------------------------------------
 
     /** Time @p uid has had an enabled registration outstanding. */
     double registeredSeconds(Uid uid);
-    std::uint64_t eventCount(Uid uid) const;
-    Uid ownerOf(TokenId token) const;
+    std::uint64_t
+    eventCount(Uid uid) const
+    {
+        return records_.totals(uid).events;
+    }
 
     /** Listener registrations @p uid still has active (not unregistered). */
-    std::vector<TokenId> activeRegistrations(Uid uid) const;
+    std::vector<TokenId>
+    activeRegistrations(Uid uid) const
+    {
+        return records_.liveTokens(uid);
+    }
 
   private:
-    struct Registration {
-        Uid uid = kInvalidUid;
-        power::SensorType type = power::SensorType::Accelerometer;
-        sim::Time rate;
-        SensorEventListener *listener = nullptr;
-        bool active = false;
-        bool suspended = false;
-        bool enabled = false;
-        bool tickScheduled = false;
-    };
-
-    void advance();
-    void apply();
-    bool allowedByFilter(Uid uid) const;
+    void advance() override;
+    void apply() override;
     void scheduleTick(TokenId token);
     void deliverTick(TokenId token);
 
     power::SensorModel &sensors_;
-    TokenAllocator &tokens_;
     ReadingFn readingFn_;
-    std::map<TokenId, Registration> regs_;
-    std::function<bool(Uid)> filter_;
-    std::vector<ResourceListener *> listeners_;
 
     /** Hardware registrations we currently hold, to diff on apply(). */
     std::map<TokenId, std::pair<power::SensorType, Uid>> hwRegs_;
 
     sim::Time lastAdvance_;
-    std::map<Uid, double> registeredSeconds_;
-    std::map<Uid, std::uint64_t> eventCount_;
 };
 
 } // namespace leaseos::os

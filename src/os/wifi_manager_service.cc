@@ -9,7 +9,7 @@ WifiManagerService::WifiManagerService(sim::Simulator &sim,
                                        power::CpuModel &cpu,
                                        power::RadioModel &radio,
                                        TokenAllocator &tokens)
-    : Service(sim, cpu, "wifi"), radio_(radio), tokens_(tokens),
+    : ResourceService(sim, cpu, "wifi", tokens), radio_(radio),
       lastAdvance_(sim.now())
 {
 }
@@ -23,28 +23,23 @@ WifiManagerService::advance()
         return;
     }
     double dt = (now - lastAdvance_).seconds();
-    for (auto &[token, lock] : locks_) {
-        if (lock.held) heldSeconds_[lock.uid] += dt;
-        if (lock.enabled) enabledSeconds_[lock.uid] += dt;
+    for (const auto *entry : records_.live()) {
+        const WifiLock &lock = entry->second;
+        auto &totals = records_.accrue(lock.uid);
+        if (lock.live) totals.heldSeconds += dt;
+        if (lock.enabled) totals.enabledSeconds += dt;
     }
     lastAdvance_ = now;
-}
-
-bool
-WifiManagerService::allowedByFilter(Uid uid) const
-{
-    return !filter_ || filter_(uid);
 }
 
 void
 WifiManagerService::apply()
 {
     std::set<Uid> owners;
-    for (auto &[token, lock] : locks_) {
-        lock.enabled =
-            lock.held && !lock.suspended && allowedByFilter(lock.uid);
+    records_.sweep([&](TokenId, WifiLock &lock) {
+        lock.enabled = shouldEnable(lock);
         if (lock.enabled) owners.insert(lock.uid);
-    }
+    });
     radio_.setWifiLockOwners({owners.begin(), owners.end()});
 }
 
@@ -54,10 +49,10 @@ WifiManagerService::createWifiLock(Uid uid, std::string tag)
     chargeIpc(uid, kBinderIpcLatency);
     advance();
     TokenId token = tokens_.next();
-    Lock lock;
+    WifiLock lock;
     lock.uid = uid;
     lock.tag = std::move(tag);
-    locks_.emplace(token, std::move(lock));
+    records_.add(token, std::move(lock));
     for (auto *l : listeners_) l->onCreated(token, uid);
     return token;
 }
@@ -65,133 +60,53 @@ WifiManagerService::createWifiLock(Uid uid, std::string tag)
 void
 WifiManagerService::acquire(TokenId token)
 {
-    auto it = locks_.find(token);
-    if (it == locks_.end()) return;
-    Lock &lock = it->second;
-    chargeIpc(lock.uid, kResourceIpcLatency);
+    WifiLock *lock = records_.find(token);
+    if (!lock) return;
+    chargeIpc(lock->uid, kResourceIpcLatency);
     advance();
-    lock.held = true;
-    ++acquireCount_[lock.uid];
+    records_.setLive(token, true);
+    ++records_.accrue(lock->uid).acquires;
     apply();
-    for (auto *l : listeners_) l->onAcquired(token, lock.uid);
+    for (auto *l : listeners_) l->onAcquired(token, lock->uid);
 }
 
 void
 WifiManagerService::release(TokenId token)
 {
-    auto it = locks_.find(token);
-    if (it == locks_.end() || !it->second.held) return;
-    Lock &lock = it->second;
-    chargeIpc(lock.uid, kBinderIpcLatency);
+    WifiLock *lock = records_.find(token);
+    if (!lock || !lock->live) return;
+    chargeIpc(lock->uid, kBinderIpcLatency);
     advance();
-    lock.held = false;
+    records_.setLive(token, false);
     apply();
-    for (auto *l : listeners_) l->onReleased(token, lock.uid);
+    for (auto *l : listeners_) l->onReleased(token, lock->uid);
 }
 
 void
 WifiManagerService::destroy(TokenId token)
 {
-    auto it = locks_.find(token);
-    if (it == locks_.end()) return;
+    const WifiLock *lock = records_.find(token);
+    if (!lock) return;
     advance();
-    Uid uid = it->second.uid;
-    locks_.erase(it);
+    Uid uid = lock->uid;
+    records_.erase(token);
     tokens_.retire(token);
     apply();
     for (auto *l : listeners_) l->onDestroyed(token, uid);
-}
-
-bool
-WifiManagerService::isHeld(TokenId token) const
-{
-    auto it = locks_.find(token);
-    return it != locks_.end() && it->second.held;
-}
-
-void
-WifiManagerService::suspend(TokenId token)
-{
-    auto it = locks_.find(token);
-    if (it == locks_.end() || it->second.suspended) return;
-    advance();
-    it->second.suspended = true;
-    apply();
-}
-
-void
-WifiManagerService::restore(TokenId token)
-{
-    auto it = locks_.find(token);
-    if (it == locks_.end() || !it->second.suspended) return;
-    advance();
-    it->second.suspended = false;
-    apply();
-}
-
-bool
-WifiManagerService::isSuspended(TokenId token) const
-{
-    auto it = locks_.find(token);
-    return it != locks_.end() && it->second.suspended;
-}
-
-bool
-WifiManagerService::isEnabled(TokenId token) const
-{
-    auto it = locks_.find(token);
-    return it != locks_.end() && it->second.enabled;
-}
-
-void
-WifiManagerService::setGlobalFilter(std::function<bool(Uid)> filter)
-{
-    advance();
-    filter_ = std::move(filter);
-    apply();
-}
-
-void
-WifiManagerService::refilter()
-{
-    advance();
-    apply();
-}
-
-void
-WifiManagerService::addListener(ResourceListener *listener)
-{
-    listeners_.push_back(listener);
 }
 
 double
 WifiManagerService::heldSeconds(Uid uid)
 {
     advance();
-    auto it = heldSeconds_.find(uid);
-    return it == heldSeconds_.end() ? 0.0 : it->second;
+    return records_.totals(uid).heldSeconds;
 }
 
 double
 WifiManagerService::enabledSeconds(Uid uid)
 {
     advance();
-    auto it = enabledSeconds_.find(uid);
-    return it == enabledSeconds_.end() ? 0.0 : it->second;
-}
-
-std::uint64_t
-WifiManagerService::acquireCount(Uid uid) const
-{
-    auto it = acquireCount_.find(uid);
-    return it == acquireCount_.end() ? 0 : it->second;
-}
-
-Uid
-WifiManagerService::ownerOf(TokenId token) const
-{
-    auto it = locks_.find(token);
-    return it == locks_.end() ? kInvalidUid : it->second.uid;
+    return records_.totals(uid).enabledSeconds;
 }
 
 } // namespace leaseos::os

@@ -11,22 +11,33 @@
  */
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "os/binder.h"
-#include "os/resource_listener.h"
-#include "os/service.h"
+#include "os/resource_service.h"
 #include "power/radio_model.h"
 
 namespace leaseos::os {
 
+/** One Wi-Fi lock kernel object. */
+struct WifiLock {
+    struct Totals {
+        double heldSeconds = 0.0;
+        double enabledSeconds = 0.0;
+        std::uint64_t acquires = 0;
+    };
+
+    Uid uid = kInvalidUid;
+    std::string tag;
+    bool live = false; ///< held (acquired, not released)
+    bool suspended = false;
+    bool enabled = false;
+};
+
 /**
  * Wi-Fi lock service with interposition hooks.
  */
-class WifiManagerService : public Service
+class WifiManagerService : public ResourceService<WifiLock>
 {
   public:
     WifiManagerService(sim::Simulator &sim, power::CpuModel &cpu,
@@ -38,48 +49,24 @@ class WifiManagerService : public Service
     void acquire(TokenId token);
     void release(TokenId token);
     void destroy(TokenId token);
-    bool isHeld(TokenId token) const;
-
-    // ---- Interposition --------------------------------------------------
-
-    void suspend(TokenId token);
-    void restore(TokenId token);
-    bool isSuspended(TokenId token) const;
-    bool isEnabled(TokenId token) const;
-    void setGlobalFilter(std::function<bool(Uid)> filter);
-    void refilter();
-    void addListener(ResourceListener *listener);
+    bool isHeld(TokenId token) const { return isLive(token); }
 
     // ---- Metrics --------------------------------------------------------
 
     double heldSeconds(Uid uid);
     double enabledSeconds(Uid uid);
-    std::uint64_t acquireCount(Uid uid) const;
-    Uid ownerOf(TokenId token) const;
+    std::uint64_t
+    acquireCount(Uid uid) const
+    {
+        return records_.totals(uid).acquires;
+    }
 
   private:
-    struct Lock {
-        Uid uid = kInvalidUid;
-        std::string tag;
-        bool held = false;
-        bool suspended = false;
-        bool enabled = false;
-    };
-
-    void advance();
-    void apply();
-    bool allowedByFilter(Uid uid) const;
+    void advance() override;
+    void apply() override;
 
     power::RadioModel &radio_;
-    TokenAllocator &tokens_;
-    std::map<TokenId, Lock> locks_;
-    std::function<bool(Uid)> filter_;
-    std::vector<ResourceListener *> listeners_;
-
     sim::Time lastAdvance_;
-    std::map<Uid, double> heldSeconds_;
-    std::map<Uid, double> enabledSeconds_;
-    std::map<Uid, std::uint64_t> acquireCount_;
 };
 
 } // namespace leaseos::os

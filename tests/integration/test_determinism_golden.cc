@@ -2,11 +2,16 @@
  * @file
  * Golden-output determinism tests for the simulator core.
  *
- * The JSON documents under tests/golden/ were captured with the original
- * std::priority_queue + std::unordered_set EventQueue. The slot-based
- * intrusive-heap queue (and any future core change) must reproduce them
- * byte for byte: one full Table-5 mitigation cell and one multi-spec
- * ParallelRunner sweep, serialised at full precision.
+ * table5_cell_torch_leaseos.json and runner_sweep.json under
+ * tests/golden/ were captured with the original std::priority_queue +
+ * std::unordered_set EventQueue. The slot-based intrusive-heap queue (and
+ * any future core change) must reproduce them byte for byte: one full
+ * Table-5 mitigation cell and one multi-spec ParallelRunner sweep,
+ * serialised at full precision. resource_services.json was captured
+ * with the per-service std::map record tables that os::ResourceTable
+ * replaced; it covers every resource service with apps that release a
+ * kernel object and then request a new one, and pins each service's
+ * per-uid totals to the last bit.
  *
  * Regenerating (only when an *intended* behaviour change lands):
  *
@@ -18,16 +23,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "apps/buggy/beacon_scanner.h"
+#include "apps/buggy/facebook_audio.h"
 #include "apps/registry.h"
 #include "harness/experiment.h"
 #include "harness/result_sink.h"
 #include "harness/runner.h"
 #include "lease/behavior.h"
+#include "os/system_server.h"
 
 #ifndef LEASEOS_TEST_GOLDEN_DIR
 #error "LEASEOS_TEST_GOLDEN_DIR must point at tests/golden"
@@ -71,6 +80,126 @@ resultRow(const RunResult &r)
                              static_cast<std::int64_t>(count)));
     for (const auto &[name, value] : r.probes)
         row.emplace_back("probe:" + name, ResultValue::num(value, 9));
+    return row;
+}
+
+/** A double's exact bits, as a C99 hex-float literal. */
+std::string
+hexFloat(double value)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%a", value);
+    return buf;
+}
+
+/**
+ * Probe every resource service's per-uid totals for the app installed at
+ * @p index, so a change in what the services accumulate shows up even
+ * where it does not move the power figures.
+ */
+void
+addServiceProbes(RunSpec &spec, std::size_t index)
+{
+    using Probe = std::function<double(os::SystemServer &, Uid)>;
+    const std::pair<const char *, Probe> probes[] = {
+        {"power.heldSeconds",
+         [](os::SystemServer &s, Uid u) {
+             return s.powerManager().heldSeconds(u);
+         }},
+        {"power.enabledSeconds",
+         [](os::SystemServer &s, Uid u) {
+             return s.powerManager().enabledSeconds(u);
+         }},
+        {"power.releases",
+         [](os::SystemServer &s, Uid u) {
+             return double(s.powerManager().releaseCount(u));
+         }},
+        {"location.requestSeconds",
+         [](os::SystemServer &s, Uid u) {
+             return s.locationManager().requestSeconds(u);
+         }},
+        {"location.noFixSeconds",
+         [](os::SystemServer &s, Uid u) {
+             return s.locationManager().noFixSeconds(u);
+         }},
+        {"location.fixes",
+         [](os::SystemServer &s, Uid u) {
+             return double(s.locationManager().fixCount(u));
+         }},
+        {"location.requests",
+         [](os::SystemServer &s, Uid u) {
+             return double(s.locationManager().requestCount(u));
+         }},
+        {"location.distanceMeters",
+         [](os::SystemServer &s, Uid u) {
+             return s.locationManager().distanceMeters(u);
+         }},
+        {"location.activeRequests",
+         [](os::SystemServer &s, Uid u) {
+             return double(s.locationManager().activeRequests(u).size());
+         }},
+        {"sensor.registeredSeconds",
+         [](os::SystemServer &s, Uid u) {
+             return s.sensorManager().registeredSeconds(u);
+         }},
+        {"sensor.events",
+         [](os::SystemServer &s, Uid u) {
+             return double(s.sensorManager().eventCount(u));
+         }},
+        {"wifi.heldSeconds",
+         [](os::SystemServer &s, Uid u) {
+             return s.wifiManager().heldSeconds(u);
+         }},
+        {"wifi.enabledSeconds",
+         [](os::SystemServer &s, Uid u) {
+             return s.wifiManager().enabledSeconds(u);
+         }},
+        {"wifi.acquires",
+         [](os::SystemServer &s, Uid u) {
+             return double(s.wifiManager().acquireCount(u));
+         }},
+        {"audio.openSeconds",
+         [](os::SystemServer &s, Uid u) {
+             return s.audioSessions().openSeconds(u);
+         }},
+        {"audio.playingSeconds",
+         [](os::SystemServer &s, Uid u) {
+             return s.audioSessions().playingSeconds(u);
+         }},
+        {"bluetooth.scanSeconds",
+         [](os::SystemServer &s, Uid u) {
+             return s.bluetoothService().scanSeconds(u);
+         }},
+        {"bluetooth.discoveries",
+         [](os::SystemServer &s, Uid u) {
+             return double(s.bluetoothService().discoveries(u));
+         }},
+    };
+    for (const auto &[name, probe] : probes) {
+        spec.withProbe("app" + std::to_string(index) + "." + name,
+                       [index, probe = probe](Device &d) {
+                           return probe(d.server(),
+                                        d.apps().at(index)->uid());
+                       });
+    }
+}
+
+double
+liveTokens(Device &d)
+{
+    return double(d.server().tokens().liveCount());
+}
+
+/** resultRow() plus the exact bits of every double it rounds. */
+ResultSink::Row
+exactResultRow(const RunResult &r)
+{
+    ResultSink::Row row = resultRow(r);
+    row.emplace_back("appPowerBits", ResultValue::str(hexFloat(r.appPowerMw)));
+    row.emplace_back("systemPowerBits",
+                     ResultValue::str(hexFloat(r.systemPowerMw)));
+    for (const auto &[name, value] : r.probes)
+        row.emplace_back("bits:" + name, ResultValue::str(hexFloat(value)));
     return row;
 }
 
@@ -147,6 +276,60 @@ TEST(DeterminismGoldenTest, RunnerSweepByteIdentical)
     for (const auto &r : results) json.addRow(resultRow(r));
     json.finish();
     checkAgainstGolden("runner_sweep.json", json.document());
+}
+
+TEST(DeterminismGoldenTest, ResourceServicesByteIdentical)
+{
+    // Six virtual hours of the apps that churn kernel objects (GPS
+    // request/remove without destroy, sensor and Wi-Fi lock cycles, a
+    // CPU wakelock) plus one device holding an audio session and a
+    // Bluetooth scan, each under vanilla and LeaseOS.
+    const MitigationMode modes[] = {MitigationMode::None,
+                                    MitigationMode::LeaseOS};
+    const sim::Time sixHours = sim::Time::fromHours(6.0);
+    MitigationRunOptions opt;
+    opt.duration = sixHours;
+
+    std::vector<RunSpec> specs;
+    for (const char *key : {"where", "betterweather", "mozstumbler", "riot",
+                            "connectbot-wifi", "k9"}) {
+        for (MitigationMode mode : modes) {
+            RunSpec spec =
+                mitigationCellSpec(apps::buggySpec(key), mode, opt);
+            addServiceProbes(spec, 0);
+            spec.withProbe("liveTokens", liveTokens);
+            specs.push_back(std::move(spec));
+        }
+    }
+    for (MitigationMode mode : modes) {
+        RunSpec spec;
+        spec.withName(std::string("Facebook(audio)+BeaconScanner / ") +
+                      mitigationModeName(mode))
+            .withConfig(DeviceConfig{}.withMode(mode))
+            .withDuration(sixHours)
+            .withApp<apps::FacebookAudio>()
+            .withApp<apps::BeaconScanner>()
+            .withGlances();
+        addServiceProbes(spec, 0);
+        addServiceProbes(spec, 1);
+        spec.withProbe("liveTokens", liveTokens);
+        specs.push_back(std::move(spec));
+    }
+
+    RunnerOptions options;
+    options.jobs = 4;
+    options.baseSeed = 0x5e71ce5ULL;
+    ParallelRunner runner(options);
+    auto results = runner.run(specs);
+
+    JsonSink json;
+    json.begin("golden_resource_services",
+               "where/betterweather/mozstumbler/riot/connectbot-wifi/k9 "
+               "and facebook-audio+beacon-scanner x none/leaseos, 6 h, "
+               "jobs=4");
+    for (const auto &r : results) json.addRow(exactResultRow(r));
+    json.finish();
+    checkAgainstGolden("resource_services.json", json.document());
 }
 
 } // namespace

@@ -1,0 +1,192 @@
+/**
+ * @file
+ * Tests for os::ResourceTable's live index, through the services that use
+ * it: after thousands of release cycles the released records persist
+ * until destroy(), but the walks and per-uid queries see only live ones.
+ */
+
+#include "os_fixture.h"
+
+namespace leaseos::os {
+namespace {
+
+using sim::operator""_ms;
+using sim::operator""_s;
+using testing::OsFixture;
+
+constexpr int kCycles = 10000;
+
+/** Spacing between cycles, so each cycle's IPC work has finished. */
+constexpr sim::Time kGap = 5_ms;
+
+struct ResourceTableTest : OsFixture {
+    PowerManagerService &pms = server.powerManager();
+    LocationManagerService &lms = server.locationManager();
+    WifiManagerService &wms = server.wifiManager();
+};
+
+TEST_F(ResourceTableTest, QueriesListOnlyLiveTokensAfterRequestChurn)
+{
+    // Two apps request and remove updates without ever destroying; every
+    // 1000th request of the first app stays outstanding.
+    std::vector<TokenId> live;
+    for (int i = 0; i < kCycles; ++i) {
+        TokenId mine = lms.requestLocationUpdates(kApp, 10_s, nullptr);
+        TokenId other = lms.requestLocationUpdates(kApp2, 10_s, nullptr);
+        lms.removeUpdates(other);
+        if (i % 1000 == 0) live.push_back(mine);
+        else lms.removeUpdates(mine);
+        sim.runFor(kGap);
+    }
+    EXPECT_EQ(lms.activeRequests(kApp), live);
+    EXPECT_TRUE(lms.activeRequests(kApp2).empty());
+    EXPECT_EQ(lms.records().records().size(), 2u * kCycles);
+    EXPECT_EQ(lms.records().live().size(), live.size());
+    EXPECT_TRUE(lms.records().indexMatchesRecords());
+    EXPECT_EQ(lms.requestCount(kApp), std::uint64_t(kCycles));
+
+    // Only the live requests accrue request time.
+    double before = lms.requestSeconds(kApp);
+    sim.runFor(10_s);
+    EXPECT_NEAR(lms.requestSeconds(kApp) - before, 10.0 * live.size(), 1e-6);
+    EXPECT_DOUBLE_EQ(lms.requestSeconds(kApp2), 0.0);
+}
+
+TEST_F(ResourceTableTest, QueriesListOnlyHeldTokensAfterAcquireChurn)
+{
+    // One lock cycled kCycles times stays one record; of kCycles further
+    // locks, the ones acquired last in each thousand stay held.
+    TokenId cycled = pms.newWakeLock(kApp, WakeLockType::Partial, "cycled");
+    std::vector<TokenId> held;
+    for (int i = 0; i < kCycles; ++i) {
+        pms.acquire(cycled);
+        pms.release(cycled);
+        TokenId t = pms.newWakeLock(kApp, WakeLockType::Partial, "churn");
+        pms.acquire(t);
+        if (i % 1000 == 999) held.push_back(t);
+        else pms.release(t);
+        sim.runFor(kGap);
+    }
+    EXPECT_EQ(pms.heldTokens(kApp), held);
+    EXPECT_EQ(pms.records().records().size(), std::size_t(kCycles) + 1);
+    EXPECT_EQ(pms.records().live().size(), held.size());
+    EXPECT_TRUE(pms.records().indexMatchesRecords());
+    EXPECT_EQ(pms.enabledOwners(), std::vector<Uid>{kApp});
+    EXPECT_EQ(pms.acquireCount(kApp), 2u * kCycles);
+    EXPECT_EQ(pms.releaseCount(kApp), 2u * kCycles - held.size());
+}
+
+TEST_F(ResourceTableTest, SuspendedRecordStaysIndexedButAccruesNoEnabledTime)
+{
+    for (int i = 0; i < kCycles; ++i) {
+        TokenId t = pms.newWakeLock(kApp, WakeLockType::Partial, "churn");
+        pms.acquire(t);
+        pms.release(t);
+        sim.runFor(kGap);
+    }
+    TokenId t = pms.newWakeLock(kApp, WakeLockType::Partial, "held");
+    pms.acquire(t);
+    pms.suspend(t);
+    EXPECT_EQ(pms.heldTokens(kApp), std::vector<TokenId>{t});
+    EXPECT_EQ(pms.records().live().size(), 1u);
+    EXPECT_FALSE(pms.isEnabled(t));
+
+    sim.runFor(10_s);
+    EXPECT_DOUBLE_EQ(pms.heldSecondsForToken(t), 10.0);
+    EXPECT_DOUBLE_EQ(pms.enabledSecondsForToken(t), 0.0);
+    EXPECT_DOUBLE_EQ(pms.enabledSeconds(kApp), 0.0);
+
+    pms.restore(t);
+    sim.runFor(5_s);
+    EXPECT_DOUBLE_EQ(pms.enabledSecondsForToken(t), 5.0);
+    EXPECT_DOUBLE_EQ(pms.heldSeconds(kApp), 15.0);
+}
+
+TEST_F(ResourceTableTest, RefilterFlipsOnlyLiveRecords)
+{
+    std::vector<TokenId> held;
+    std::vector<TokenId> released;
+    for (int i = 0; i < kCycles; ++i) {
+        TokenId t = wms.createWifiLock(kApp, "churn");
+        wms.acquire(t);
+        if (i % 1000 == 0) {
+            held.push_back(t);
+        } else {
+            wms.release(t);
+            released.push_back(t);
+        }
+        sim.runFor(kGap);
+    }
+    bool allow = false;
+    wms.setGlobalFilter([&allow](Uid) { return allow; });
+    for (TokenId t : held) EXPECT_FALSE(wms.isEnabled(t));
+
+    allow = true;
+    wms.refilter();
+    for (TokenId t : held) EXPECT_TRUE(wms.isEnabled(t));
+    for (TokenId t : released) ASSERT_FALSE(wms.isEnabled(t));
+    EXPECT_TRUE(wms.records().indexMatchesRecords());
+
+    double before = wms.enabledSeconds(kApp);
+    sim.runFor(10_s);
+    EXPECT_NEAR(wms.enabledSeconds(kApp) - before, 10.0 * held.size(), 1e-6);
+}
+
+TEST_F(ResourceTableTest, DestroyingReleasedRecordsIsSafe)
+{
+    std::vector<TokenId> tokens;
+    for (int i = 0; i < kCycles; ++i) {
+        tokens.push_back(lms.requestLocationUpdates(kApp, 10_s, nullptr));
+        lms.removeUpdates(tokens.back());
+        sim.runFor(kGap);
+    }
+    TokenId live = lms.requestLocationUpdates(kApp, 10_s, nullptr);
+    for (TokenId t : tokens) lms.destroy(t);
+    for (TokenId t : tokens) lms.destroy(t); // second destroy: no-op
+    EXPECT_EQ(lms.records().records().size(), 1u);
+    EXPECT_EQ(lms.activeRequests(kApp), std::vector<TokenId>{live});
+    EXPECT_TRUE(lms.records().indexMatchesRecords());
+    EXPECT_EQ(server.tokens().liveCount(), 1u);
+
+    // Ticks armed for the destroyed requests fire harmlessly.
+    sim.runFor(30_s);
+    EXPECT_DOUBLE_EQ(lms.requestSeconds(kApp), 30.0);
+    lms.destroy(live);
+    EXPECT_TRUE(lms.records().live().empty());
+}
+
+// The audit compares the index with the records' own flags, so a
+// service that writes `live` around the table is caught.
+struct FakeRecord {
+    struct Totals {
+        int count = 0;
+    };
+    Uid uid = kInvalidUid;
+    bool live = false;
+};
+
+TEST(ResourceTableAudit, FlagWrittenAroundTheTableIsCaught)
+{
+    ResourceTable<FakeRecord> table;
+    table.add(1, FakeRecord{kFirstAppUid, true});
+    table.add(2, FakeRecord{kFirstAppUid, false});
+    EXPECT_TRUE(table.indexMatchesRecords());
+
+    table.find(2)->live = true; // bypasses setLive: not indexed
+    EXPECT_FALSE(table.indexMatchesRecords());
+    table.setLive(2, true);
+    EXPECT_TRUE(table.indexMatchesRecords());
+
+    // A release stays indexed until the next sweep.
+    table.setLive(1, false);
+    EXPECT_FALSE(table.indexMatchesRecords());
+    int visited = 0;
+    table.sweep([&visited](TokenId, FakeRecord &) { ++visited; });
+    EXPECT_EQ(visited, 2);
+    EXPECT_TRUE(table.indexMatchesRecords());
+    EXPECT_EQ(table.liveTokens(kFirstAppUid), std::vector<TokenId>{2});
+    EXPECT_EQ(table.totals(kFirstAppUid).count, 0);
+}
+
+} // namespace
+} // namespace leaseos::os

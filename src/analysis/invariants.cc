@@ -6,8 +6,8 @@
 #include <set>
 #include <sstream>
 
-#include "lease/lease_proxy.h"
 #include "lease/lease_table.h"
+#include "lease/proxies/lease_proxy.h"
 #include "obs/flight_recorder.h"
 #include "os/binder.h"
 #include "os/system_server.h"

@@ -88,7 +88,8 @@ LeaseManagerService::initMetrics()
 }
 
 void
-LeaseManagerService::noteTransition(const Lease &lease, LeaseState to)
+LeaseManagerService::noteTransition([[maybe_unused]] const Lease &lease,
+                                    LeaseState to)
 {
     if (metrics_) {
         switch (to) {
@@ -259,14 +260,6 @@ LeaseManagerService::noteAcquire(LeaseId id)
       case LeaseState::Dead:
         break;
     }
-}
-
-void
-LeaseManagerService::noteRelease(LeaseId id)
-{
-    // Releases are observed through service state at term end; the note
-    // itself needs no immediate action (events feed term stats, §4.3).
-    (void)id;
 }
 
 void

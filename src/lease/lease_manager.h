@@ -26,8 +26,8 @@
 #include "obs/metric_registry.h"
 #include "lease/lease.h"
 #include "lease/lease_policy.h"
-#include "lease/lease_proxy.h"
 #include "lease/lease_table.h"
+#include "lease/proxies/lease_proxy.h"
 #include "os/binder.h"
 #include "power/cpu_model.h"
 #include "sim/simulator.h"
@@ -82,9 +82,8 @@ class LeaseManagerService
     /** Remove a lease whose kernel object died. */
     bool remove(LeaseId id);
 
-    /** Proxy event notes (resource acquired / released). */
+    /** Proxy event note: the app acquired the resource. */
     void noteAcquire(LeaseId id);
-    void noteRelease(LeaseId id);
 
     /** App-facing: register a custom utility counter (Fig. 6). */
     void setUtility(Uid uid, ResourceType rtype, IUtilityCounter *counter);

@@ -17,16 +17,11 @@
  */
 
 #include <memory>
+#include <vector>
 
 #include "lease/lease_manager.h"
 #include "lease/lease_policy.h"
-#include "lease/proxies/audio_proxy.h"
-#include "lease/proxies/bluetooth_proxy.h"
-#include "lease/proxies/gps_proxy.h"
-#include "lease/proxies/screen_proxy.h"
-#include "lease/proxies/sensor_proxy.h"
-#include "lease/proxies/wakelock_proxy.h"
-#include "lease/proxies/wifi_proxy.h"
+#include "lease/proxies/lease_proxy.h"
 #include "os/system_server.h"
 
 namespace leaseos::lease {
@@ -44,23 +39,10 @@ class LeaseOsRuntime
     LeaseManagerService &manager() { return *manager_; }
     const LeaseManagerService &manager() const { return *manager_; }
 
-    WakelockLeaseProxy &wakelockProxy() { return *wakelockProxy_; }
-    ScreenLeaseProxy &screenProxy() { return *screenProxy_; }
-    GpsLeaseProxy &gpsProxy() { return *gpsProxy_; }
-    SensorLeaseProxy &sensorProxy() { return *sensorProxy_; }
-    WifiLeaseProxy &wifiProxy() { return *wifiProxy_; }
-    AudioLeaseProxy &audioProxy() { return *audioProxy_; }
-    BluetoothLeaseProxy &bluetoothProxy() { return *bluetoothProxy_; }
-
   private:
     std::unique_ptr<LeaseManagerService> manager_;
-    std::unique_ptr<WakelockLeaseProxy> wakelockProxy_;
-    std::unique_ptr<ScreenLeaseProxy> screenProxy_;
-    std::unique_ptr<GpsLeaseProxy> gpsProxy_;
-    std::unique_ptr<SensorLeaseProxy> sensorProxy_;
-    std::unique_ptr<WifiLeaseProxy> wifiProxy_;
-    std::unique_ptr<AudioLeaseProxy> audioProxy_;
-    std::unique_ptr<BluetoothLeaseProxy> bluetoothProxy_;
+    /** One proxy per resource type; the manager finds them by type. */
+    std::vector<std::unique_ptr<LeaseProxy>> proxies_;
 };
 
 } // namespace leaseos::lease

@@ -1,0 +1,87 @@
+#include "lease/proxies/lease_proxy.h"
+
+#include <utility>
+
+#include "lease/lease_manager.h"
+#include "lease/utility/generic_utility.h"
+
+namespace leaseos::lease {
+
+LeaseProxy::LeaseProxy(ResourceType rtype, os::ResourceServiceBase &service,
+                       CounterReader read, TokenFilter mine)
+    : rtype_(rtype), service_(service), read_(std::move(read)),
+      mine_(std::move(mine))
+{
+    service_.addListener(this);
+}
+
+LeaseStat
+LeaseProxy::collectStat(const Lease &lease)
+{
+    auto taken = snapshots_.extract(lease.id);
+    const TermCounters start = taken ? taken.mapped() : TermCounters{};
+    const TermCounters now = read_(lease);
+
+    LeaseStat stat;
+    stat.termStart = lease.termStart;
+    stat.termEnd = lease.termStart + lease.termLength;
+    stat.requestSeconds = now.requestSeconds - start.requestSeconds;
+    stat.failedRequestSeconds =
+        now.failedRequestSeconds - start.failedRequestSeconds;
+    stat.holdingSeconds = now.holdingSeconds - start.holdingSeconds;
+    stat.usageSeconds = now.usageSeconds - start.usageSeconds;
+    stat.exceptions = now.exceptions - start.exceptions;
+    stat.uiUpdates = now.uiUpdates - start.uiUpdates;
+    stat.interactions = now.interactions - start.interactions;
+    stat.distanceMeters = now.distanceMeters - start.distanceMeters;
+    stat.acquires = now.acquires - start.acquires;
+    stat.heldAtTermEnd = service_.isLive(lease.token);
+    stat.utilityScore = utility::termScore(rtype_, stat);
+    return stat;
+}
+
+std::vector<LeaseId>
+LeaseProxy::snapshotLeases() const
+{
+    std::vector<LeaseId> ids;
+    ids.reserve(snapshots_.size());
+    for (const auto &entry : snapshots_) ids.push_back(entry.first);
+    return ids;
+}
+
+const Lease *
+LeaseProxy::leaseOf(os::TokenId token) const
+{
+    const Lease *lease = manager_->table().findByToken(token);
+    return lease && lease->rtype == rtype_ ? lease : nullptr;
+}
+
+void
+LeaseProxy::onCreated(os::TokenId token, Uid uid)
+{
+    if (!manager_ || (mine_ && !mine_(token))) return;
+    manager_->create(rtype_, token, uid);
+}
+
+void
+LeaseProxy::onAcquired(os::TokenId token, Uid uid)
+{
+    if (!manager_ || (mine_ && !mine_(token))) return;
+    const Lease *lease = leaseOf(token);
+    // Acquire on an object we never saw created (possible if the proxy
+    // registered late): adopt it now.
+    manager_->noteAcquire(lease ? lease->id
+                                : manager_->create(rtype_, token, uid));
+}
+
+void
+LeaseProxy::onDestroyed(os::TokenId token, Uid uid)
+{
+    (void)uid;
+    if (!manager_) return;
+    // The service has already erased the object, so mine_ cannot tell
+    // whose it was; the lease's resource type does.
+    if (const Lease *lease = leaseOf(token)) manager_->remove(lease->id);
+}
+
+} // namespace leaseos::lease

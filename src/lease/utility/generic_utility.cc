@@ -67,6 +67,23 @@ genericScore(ResourceType rtype, const Signals &s)
 }
 
 double
+termScore(ResourceType rtype, const LeaseStat &stat)
+{
+    Signals signals;
+    signals.termSeconds = stat.termSeconds();
+    signals.usageSeconds = stat.usageSeconds;
+    signals.exceptions = stat.exceptions;
+    signals.uiUpdates = stat.uiUpdates;
+    signals.interactions = stat.interactions;
+    signals.distanceMeters = stat.distanceMeters;
+    if (rtype == ResourceType::Audio && !(stat.usageSeconds > 0.0)) {
+        signals.usageSeconds = 0.0;
+        return genericScore(ResourceType::Wakelock, signals);
+    }
+    return genericScore(rtype, signals);
+}
+
+double
 combine(double generic, IUtilityCounter *custom)
 {
     if (!custom) return generic;

@@ -21,6 +21,7 @@
 #include <cstdint>
 
 #include "common/utility_counter.h"
+#include "lease/lease_stat.h"
 #include "lease/resource_type.h"
 
 namespace leaseos::lease::utility {
@@ -43,6 +44,13 @@ constexpr double kVeryLowBar = 10.0;
 
 /** Compute the generic 0-100 utility for one term. */
 double genericScore(ResourceType rtype, const Signals &signals);
+
+/**
+ * The generic utility of a term from its stat. Audible output is its own
+ * evidence; a silent open audio session only has whatever UI evidence the
+ * app produces, so it is scored as a wakelock.
+ */
+double termScore(ResourceType rtype, const LeaseStat &stat);
 
 /**
  * Final utility: the custom counter's score when one is registered and

@@ -16,16 +16,17 @@ DefDroidController::start()
 {
     if (started_) return;
     started_ = true;
-    server_.powerManager().addListener(&wakelockWatcher_);
-    server_.locationManager().addListener(&gpsWatcher_);
-    server_.sensorManager().addListener(&sensorWatcher_);
-    server_.wifiManager().addListener(&wifiWatcher_);
+    wakelockWatcher_.listen();
+    gpsWatcher_.listen();
+    sensorWatcher_.listen();
+    wifiWatcher_.listen();
     pollTick_ = sim_.schedulePeriodicScoped(config_.pollInterval,
                                             [this] { poll(); });
 }
 
 void
-DefDroidController::noteAcquired(os::TokenId token, Uid uid, Kind kind)
+DefDroidController::noteAcquired(os::TokenId token, Uid uid, Kind kind,
+                                 os::ResourceServiceBase &service)
 {
     // Wakelocks arrive via one watcher; split by level here.
     if (kind == Kind::Wakelock &&
@@ -37,7 +38,7 @@ DefDroidController::noteAcquired(os::TokenId token, Uid uid, Kind kind)
         // Re-acquire: keep the original heldSince (continuous pressure).
         return;
     }
-    tracked_[token] = Tracked{uid, kind, sim_.now(), false};
+    tracked_[token] = Tracked{uid, kind, &service, sim_.now(), false};
 
     if (kind == Kind::Gps) {
         GpsPressure &pressure = gpsPressure_[uid];
@@ -52,10 +53,10 @@ DefDroidController::noteAcquired(os::TokenId token, Uid uid, Kind kind)
             // immediately suppressed.
             tracked_[token].throttled = true;
             ++throttles_;
-            suspendAtService(token, Kind::Gps);
+            service.suspend(token);
             sim::Time remaining = pressure.backoffUntil - sim_.now();
-            sim_.schedule(remaining, [this, token] {
-                unthrottle(token, Kind::Gps);
+            sim_.schedule(remaining, [this, token, &service] {
+                unthrottle(token, Kind::Gps, service);
             });
         }
     }
@@ -111,46 +112,6 @@ DefDroidController::backoff(Kind kind) const
 }
 
 void
-DefDroidController::suspendAtService(os::TokenId token, Kind kind)
-{
-    switch (kind) {
-      case Kind::Wakelock:
-      case Kind::Screen:
-        server_.powerManager().suspend(token);
-        break;
-      case Kind::Gps:
-        server_.locationManager().suspend(token);
-        break;
-      case Kind::Sensor:
-        server_.sensorManager().suspend(token);
-        break;
-      case Kind::Wifi:
-        server_.wifiManager().suspend(token);
-        break;
-    }
-}
-
-void
-DefDroidController::restoreAtService(os::TokenId token, Kind kind)
-{
-    switch (kind) {
-      case Kind::Wakelock:
-      case Kind::Screen:
-        server_.powerManager().restore(token);
-        break;
-      case Kind::Gps:
-        server_.locationManager().restore(token);
-        break;
-      case Kind::Sensor:
-        server_.sensorManager().restore(token);
-        break;
-      case Kind::Wifi:
-        server_.wifiManager().restore(token);
-        break;
-    }
-}
-
-void
 DefDroidController::poll()
 {
     for (auto &[token, tracked] : tracked_) {
@@ -182,16 +143,19 @@ DefDroidController::throttle(os::TokenId token, Tracked &tracked)
 {
     tracked.throttled = true;
     ++throttles_;
-    suspendAtService(token, tracked.kind);
+    tracked.service->suspend(token);
     Kind kind = tracked.kind;
-    sim_.schedule(backoff(kind),
-                  [this, token, kind] { unthrottle(token, kind); });
+    os::ResourceServiceBase *service = tracked.service;
+    sim_.schedule(backoff(kind), [this, token, kind, service] {
+        unthrottle(token, kind, *service);
+    });
 }
 
 void
-DefDroidController::unthrottle(os::TokenId token, Kind kind)
+DefDroidController::unthrottle(os::TokenId token, Kind kind,
+                               os::ResourceServiceBase &service)
 {
-    restoreAtService(token, kind);
+    service.restore(token);
     auto it = tracked_.find(token);
     if (it != tracked_.end()) {
         // Still held: restart the holding clock for the next round.

@@ -17,6 +17,7 @@
 #include <map>
 
 #include "os/resource_listener.h"
+#include "os/resource_service.h"
 #include "os/system_server.h"
 #include "sim/simulator.h"
 
@@ -73,6 +74,8 @@ class DefDroidController
     struct Tracked {
         Uid uid;
         Kind kind;
+        /** The service the token lives in (suspended on throttle). */
+        os::ResourceServiceBase *service;
         sim::Time heldSince;
         bool throttled = false;
     };
@@ -81,13 +84,18 @@ class DefDroidController
     class Watcher : public os::ResourceListener
     {
       public:
-        Watcher(DefDroidController &owner, Kind kind)
-            : owner_(owner), kind_(kind) {}
+        Watcher(DefDroidController &owner, os::ResourceServiceBase &service,
+                Kind kind)
+            : owner_(owner), service_(service), kind_(kind)
+        {
+        }
+
+        void listen() { service_.addListener(this); }
 
         void
         onAcquired(os::TokenId token, Uid uid) override
         {
-            owner_.noteAcquired(token, uid, kind_);
+            owner_.noteAcquired(token, uid, kind_, service_);
         }
         void
         onReleased(os::TokenId token, Uid uid) override
@@ -104,18 +112,19 @@ class DefDroidController
 
       private:
         DefDroidController &owner_;
+        os::ResourceServiceBase &service_;
         Kind kind_;
     };
 
-    void noteAcquired(os::TokenId token, Uid uid, Kind kind);
+    void noteAcquired(os::TokenId token, Uid uid, Kind kind,
+                      os::ResourceServiceBase &service);
     void noteReleased(os::TokenId token);
     void poll();
     void throttle(os::TokenId token, Tracked &tracked);
-    void unthrottle(os::TokenId token, Kind kind);
+    void unthrottle(os::TokenId token, Kind kind,
+                    os::ResourceServiceBase &service);
     sim::Time holdLimit(Kind kind) const;
     sim::Time backoff(Kind kind) const;
-    void suspendAtService(os::TokenId token, Kind kind);
-    void restoreAtService(os::TokenId token, Kind kind);
 
     sim::Simulator &sim_;
     os::SystemServer &server_;
@@ -124,10 +133,10 @@ class DefDroidController
     /** Owns the poll loop: destroying the controller stops polling. */
     sim::PeriodicHandle pollTick_;
 
-    Watcher wakelockWatcher_{*this, Kind::Wakelock};
-    Watcher gpsWatcher_{*this, Kind::Gps};
-    Watcher sensorWatcher_{*this, Kind::Sensor};
-    Watcher wifiWatcher_{*this, Kind::Wifi};
+    Watcher wakelockWatcher_{*this, server_.powerManager(), Kind::Wakelock};
+    Watcher gpsWatcher_{*this, server_.locationManager(), Kind::Gps};
+    Watcher sensorWatcher_{*this, server_.sensorManager(), Kind::Sensor};
+    Watcher wifiWatcher_{*this, server_.wifiManager(), Kind::Wifi};
 
     std::map<os::TokenId, Tracked> tracked_;
     std::uint64_t throttles_ = 0;

@@ -14,20 +14,21 @@ OneShotThrottler::start()
 {
     if (started_) return;
     started_ = true;
-    server_.powerManager().addListener(&powerWatcher_);
-    server_.locationManager().addListener(&gpsWatcher_);
-    server_.sensorManager().addListener(&sensorWatcher_);
-    server_.wifiManager().addListener(&wifiWatcher_);
+    powerWatcher_.listen();
+    gpsWatcher_.listen();
+    sensorWatcher_.listen();
+    wifiWatcher_.listen();
 }
 
 void
-OneShotThrottler::noteAcquired(os::TokenId token, Uid uid, Kind kind)
+OneShotThrottler::noteAcquired(os::TokenId token,
+                               os::ResourceServiceBase &service)
 {
-    (void)uid;
-    if (tracked_.count(token)) return;
-    tracked_[token] = kind;
-    sim_.schedule(holdLimit_, [this, token, kind] {
-        if (tracked_.count(token)) revoke(token, kind);
+    if (!tracked_.insert(token).second) return;
+    sim_.schedule(holdLimit_, [this, token, &service] {
+        if (!tracked_.count(token)) return;
+        ++revocations_;
+        service.suspend(token);
     });
 }
 
@@ -35,26 +36,6 @@ void
 OneShotThrottler::noteReleased(os::TokenId token)
 {
     tracked_.erase(token);
-}
-
-void
-OneShotThrottler::revoke(os::TokenId token, Kind kind)
-{
-    ++revocations_;
-    switch (kind) {
-      case Kind::Power:
-        server_.powerManager().suspend(token);
-        break;
-      case Kind::Gps:
-        server_.locationManager().suspend(token);
-        break;
-      case Kind::Sensor:
-        server_.sensorManager().suspend(token);
-        break;
-      case Kind::Wifi:
-        server_.wifiManager().suspend(token);
-        break;
-    }
 }
 
 } // namespace leaseos::mitigation

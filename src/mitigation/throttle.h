@@ -11,9 +11,10 @@
  */
 
 #include <cstdint>
-#include <map>
+#include <set>
 
 #include "os/resource_listener.h"
+#include "os/resource_service.h"
 #include "os/system_server.h"
 #include "sim/simulator.h"
 
@@ -33,18 +34,22 @@ class OneShotThrottler
     std::uint64_t revocations() const { return revocations_; }
 
   private:
-    enum class Kind { Power, Gps, Sensor, Wifi };
-
+    /** Listener adapter: one per service, so a token knows its service. */
     class Watcher : public os::ResourceListener
     {
       public:
-        Watcher(OneShotThrottler &owner, Kind kind)
-            : owner_(owner), kind_(kind) {}
+        Watcher(OneShotThrottler &owner, os::ResourceServiceBase &service)
+            : owner_(owner), service_(service)
+        {
+        }
+
+        void listen() { service_.addListener(this); }
 
         void
         onAcquired(os::TokenId token, Uid uid) override
         {
-            owner_.noteAcquired(token, uid, kind_);
+            (void)uid;
+            owner_.noteAcquired(token, service_);
         }
         void
         onReleased(os::TokenId token, Uid uid) override
@@ -61,24 +66,24 @@ class OneShotThrottler
 
       private:
         OneShotThrottler &owner_;
-        Kind kind_;
+        os::ResourceServiceBase &service_;
     };
 
-    void noteAcquired(os::TokenId token, Uid uid, Kind kind);
+    void noteAcquired(os::TokenId token, os::ResourceServiceBase &service);
     void noteReleased(os::TokenId token);
-    void revoke(os::TokenId token, Kind kind);
 
     sim::Simulator &sim_;
     os::SystemServer &server_;
     sim::Time holdLimit_;
     bool started_ = false;
 
-    Watcher powerWatcher_{*this, Kind::Power};
-    Watcher gpsWatcher_{*this, Kind::Gps};
-    Watcher sensorWatcher_{*this, Kind::Sensor};
-    Watcher wifiWatcher_{*this, Kind::Wifi};
+    Watcher powerWatcher_{*this, server_.powerManager()};
+    Watcher gpsWatcher_{*this, server_.locationManager()};
+    Watcher sensorWatcher_{*this, server_.sensorManager()};
+    Watcher wifiWatcher_{*this, server_.wifiManager()};
 
-    std::map<os::TokenId, Kind> tracked_;
+    /** Tokens held since their last acquire. */
+    std::set<os::TokenId> tracked_;
     std::uint64_t revocations_ = 0;
 };
 

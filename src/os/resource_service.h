@@ -29,20 +29,54 @@
 namespace leaseos::os {
 
 /**
+ * What LeaseOS and the baselines call on any of the six services,
+ * whatever their record type: the lease proxy and the DefDroid and
+ * one-shot throttlers hold a service through this base.
+ */
+class ResourceServiceBase : public Service
+{
+  public:
+    /** Pull @p token out of service; the app keeps "holding" it. */
+    virtual void suspend(TokenId token) = 0;
+
+    /** Undo suspend(); re-enables the object if it is still live. */
+    virtual void restore(TokenId token) = 0;
+
+    /** Whether @p token's object is live (held, active, open, scanning). */
+    virtual bool isLive(TokenId token) const = 0;
+
+    void
+    addListener(ResourceListener *listener)
+    {
+        listeners_.push_back(listener);
+    }
+
+  protected:
+    using Service::Service;
+
+    std::vector<ResourceListener *> listeners_;
+};
+
+/**
  * Record needs `uid`, `live`, `suspended` and `enabled` members and a
  * `Totals` type (see ResourceTable).
  */
 template <typename Record>
-class ResourceService : public Service
+class ResourceService : public ResourceServiceBase
 {
   public:
     // ---- Interposition (same-address-space, no IPC) -------------------
 
-    /** Pull @p token out of service; the app keeps "holding" it. */
-    void suspend(TokenId token) { setSuspended(token, true); }
+    void suspend(TokenId token) final { setSuspended(token, true); }
 
-    /** Undo suspend(); re-enables the object if it is still live. */
-    void restore(TokenId token) { setSuspended(token, false); }
+    void restore(TokenId token) final { setSuspended(token, false); }
+
+    bool
+    isLive(TokenId token) const final
+    {
+        const Record *record = records_.find(token);
+        return record && record->live;
+    }
 
     bool
     isSuspended(TokenId token) const
@@ -83,12 +117,6 @@ class ResourceService : public Service
         apply();
     }
 
-    void
-    addListener(ResourceListener *listener)
-    {
-        listeners_.push_back(listener);
-    }
-
     Uid ownerOf(TokenId token) const { return records_.ownerOf(token); }
 
     /** Every record, for the invariant audits. */
@@ -99,16 +127,8 @@ class ResourceService : public Service
 
     ResourceService(sim::Simulator &sim, power::CpuModel &cpu,
                     std::string name, TokenAllocator &tokens)
-        : Service(sim, cpu, std::move(name)), tokens_(tokens)
+        : ResourceServiceBase(sim, cpu, std::move(name)), tokens_(tokens)
     {
-    }
-
-    /** Whether @p token's object is live (held, active, open, scanning). */
-    bool
-    isLive(TokenId token) const
-    {
-        const Record *record = records_.find(token);
-        return record && record->live;
     }
 
     /** Integrate time-based totals up to now. */
@@ -135,7 +155,6 @@ class ResourceService : public Service
 
     TokenAllocator &tokens_;
     ResourceTable<Record> records_;
-    std::vector<ResourceListener *> listeners_;
 
   private:
     void

@@ -1,6 +1,8 @@
 #include "sim/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 namespace leaseos::sim {
 
@@ -25,6 +27,14 @@ readLe32(const std::uint8_t *p)
     for (std::size_t i = 0; i < 4; ++i)
         v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
     return v;
+}
+
+/** Store the low @p n bytes of @p v at @p p, little-endian. */
+void
+writeLe(std::uint8_t *p, std::uint64_t v, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 } // namespace
@@ -61,10 +71,8 @@ CheckpointWriter::endSection()
 {
     if (!inSection_) throw CheckpointError("endSection() with none open");
     inSection_ = false;
-    std::uint64_t bodyLen = buf_.size() - sectionBodyAt_ - 8;
-    for (std::size_t i = 0; i < 8; ++i)
-        buf_[sectionBodyAt_ + i] =
-            static_cast<std::uint8_t>(bodyLen >> (8 * i));
+    writeLe(buf_.data() + sectionBodyAt_, buf_.size() - sectionBodyAt_ - 8,
+            8);
 }
 
 void
@@ -78,18 +86,14 @@ std::vector<std::uint8_t>
 CheckpointWriter::finish()
 {
     if (inSection_) throw CheckpointError("finish() with a section open");
-    std::vector<std::uint8_t> out;
-    out.reserve(kHeaderSize + buf_.size());
-    out.insert(out.end(), kMagic, kMagic + 8);
-    auto le = [&out](std::uint64_t v, std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i)
-            out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    };
-    le(kCheckpointFormatVersion, 4);
-    le(0, 4); // reserved
-    le(buf_.size(), 8);
-    le(checkpointDigest(buf_.data(), buf_.size()), 8);
-    out.insert(out.end(), buf_.begin(), buf_.end());
+    // Size the blob once and fill the fixed header in place.
+    std::vector<std::uint8_t> out(kHeaderSize + buf_.size());
+    std::memcpy(out.data(), kMagic, sizeof(kMagic));
+    writeLe(out.data() + 8, kCheckpointFormatVersion, 4);
+    // Bytes 12..15 are reserved and stay zero.
+    writeLe(out.data() + 16, buf_.size(), 8);
+    writeLe(out.data() + 24, checkpointDigest(buf_.data(), buf_.size()), 8);
+    std::copy(buf_.begin(), buf_.end(), out.begin() + kHeaderSize);
     buf_.clear();
     return out;
 }

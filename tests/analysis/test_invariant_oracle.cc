@@ -292,8 +292,9 @@ TEST(InvariantOracle, ChurningGpsAppAuditsCleanWithBoundedSnapshots)
     EXPECT_LE(requests.live().size(), 1u);
     auto &manager = device.leaseos()->manager();
     EXPECT_GT(manager.table().size(), 10u);
-    EXPECT_EQ(device.leaseos()->gpsProxy().snapshotLeases().size(),
-              manager.activeLeases());
+    EXPECT_EQ(
+        manager.proxies().at(lease::ResourceType::Gps)->snapshotLeases().size(),
+        manager.activeLeases());
 }
 
 /**

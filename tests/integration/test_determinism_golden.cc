@@ -11,7 +11,11 @@
  * with the per-service std::map record tables that os::ResourceTable
  * replaced; it covers every resource service with apps that release a
  * kernel object and then request a new one, and pins each service's
- * per-uid totals to the last bit.
+ * per-uid totals to the last bit. term_records.json was captured with one
+ * proxy class per resource type; it pins, per resource type, how many
+ * lease terms ended and a digest over every TermRecord the lease manager
+ * published, so every field a proxy measures (not only the ones that move
+ * power) must come out bit for bit.
  *
  * Regenerating (only when an *intended* behaviour change lands):
  *
@@ -25,18 +29,26 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/buggy/beacon_scanner.h"
 #include "apps/buggy/facebook_audio.h"
+#include "apps/normal/haven.h"
+#include "apps/normal/runkeeper.h"
+#include "apps/normal/spotify.h"
 #include "apps/registry.h"
 #include "harness/experiment.h"
 #include "harness/result_sink.h"
 #include "harness/runner.h"
 #include "lease/behavior.h"
+#include "lease/leaseos_runtime.h"
 #include "os/system_server.h"
+#include "sim/checkpoint.h"
 
 #ifndef LEASEOS_TEST_GOLDEN_DIR
 #error "LEASEOS_TEST_GOLDEN_DIR must point at tests/golden"
@@ -203,6 +215,45 @@ exactResultRow(const RunResult &r)
     return row;
 }
 
+/** Every TermRecord one run published, as raw bytes per resource type. */
+struct TermLog {
+    std::map<lease::ResourceType, std::vector<std::uint8_t>> bytes;
+    std::map<lease::ResourceType, std::uint64_t> terms;
+
+    template <typename T>
+    static void
+    put(std::vector<std::uint8_t> &out, T value)
+    {
+        std::uint8_t raw[sizeof(T)];
+        std::memcpy(raw, &value, sizeof(T));
+        out.insert(out.end(), raw, raw + sizeof(T));
+    }
+
+    void
+    record(const lease::Lease &lease, const lease::TermRecord &rec)
+    {
+        std::vector<std::uint8_t> &out = bytes[lease.rtype];
+        const lease::LeaseStat &s = rec.stat;
+        put(out, lease.id);
+        put(out, lease.termIndex);
+        put(out, s.termStart.nanos());
+        put(out, s.termEnd.nanos());
+        put(out, s.requestSeconds);
+        put(out, s.failedRequestSeconds);
+        put(out, s.holdingSeconds);
+        put(out, s.usageSeconds);
+        put(out, s.utilityScore);
+        put(out, s.exceptions);
+        put(out, s.uiUpdates);
+        put(out, s.interactions);
+        put(out, s.distanceMeters);
+        put(out, s.acquires);
+        put(out, static_cast<std::uint8_t>(s.heldAtTermEnd));
+        put(out, static_cast<std::uint8_t>(rec.behavior));
+        ++terms[lease.rtype];
+    }
+};
+
 std::string
 goldenPath(const std::string &file)
 {
@@ -330,6 +381,97 @@ TEST(DeterminismGoldenTest, ResourceServicesByteIdentical)
     for (const auto &r : results) json.addRow(exactResultRow(r));
     json.finish();
     checkAgainstGolden("resource_services.json", json.document());
+}
+
+TEST(DeterminismGoldenTest, TermRecordsByteIdentical)
+{
+    // Two virtual hours under LeaseOS, with DVFS off and on: every
+    // Table-5 app with its trigger, one device holding an audio session
+    // and a Bluetooth scan, and one moving device running the §7.4
+    // background apps. Together they end terms on all seven resources.
+    const sim::Time twoHours = sim::Time::fromHours(2.0);
+    MitigationRunOptions opt;
+    opt.duration = twoHours;
+
+    std::vector<RunSpec> specs;
+    for (bool dvfs : {false, true}) {
+        const DeviceConfig config =
+            DeviceConfig{}.withMode(MitigationMode::LeaseOS).withDvfs(dvfs);
+        for (const apps::BuggyAppSpec &app : apps::table5Specs()) {
+            RunSpec spec =
+                mitigationCellSpec(app, MitigationMode::LeaseOS, opt);
+            spec.config.withDvfs(dvfs);
+            specs.push_back(std::move(spec));
+        }
+        specs.push_back(RunSpec{}
+                            .withName("Facebook(audio)+BeaconScanner")
+                            .withConfig(config)
+                            .withDuration(twoHours)
+                            .withApp<apps::FacebookAudio>()
+                            .withApp<apps::BeaconScanner>()
+                            .withGlances());
+        specs.push_back(RunSpec{}
+                            .withName("RunKeeper+Spotify+Haven")
+                            .withConfig(config)
+                            .withDuration(twoHours)
+                            .withSetup([](Device &d) {
+                                d.gpsEnv().setVelocity(2.5, 0.5);
+                                d.motion().setStationary(false);
+                            })
+                            .withApp<apps::RunKeeper>()
+                            .withApp<apps::Spotify>()
+                            .withApp<apps::Haven>());
+    }
+    std::vector<TermLog> logs(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        specs[i].withSetup([log = &logs[i]](Device &d) {
+            d.leaseos()->manager().setTermObserver(
+                [log](const lease::Lease &lease,
+                      const lease::TermRecord &rec) {
+                    log->record(lease, rec);
+                });
+        });
+    }
+
+    RunnerOptions options;
+    options.jobs = 4;
+    options.baseSeed = 0x7e53ec0dULL;
+    ParallelRunner runner(options);
+    runner.run(specs);
+
+    JsonSink json;
+    json.begin("golden_term_records",
+               "20 Table-5 apps, facebook-audio+beacon-scanner and "
+               "runkeeper+spotify+haven x dvfs off/on under LeaseOS, 2 h, "
+               "jobs=4");
+    const lease::ResourceType types[] = {
+        lease::ResourceType::Wakelock, lease::ResourceType::Screen,
+        lease::ResourceType::Gps,      lease::ResourceType::Sensor,
+        lease::ResourceType::Wifi,     lease::ResourceType::Audio,
+        lease::ResourceType::Bluetooth};
+    for (lease::ResourceType rtype : types) {
+        std::vector<std::uint8_t> bytes;
+        std::uint64_t terms = 0;
+        for (const TermLog &log : logs) {
+            auto it = log.bytes.find(rtype);
+            if (it == log.bytes.end()) continue;
+            bytes.insert(bytes.end(), it->second.begin(), it->second.end());
+            terms += log.terms.at(rtype);
+        }
+        char digest[32];
+        std::snprintf(digest, sizeof(digest), "0x%016llx",
+                      static_cast<unsigned long long>(sim::checkpointDigest(
+                          bytes.data(), bytes.size())));
+        ResultSink::Row row;
+        row.emplace_back("resource",
+                         ResultValue::str(lease::resourceTypeName(rtype)));
+        row.emplace_back("terms", ResultValue::count(
+                                      static_cast<std::int64_t>(terms)));
+        row.emplace_back("digest", ResultValue::str(digest));
+        json.addRow(row);
+    }
+    json.finish();
+    checkAgainstGolden("term_records.json", json.document());
 }
 
 } // namespace

@@ -176,12 +176,12 @@ TEST_F(LeaseManagerTest, SetUtilityNullClears)
 
 TEST_F(LeaseManagerTest, ProxyRegistrationRules)
 {
-    WakelockLeaseProxy extra(pms, cpu, server.exceptionHandler(),
-                             server.activityManager());
+    LeaseProxy extra(ResourceType::Wakelock, pms,
+                     [](const Lease &) { return TermCounters{}; });
     // Type already registered by the runtime.
     EXPECT_FALSE(mgr.registerProxy(&extra));
     EXPECT_FALSE(mgr.unregisterProxy(&extra));
-    EXPECT_TRUE(mgr.unregisterProxy(&leaseos.wakelockProxy()));
+    EXPECT_TRUE(mgr.unregisterProxy(mgr.proxies().at(ResourceType::Wakelock)));
     EXPECT_TRUE(mgr.registerProxy(&extra));
     EXPECT_FALSE(mgr.registerProxy(nullptr));
 }
@@ -275,17 +275,34 @@ TEST_F(ProxyTest, SeparateLeasesPerResourceType)
     auto &pms = server.powerManager();
     auto &wms = server.wifiManager();
     os::TokenId wl = pms.newWakeLock(kApp, os::WakeLockType::Partial, "a");
+    os::TokenId full = pms.newWakeLock(kApp, os::WakeLockType::Full, "c");
     os::TokenId wifi = wms.createWifiLock(kApp, "b");
     pms.acquire(wl);
+    pms.acquire(full);
     wms.acquire(wifi);
     LeaseId wl_lease = mgr.leaseIdForToken(wl);
+    LeaseId screen_lease = mgr.leaseIdForToken(full);
     LeaseId wifi_lease = mgr.leaseIdForToken(wifi);
     EXPECT_NE(wl_lease, kInvalidLeaseId);
+    EXPECT_NE(screen_lease, kInvalidLeaseId);
     EXPECT_NE(wifi_lease, kInvalidLeaseId);
     EXPECT_NE(wl_lease, wifi_lease);
+    EXPECT_NE(wl_lease, screen_lease);
     EXPECT_EQ(mgr.lease(wl_lease)->rtype, ResourceType::Wakelock);
+    EXPECT_EQ(mgr.lease(screen_lease)->rtype, ResourceType::Screen);
     EXPECT_EQ(mgr.lease(wifi_lease)->rtype, ResourceType::Wifi);
-    EXPECT_EQ(mgr.totalCreated(), 2u);
+    EXPECT_EQ(mgr.totalCreated(), 3u);
+
+    // Both wakelock proxies see every PowerManagerService destroy; each
+    // must remove only the lease of its own type.
+    pms.destroy(full);
+    EXPECT_EQ(mgr.lease(screen_lease), nullptr);
+    EXPECT_NE(mgr.lease(wl_lease), nullptr);
+    EXPECT_NE(mgr.lease(wifi_lease), nullptr);
+    pms.destroy(wl);
+    EXPECT_EQ(mgr.lease(wl_lease), nullptr);
+    EXPECT_NE(mgr.lease(wifi_lease), nullptr);
+    EXPECT_EQ(mgr.table().size(), 1u);
 }
 
 // ---- No-runtime baseline --------------------------------------------------

@@ -692,7 +692,7 @@ TEST(ProxyBypassRule, FlagsInterpositionCallsOutsideProxyLayer)
 TEST(ProxyBypassRule, AllowsProxyMitigationAndServiceLayers)
 {
     for (const char *path :
-         {"src/lease/proxies/wakelock_proxy.cc", "src/mitigation/doze.cc",
+         {"src/lease/proxies/lease_proxy.cc", "src/mitigation/doze.cc",
           "src/os/power_manager_service.cc"}) {
         LintReport report =
             lintOne(path, "pm().suspend(token);\n", "proxy-bypass");
@@ -1138,9 +1138,8 @@ TEST(Driver, WholeRepoIsCleanWithJustifiedSuppressions)
 TEST(Rules, RulesDocInSync)
 {
     // The committed rule-inventory doc is generated from allRules();
-    // this gate keeps it from drifting. Regenerate with:
-    //   ./build/tools/leaselint/leaselint --rules-doc \
-    //     > tools/leaselint/RULES.md
+    // this gate keeps it from drifting. Regenerate from the repo root:
+    //   build/tools/leaselint/leaselint --rules-doc >tools/leaselint/RULES.md
     std::filesystem::path doc = std::filesystem::path(
         LEASELINT_TEST_REPO_ROOT) / "tools" / "leaselint" / "RULES.md";
     std::ifstream in(doc, std::ios::binary);

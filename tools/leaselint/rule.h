@@ -39,7 +39,7 @@ struct Finding {
     std::string path;
     std::size_t line = 0;
     std::string message;
-    std::optional<FixIt> fix;
+    std::optional<FixIt> fix{};
 };
 
 } // namespace leaselint

@@ -334,7 +334,8 @@ TEST(DeterminismGoldenTest, ResourceServicesByteIdentical)
     // Six virtual hours of the apps that churn kernel objects (GPS
     // request/remove without destroy, sensor and Wi-Fi lock cycles, a
     // CPU wakelock) plus one device holding an audio session and a
-    // Bluetooth scan, each under vanilla and LeaseOS.
+    // Bluetooth scan, each under vanilla and LeaseOS. The six apps also
+    // run under Doze*, DefDroid and the one-shot throttle.
     const MitigationMode modes[] = {MitigationMode::None,
                                     MitigationMode::LeaseOS};
     const sim::Time sixHours = sim::Time::fromHours(6.0);
@@ -365,6 +366,20 @@ TEST(DeterminismGoldenTest, ResourceServicesByteIdentical)
         addServiceProbes(spec, 1);
         spec.withProbe("liveTokens", liveTokens);
         specs.push_back(std::move(spec));
+    }
+    // The baselines that suspend, restore and filter through the services,
+    // appended so the specs above keep their indices and derived seeds.
+    for (const char *key : {"where", "betterweather", "mozstumbler", "riot",
+                            "connectbot-wifi", "k9"}) {
+        for (MitigationMode mode :
+             {MitigationMode::DozeAggressive, MitigationMode::DefDroid,
+              MitigationMode::OneShotThrottle}) {
+            RunSpec spec =
+                mitigationCellSpec(apps::buggySpec(key), mode, opt);
+            addServiceProbes(spec, 0);
+            spec.withProbe("liveTokens", liveTokens);
+            specs.push_back(std::move(spec));
+        }
     }
 
     RunnerOptions options;

@@ -4,6 +4,13 @@
 
 namespace leaseos::harness {
 
+namespace {
+
+/** Period of the checked-build lease-table and energy audits. */
+constexpr sim::Time kCheckedAuditPeriod = sim::Time::fromSeconds(10.0);
+
+} // namespace
+
 const char *
 mitigationModeName(MitigationMode m)
 {
@@ -71,18 +78,16 @@ Device::Device(DeviceConfig config)
         break;
       case MitigationMode::Doze:
         doze_ = std::make_unique<mitigation::DozeController>(
-            sim_, *server_, *motion_, config_.dozeConfig);
+            sim_, *server_, *motion_, mitigation::DozeConfig{});
         break;
-      case MitigationMode::DozeAggressive: {
-        mitigation::DozeConfig aggressive = config_.dozeConfig;
-        aggressive.aggressive = true;
+      case MitigationMode::DozeAggressive:
         doze_ = std::make_unique<mitigation::DozeController>(
-            sim_, *server_, *motion_, aggressive);
+            sim_, *server_, *motion_,
+            mitigation::DozeConfig{.aggressive = true});
         break;
-      }
       case MitigationMode::DefDroid:
         defdroid_ = std::make_unique<mitigation::DefDroidController>(
-            sim_, *server_, config_.defdroidConfig);
+            sim_, *server_, mitigation::DefDroidConfig{});
         break;
       case MitigationMode::OneShotThrottle:
         throttler_ = std::make_unique<mitigation::OneShotThrottler>(
@@ -94,14 +99,6 @@ Device::Device(DeviceConfig config)
         sim_, *cpu_, *server_, *network_, *gpsEnv_, *motion_, *user_,
         rng_, config_.profile,
         leaseos_ ? &leaseos_->manager() : nullptr});
-
-    if (!config_.flightRecordDir.empty()) {
-        // Installed before the oracle: its abort path dumps through
-        // FlightRecorder::current(). Costs nothing until a dump.
-        recorder_ = std::make_unique<obs::FlightRecorder>(
-            config_.flightRecordDir, "device");
-        recorder_->install();
-    }
 
 #if defined(LEASEOS_CHECKED)
     if (config_.checkedOracle) {
@@ -133,7 +130,7 @@ Device::start()
     for (auto &app : apps_) app->start();
     if (oracle_) {
         auditTick_ = sim_.schedulePeriodicScoped(
-            config_.checkedAuditPeriod,
+            kCheckedAuditPeriod,
             [this] { auditInvariants(*oracle_); });
     }
 }

@@ -22,7 +22,6 @@
 
 #include "analysis/invariants.h"
 #include "app/app.h"
-#include "obs/flight_recorder.h"
 #include "app/app_context.h"
 #include "env/gps_environment.h"
 #include "env/motion_model.h"
@@ -65,8 +64,6 @@ struct DeviceConfig {
     power::DeviceProfile profile = power::profiles::pixelXl();
     MitigationMode mode = MitigationMode::None;
     lease::LeasePolicy leasePolicy;
-    mitigation::DozeConfig dozeConfig;
-    mitigation::DefDroidConfig defdroidConfig;
     sim::Time throttleHoldLimit = sim::Time::fromMinutes(5.0);
     std::uint64_t seed = 0x1ea5e05;
     /** Power sampling period (the paper samples every 100 ms, §7.3). */
@@ -78,25 +75,12 @@ struct DeviceConfig {
      */
     bool dvfsEnabled = false;
     /**
-     * Period of the lease-table / energy-conservation audits in checked
-     * builds (-DLEASEOS_CHECKED=ON). Ignored in normal builds.
-     */
-    sim::Time checkedAuditPeriod = sim::Time::fromSeconds(10.0);
-    /**
      * Whether the device installs its own Abort-mode oracle in checked
      * builds. Negative tests that deliberately corrupt device state turn
      * this off so only their Record-mode oracle sees the violation.
      * Ignored in normal builds.
      */
     bool checkedOracle = true;
-    /**
-     * When non-empty, the device installs an obs::FlightRecorder for its
-     * thread so the checked-mode oracle's abort path can dump the trace
-     * ring + metrics snapshot there before dying (DESIGN.md §10). Free
-     * until a dump happens. Harness runs usually set this per-run via
-     * RunSpec::flightRecordDir instead.
-     */
-    std::string flightRecordDir;
 
     // ---- Fluent builders -----------------------------------------------
 
@@ -118,12 +102,6 @@ struct DeviceConfig {
         seed = s;
         return *this;
     }
-    DeviceConfig &
-    withLeasePolicy(lease::LeasePolicy p)
-    {
-        leasePolicy = std::move(p);
-        return *this;
-    }
     /** In-place tweak of the lease policy: `.tunePolicy([](auto &p) {...})`. */
     template <typename F>
     DeviceConfig &
@@ -133,51 +111,15 @@ struct DeviceConfig {
         return *this;
     }
     DeviceConfig &
-    withDozeConfig(mitigation::DozeConfig c)
-    {
-        dozeConfig = c;
-        return *this;
-    }
-    DeviceConfig &
-    withDefDroidConfig(mitigation::DefDroidConfig c)
-    {
-        defdroidConfig = c;
-        return *this;
-    }
-    DeviceConfig &
-    withThrottleHoldLimit(sim::Time limit)
-    {
-        throttleHoldLimit = limit;
-        return *this;
-    }
-    DeviceConfig &
-    withProfilerPeriod(sim::Time period)
-    {
-        profilerPeriod = period;
-        return *this;
-    }
-    DeviceConfig &
     withDvfs(bool enabled = true)
     {
         dvfsEnabled = enabled;
         return *this;
     }
     DeviceConfig &
-    withCheckedAuditPeriod(sim::Time period)
-    {
-        checkedAuditPeriod = period;
-        return *this;
-    }
-    DeviceConfig &
     withCheckedOracle(bool enabled)
     {
         checkedOracle = enabled;
-        return *this;
-    }
-    DeviceConfig &
-    withFlightRecordDir(std::string dir)
-    {
-        flightRecordDir = std::move(dir);
         return *this;
     }
 };
@@ -304,8 +246,6 @@ class Device
     Uid nextUid_ = kFirstAppUid;
     bool started_ = false;
 
-    /** Set when config.flightRecordDir is non-empty (any build). */
-    std::unique_ptr<obs::FlightRecorder> recorder_;
     /** Only set in checked builds (LEASEOS_CHECKED). */
     std::unique_ptr<analysis::InvariantOracle> oracle_;
     sim::PeriodicHandle auditTick_;

@@ -183,23 +183,11 @@ struct RunSpec {
         return *this;
     }
     RunSpec &
-    withMetrics(bool on = true)
-    {
-        collectMetrics = on;
-        return *this;
-    }
-    RunSpec &
     withTrace(std::string path,
               std::size_t capacity = obs::TraceBuffer::kDefaultCapacity)
     {
         tracePath = std::move(path);
         traceCapacity = capacity;
-        return *this;
-    }
-    RunSpec &
-    withFlightRecorder(std::string dir)
-    {
-        flightRecordDir = std::move(dir);
         return *this;
     }
     RunSpec &

@@ -114,17 +114,6 @@ LeaseManagerService::registerProxy(LeaseProxy *proxy)
     return true;
 }
 
-bool
-LeaseManagerService::unregisterProxy(LeaseProxy *proxy)
-{
-    if (!proxy) return false;
-    auto it = proxies_.find(proxy->rtype());
-    if (it == proxies_.end() || it->second != proxy) return false;
-    proxy->detach();
-    proxies_.erase(it);
-    return true;
-}
-
 LeaseProxy *
 LeaseManagerService::proxyFor(ResourceType rtype) const
 {

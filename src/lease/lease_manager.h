@@ -61,7 +61,6 @@ class LeaseManagerService
 
     /** Register @p proxy for its resource type. */
     bool registerProxy(LeaseProxy *proxy);
-    bool unregisterProxy(LeaseProxy *proxy);
 
     /** Registered proxies by resource type (the oracle audits them). */
     const std::map<ResourceType, LeaseProxy *> &

@@ -76,7 +76,6 @@ class LeaseProxy : public os::ResourceListener
 
     /** Wired by LeaseManagerService::registerProxy. */
     void attach(LeaseManagerService *manager) { manager_ = manager; }
-    void detach() { manager_ = nullptr; }
 
     // ---- Manager-facing callbacks (invoked on lease decisions) ---------
 

@@ -9,20 +9,13 @@ AudioSessionService::AudioSessionService(
     power::EnergyAccountant &accountant, TokenAllocator &tokens)
     : ResourceService(sim, cpu, "audio", tokens), audio_(audio),
       accountant_(accountant),
-      pipelineChannel_(accountant.makeChannel("audio_pipeline")),
-      lastAdvance_(sim.now())
+      pipelineChannel_(accountant.makeChannel("audio_pipeline"))
 {
 }
 
 void
-AudioSessionService::advance()
+AudioSessionService::accrue(double dt)
 {
-    sim::Time now = sim_.now();
-    if (now <= lastAdvance_) {
-        lastAdvance_ = now;
-        return;
-    }
-    double dt = (now - lastAdvance_).seconds();
     for (const auto *entry : records_.live()) {
         const AudioSession &session = entry->second;
         if (!session.enabled) continue;
@@ -30,7 +23,6 @@ AudioSessionService::advance()
         totals.openSeconds += dt;
         if (session.playing) totals.playingSeconds += dt;
     }
-    lastAdvance_ = now;
 }
 
 void
@@ -58,22 +50,6 @@ AudioSessionService::apply()
     lastPlaying_ = playing;
 }
 
-TokenId
-AudioSessionService::openSession(Uid uid)
-{
-    chargeIpc(uid, kResourceIpcLatency);
-    advance();
-    TokenId token = tokens_.next();
-    AudioSession session;
-    session.uid = uid;
-    session.live = true;
-    records_.add(token, session);
-    apply();
-    for (auto *l : listeners_) l->onCreated(token, uid);
-    for (auto *l : listeners_) l->onAcquired(token, uid);
-    return token;
-}
-
 void
 AudioSessionService::startPlayback(TokenId token)
 {
@@ -94,47 +70,6 @@ AudioSessionService::stopPlayback(TokenId token)
     advance();
     session->playing = false;
     apply();
-}
-
-void
-AudioSessionService::closeSession(TokenId token)
-{
-    AudioSession *session = records_.find(token);
-    if (!session || !session->live) return;
-    Uid uid = session->uid;
-    chargeIpc(uid, kBinderIpcLatency);
-    advance();
-    records_.setLive(token, false);
-    session->playing = false;
-    apply();
-    for (auto *l : listeners_) l->onReleased(token, uid);
-}
-
-void
-AudioSessionService::destroy(TokenId token)
-{
-    const AudioSession *session = records_.find(token);
-    if (!session) return;
-    advance();
-    Uid uid = session->uid;
-    records_.erase(token);
-    tokens_.retire(token);
-    apply();
-    for (auto *l : listeners_) l->onDestroyed(token, uid);
-}
-
-double
-AudioSessionService::openSeconds(Uid uid)
-{
-    advance();
-    return records_.totals(uid).openSeconds;
-}
-
-double
-AudioSessionService::playingSeconds(Uid uid)
-{
-    advance();
-    return records_.totals(uid).playingSeconds;
 }
 
 } // namespace leaseos::os

@@ -54,17 +54,23 @@ class AudioSessionService : public ResourceService<AudioSession>
     // ---- App-facing API -------------------------------------------------
 
     /** Open (acquire) an audio session. */
-    TokenId openSession(Uid uid);
+    TokenId
+    openSession(Uid uid)
+    {
+        return create({.uid = uid, .live = true}, kResourceIpcLatency);
+    }
 
     /** Begin/stop audible playback on an open session. */
     void startPlayback(TokenId token);
     void stopPlayback(TokenId token);
 
-    /** Close (release) the session. */
-    void closeSession(TokenId token);
-
-    /** Kernel object death. */
-    void destroy(TokenId token);
+    /** Close (release) the session; playback stops with it. */
+    void
+    closeSession(TokenId token)
+    {
+        setLive(token, false, kBinderIpcLatency,
+                [](AudioSession &session) { session.playing = false; });
+    }
 
     bool isOpen(TokenId token) const { return isLive(token); }
     bool
@@ -77,20 +83,19 @@ class AudioSessionService : public ResourceService<AudioSession>
     // ---- Metrics --------------------------------------------------------
 
     /** Time @p uid has had an enabled session open. */
-    double openSeconds(Uid uid);
+    double openSeconds(Uid uid) { return totalsNow(uid).openSeconds; }
 
     /** Time @p uid spent audibly playing through enabled sessions. */
-    double playingSeconds(Uid uid);
+    double playingSeconds(Uid uid) { return totalsNow(uid).playingSeconds; }
 
   private:
-    void advance() override;
+    void accrue(double dt) override;
     void apply() override;
 
     power::AudioModel &audio_;
     power::EnergyAccountant &accountant_;
     power::ChannelId pipelineChannel_;
 
-    sim::Time lastAdvance_;
     std::map<Uid, bool> lastPlaying_;
 };
 

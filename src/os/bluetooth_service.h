@@ -60,9 +60,17 @@ class BluetoothService : public ResourceService<BluetoothScan>
 
     // ---- App-facing API ------------------------------------------------
 
-    TokenId startScan(Uid uid, ScanListener *listener);
-    void stopScan(TokenId token);
-    void destroy(TokenId token);
+    TokenId
+    startScan(Uid uid, ScanListener *listener)
+    {
+        return create({.uid = uid, .listener = listener, .live = true},
+                      kResourceIpcLatency);
+    }
+    void
+    stopScan(TokenId token)
+    {
+        setLive(token, false, kBinderIpcLatency);
+    }
     bool isActive(TokenId token) const { return isLive(token); }
 
     // ---- Metrics --------------------------------------------------------
@@ -76,8 +84,7 @@ class BluetoothService : public ResourceService<BluetoothScan>
 
   private:
     void apply() override;
-    void scheduleTick(TokenId token);
-    void deliverTick(TokenId token);
+    void deliver(BluetoothScan &scan) override;
 
     power::BluetoothModel &bluetooth_;
     int nearbyDevices_ = 3;

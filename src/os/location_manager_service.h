@@ -51,7 +51,7 @@ struct LocationRequest {
     bool enabled = false;
     bool tickScheduled = false;
     bool hasLastPoint = false;
-    GeoPoint lastPoint;
+    GeoPoint lastPoint{};
 };
 
 /**
@@ -75,24 +75,34 @@ class LocationManagerService : public ResourceService<LocationRequest>
      * Register for location updates every @p interval.
      * @return the kernel object id for this request.
      */
-    TokenId requestLocationUpdates(Uid uid, sim::Time interval,
-                                   LocationListener *listener);
+    TokenId
+    requestLocationUpdates(Uid uid, sim::Time interval,
+                           LocationListener *listener)
+    {
+        ++records_.accrue(uid).requests;
+        return create({.uid = uid,
+                       .interval = interval,
+                       .listener = listener,
+                       .live = true},
+                      kResourceIpcLatency);
+    }
 
     /** App-initiated removal (the "release"). */
-    void removeUpdates(TokenId token);
-
-    /** Kernel object death (app exit). */
-    void destroy(TokenId token);
+    void
+    removeUpdates(TokenId token)
+    {
+        setLive(token, false, kBinderIpcLatency);
+    }
 
     bool isActive(TokenId token) const { return isLive(token); }
 
     // ---- Metrics --------------------------------------------------------
 
     /** Time an enabled request has been outstanding. */
-    double requestSeconds(Uid uid);
+    double requestSeconds(Uid uid) { return totalsNow(uid).requestSeconds; }
 
     /** Outstanding-and-enabled time during which there was no fix. */
-    double noFixSeconds(Uid uid);
+    double noFixSeconds(Uid uid) { return totalsNow(uid).noFixSeconds; }
 
     std::uint64_t
     fixCount(Uid uid) const
@@ -122,14 +132,12 @@ class LocationManagerService : public ResourceService<LocationRequest>
     }
 
   private:
-    void advance() override;
+    void accrue(double dt) override;
     void apply() override;
-    void scheduleTick(TokenId token);
-    void deliverTick(TokenId token);
+    void deliver(LocationRequest &req) override;
 
     power::GpsModel &gps_;
     PositionFn positionFn_;
-    sim::Time lastAdvance_;
 };
 
 } // namespace leaseos::os

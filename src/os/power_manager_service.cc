@@ -9,19 +9,13 @@ namespace leaseos::os {
 PowerManagerService::PowerManagerService(sim::Simulator &sim,
                                          power::CpuModel &cpu,
                                          TokenAllocator &tokens)
-    : ResourceService(sim, cpu, "power", tokens), lastAdvance_(sim.now())
+    : ResourceService(sim, cpu, "power", tokens)
 {
 }
 
 void
-PowerManagerService::advance()
+PowerManagerService::accrue(double dt)
 {
-    sim::Time now = sim_.now();
-    if (now <= lastAdvance_) {
-        lastAdvance_ = now;
-        return;
-    }
-    double dt = (now - lastAdvance_).seconds();
     for (auto *entry : records_.live()) {
         WakeLock &lock = entry->second;
         auto &totals = records_.accrue(lock.uid);
@@ -34,7 +28,6 @@ PowerManagerService::advance()
             totals.enabledSeconds += dt;
         }
     }
-    lastAdvance_ = now;
 }
 
 void
@@ -60,62 +53,6 @@ PowerManagerService::apply()
     }
 }
 
-TokenId
-PowerManagerService::newWakeLock(Uid uid, WakeLockType type,
-                                 std::string tag)
-{
-    chargeIpc(uid, kBinderIpcLatency);
-    advance();
-    TokenId token = tokens_.next();
-    WakeLock lock;
-    lock.uid = uid;
-    lock.type = type;
-    lock.tag = std::move(tag);
-    records_.add(token, std::move(lock));
-    for (auto *l : listeners_) l->onCreated(token, uid);
-    return token;
-}
-
-void
-PowerManagerService::acquire(TokenId token)
-{
-    WakeLock *lock = records_.find(token);
-    if (!lock) return;
-    chargeIpc(lock->uid, kResourceIpcLatency);
-    advance();
-    records_.setLive(token, true);
-    ++records_.accrue(lock->uid).acquires;
-    apply();
-    for (auto *l : listeners_) l->onAcquired(token, lock->uid);
-}
-
-void
-PowerManagerService::release(TokenId token)
-{
-    WakeLock *lock = records_.find(token);
-    if (!lock) return;
-    chargeIpc(lock->uid, kBinderIpcLatency);
-    advance();
-    if (!lock->live) return;
-    records_.setLive(token, false);
-    ++records_.accrue(lock->uid).releases;
-    apply();
-    for (auto *l : listeners_) l->onReleased(token, lock->uid);
-}
-
-void
-PowerManagerService::destroy(TokenId token)
-{
-    const WakeLock *lock = records_.find(token);
-    if (!lock) return;
-    advance();
-    Uid uid = lock->uid;
-    records_.erase(token);
-    tokens_.retire(token);
-    apply();
-    for (auto *l : listeners_) l->onDestroyed(token, uid);
-}
-
 void
 PowerManagerService::setGlobalFilter(
     std::function<bool(Uid, WakeLockType)> filter)
@@ -130,25 +67,11 @@ PowerManagerService::setGlobalFilter(
 }
 
 double
-PowerManagerService::heldSeconds(Uid uid)
-{
-    advance();
-    return records_.totals(uid).heldSeconds;
-}
-
-double
 PowerManagerService::heldSecondsForToken(TokenId token)
 {
     advance();
     const WakeLock *lock = records_.find(token);
     return lock ? lock->heldSeconds : 0.0;
-}
-
-double
-PowerManagerService::enabledSeconds(Uid uid)
-{
-    advance();
-    return records_.totals(uid).enabledSeconds;
 }
 
 double

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "os/binder.h"
@@ -66,16 +67,30 @@ class PowerManagerService : public ResourceService<WakeLock>
     // ---- App-facing API (binder IPCs) --------------------------------
 
     /** Create a wakelock kernel object; does not acquire it. */
-    TokenId newWakeLock(Uid uid, WakeLockType type, std::string tag);
+    TokenId
+    newWakeLock(Uid uid, WakeLockType type, std::string tag)
+    {
+        return create({.uid = uid, .type = type, .tag = std::move(tag)},
+                      kBinderIpcLatency);
+    }
 
     /** Acquire; nested acquires are idempotent (counted as re-acquire). */
-    void acquire(TokenId token);
+    void
+    acquire(TokenId token)
+    {
+        setLive(token, true, kResourceIpcLatency, [this](WakeLock &lock) {
+            ++records_.accrue(lock.uid).acquires;
+        });
+    }
 
     /** Release; unknown/unheld tokens are ignored (Android semantics). */
-    void release(TokenId token);
-
-    /** Kernel object death (app exit / GC of the wrapper). */
-    void destroy(TokenId token);
+    void
+    release(TokenId token)
+    {
+        setLive(token, false, kBinderIpcLatency, [this](WakeLock &lock) {
+            ++records_.accrue(lock.uid).releases;
+        });
+    }
 
     bool isHeld(TokenId token) const { return isLive(token); }
 
@@ -96,11 +111,11 @@ class PowerManagerService : public ResourceService<WakeLock>
     // ---- Metrics --------------------------------------------------------
 
     /** App-perspective holding time (held, regardless of suspension). */
-    double heldSeconds(Uid uid);
+    double heldSeconds(Uid uid) { return totalsNow(uid).heldSeconds; }
     double heldSecondsForToken(TokenId token);
 
     /** Effective time the token kept hardware awake. */
-    double enabledSeconds(Uid uid);
+    double enabledSeconds(Uid uid) { return totalsNow(uid).enabledSeconds; }
     double enabledSecondsForToken(TokenId token);
 
     std::uint64_t
@@ -134,14 +149,13 @@ class PowerManagerService : public ResourceService<WakeLock>
     void setFullLockCallback(std::function<void(std::vector<Uid>)> cb);
 
   private:
-    /** Integrate per-token and per-uid times up to now. */
-    void advance() override;
+    /** Integrate per-token and per-uid times. */
+    void accrue(double dt) override;
 
     /** Recompute enabled flags and push wake sources to hardware. */
     void apply() override;
 
     std::function<void(std::vector<Uid>)> fullLockCb_;
-    sim::Time lastAdvance_;
     std::vector<Uid> lastFullOwners_;
 };
 

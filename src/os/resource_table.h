@@ -10,7 +10,7 @@
  * until the app frees its object (§3.2). Only *live* records — an active
  * request, a held lock, an open session, a running scan — can be enabled,
  * accrue time or own hardware. The table keeps an index of the live
- * records in token order; the services' advance()/apply() walks and
+ * records in token order; the services' accrue()/apply() walks and
  * per-uid queries visit that index instead of the service's history.
  *
  * Record must have `Uid uid` and `bool live` members and a default-
@@ -93,7 +93,7 @@ class ResourceTable
             index_.insert(pos, &*it);
     }
 
-    /** The indexed records in token order (advance() walks these). */
+    /** The indexed records in token order (accrue() walks these). */
     std::span<Entry *const> live() const { return index_; }
 
     /**

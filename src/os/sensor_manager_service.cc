@@ -8,26 +8,18 @@ SensorManagerService::SensorManagerService(sim::Simulator &sim,
                                            power::CpuModel &cpu,
                                            power::SensorModel &sensors,
                                            TokenAllocator &tokens)
-    : ResourceService(sim, cpu, "sensor", tokens), sensors_(sensors),
-      lastAdvance_(sim.now())
+    : ResourceService(sim, cpu, "sensor", tokens), sensors_(sensors)
 {
     readingFn_ = [](power::SensorType, sim::Time) { return 0.0; };
 }
 
 void
-SensorManagerService::advance()
+SensorManagerService::accrue(double dt)
 {
-    sim::Time now = sim_.now();
-    if (now <= lastAdvance_) {
-        lastAdvance_ = now;
-        return;
-    }
-    double dt = (now - lastAdvance_).seconds();
     for (const auto *entry : records_.live()) {
         const SensorRegistration &reg = entry->second;
         if (reg.enabled) records_.accrue(reg.uid).registeredSeconds += dt;
     }
-    lastAdvance_ = now;
 }
 
 void
@@ -43,12 +35,8 @@ SensorManagerService::apply()
             sensors_.unregisterUse(reg.type, reg.uid);
             hwRegs_.erase(token);
         }
-        if (enabled && !reg.enabled) {
-            reg.enabled = true;
-            scheduleTick(token);
-        } else {
-            reg.enabled = enabled;
-        }
+        if (enabled && !reg.enabled) scheduleTick(token, reg.rate);
+        reg.enabled = enabled;
     });
     // Drop hardware registrations whose request object died.
     for (auto it = hwRegs_.begin(); it != hwRegs_.end();) {
@@ -62,82 +50,14 @@ SensorManagerService::apply()
 }
 
 void
-SensorManagerService::scheduleTick(TokenId token)
+SensorManagerService::deliver(SensorRegistration &reg)
 {
-    SensorRegistration *reg = records_.find(token);
-    if (!reg || reg->tickScheduled) return;
-    reg->tickScheduled = true;
-    sim_.schedule(reg->rate, [this, token] { deliverTick(token); });
-}
-
-void
-SensorManagerService::deliverTick(TokenId token)
-{
-    SensorRegistration *reg = records_.find(token);
-    if (!reg) return;
-    reg->tickScheduled = false;
-    if (!reg->enabled) return; // suspended: callbacks withheld
-    ++records_.accrue(reg->uid).events;
-    if (reg->listener) {
-        cpu_.runWorkFor(reg->uid, 0.2, sim::Time::fromMillis(1));
-        reg->listener->onSensorEvent(reg->type,
-                                     readingFn_(reg->type, sim_.now()));
+    ++records_.accrue(reg.uid).events;
+    if (reg.listener) {
+        cpu_.runWorkFor(reg.uid, 0.2, sim::Time::fromMillis(1));
+        reg.listener->onSensorEvent(reg.type,
+                                    readingFn_(reg.type, sim_.now()));
     }
-    scheduleTick(token);
-}
-
-TokenId
-SensorManagerService::registerListener(Uid uid, power::SensorType type,
-                                       sim::Time rate,
-                                       SensorEventListener *listener)
-{
-    chargeIpc(uid, kResourceIpcLatency);
-    advance();
-    TokenId token = tokens_.next();
-    SensorRegistration reg;
-    reg.uid = uid;
-    reg.type = type;
-    reg.rate = rate;
-    reg.listener = listener;
-    reg.live = true;
-    records_.add(token, reg);
-    apply();
-    for (auto *l : listeners_) l->onCreated(token, uid);
-    for (auto *l : listeners_) l->onAcquired(token, uid);
-    return token;
-}
-
-void
-SensorManagerService::unregisterListener(TokenId token)
-{
-    SensorRegistration *reg = records_.find(token);
-    if (!reg || !reg->live) return;
-    Uid uid = reg->uid;
-    chargeIpc(uid, kBinderIpcLatency);
-    advance();
-    records_.setLive(token, false);
-    apply();
-    for (auto *l : listeners_) l->onReleased(token, uid);
-}
-
-void
-SensorManagerService::destroy(TokenId token)
-{
-    const SensorRegistration *reg = records_.find(token);
-    if (!reg) return;
-    advance();
-    Uid uid = reg->uid;
-    records_.erase(token);
-    tokens_.retire(token);
-    apply();
-    for (auto *l : listeners_) l->onDestroyed(token, uid);
-}
-
-double
-SensorManagerService::registeredSeconds(Uid uid)
-{
-    advance();
-    return records_.totals(uid).registeredSeconds;
 }
 
 } // namespace leaseos::os

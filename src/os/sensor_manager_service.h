@@ -65,16 +65,32 @@ class SensorManagerService : public ResourceService<SensorRegistration>
 
     // ---- App-facing API ------------------------------------------------
 
-    TokenId registerListener(Uid uid, power::SensorType type,
-                             sim::Time rate, SensorEventListener *listener);
-    void unregisterListener(TokenId token);
-    void destroy(TokenId token);
+    TokenId
+    registerListener(Uid uid, power::SensorType type, sim::Time rate,
+                     SensorEventListener *listener)
+    {
+        return create({.uid = uid,
+                       .type = type,
+                       .rate = rate,
+                       .listener = listener,
+                       .live = true},
+                      kResourceIpcLatency);
+    }
+    void
+    unregisterListener(TokenId token)
+    {
+        setLive(token, false, kBinderIpcLatency);
+    }
     bool isActive(TokenId token) const { return isLive(token); }
 
     // ---- Metrics --------------------------------------------------------
 
     /** Time @p uid has had an enabled registration outstanding. */
-    double registeredSeconds(Uid uid);
+    double
+    registeredSeconds(Uid uid)
+    {
+        return totalsNow(uid).registeredSeconds;
+    }
     std::uint64_t
     eventCount(Uid uid) const
     {
@@ -89,18 +105,15 @@ class SensorManagerService : public ResourceService<SensorRegistration>
     }
 
   private:
-    void advance() override;
+    void accrue(double dt) override;
     void apply() override;
-    void scheduleTick(TokenId token);
-    void deliverTick(TokenId token);
+    void deliver(SensorRegistration &reg) override;
 
     power::SensorModel &sensors_;
     ReadingFn readingFn_;
 
     /** Hardware registrations we currently hold, to diff on apply(). */
     std::map<TokenId, std::pair<power::SensorType, Uid>> hwRegs_;
-
-    sim::Time lastAdvance_;
 };
 
 } // namespace leaseos::os

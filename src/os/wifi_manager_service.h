@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "os/binder.h"
 #include "os/resource_service.h"
@@ -45,16 +46,30 @@ class WifiManagerService : public ResourceService<WifiLock>
 
     // ---- App-facing API ------------------------------------------------
 
-    TokenId createWifiLock(Uid uid, std::string tag);
-    void acquire(TokenId token);
-    void release(TokenId token);
-    void destroy(TokenId token);
+    TokenId
+    createWifiLock(Uid uid, std::string tag)
+    {
+        return create({.uid = uid, .tag = std::move(tag)},
+                      kBinderIpcLatency);
+    }
+    void
+    acquire(TokenId token)
+    {
+        setLive(token, true, kResourceIpcLatency, [this](WifiLock &lock) {
+            ++records_.accrue(lock.uid).acquires;
+        });
+    }
+    void
+    release(TokenId token)
+    {
+        setLive(token, false, kBinderIpcLatency);
+    }
     bool isHeld(TokenId token) const { return isLive(token); }
 
     // ---- Metrics --------------------------------------------------------
 
-    double heldSeconds(Uid uid);
-    double enabledSeconds(Uid uid);
+    double heldSeconds(Uid uid) { return totalsNow(uid).heldSeconds; }
+    double enabledSeconds(Uid uid) { return totalsNow(uid).enabledSeconds; }
     std::uint64_t
     acquireCount(Uid uid) const
     {
@@ -62,11 +77,10 @@ class WifiManagerService : public ResourceService<WifiLock>
     }
 
   private:
-    void advance() override;
+    void accrue(double dt) override;
     void apply() override;
 
     power::RadioModel &radio_;
-    sim::Time lastAdvance_;
 };
 
 } // namespace leaseos::os

@@ -9,36 +9,15 @@ namespace leaseos::power {
 GpsModel::GpsModel(sim::Simulator &sim, EnergyAccountant &accountant,
                    const DeviceProfile &profile)
     : PowerComponent(sim, accountant, profile, "gps"),
-      channel_(accountant.makeChannel("gps")),
-      lastAdvance_(sim.now())
+      channel_(accountant.makeChannel("gps"))
 {
     updatePower();
-}
-
-void
-GpsModel::advance()
-{
-    sim::Time now = sim_.now();
-    if (now <= lastAdvance_) {
-        lastAdvance_ = now;
-        return;
-    }
-    double dt = (now - lastAdvance_).seconds();
-    if (!owners_.empty()) {
-        double each = dt / static_cast<double>(owners_.size());
-        for (Uid u : owners_) {
-            if (state_ == State::Searching) searchSeconds_[u] += each;
-            else if (state_ == State::Tracking) trackSeconds_[u] += each;
-        }
-    }
-    lastAdvance_ = now;
 }
 
 void
 GpsModel::setState(State s)
 {
     if (s == state_) return;
-    advance();
     bool had_fix = hasFix();
     state_ = s;
     updatePower();
@@ -50,7 +29,6 @@ GpsModel::setState(State s)
 void
 GpsModel::reevaluate()
 {
-    advance();
     if (owners_.empty()) {
         if (fixEvent_ != sim::kInvalidEventId) {
             sim_.cancel(fixEvent_);
@@ -95,7 +73,6 @@ GpsModel::updatePower()
 void
 GpsModel::setRequestOwners(std::vector<Uid> owners)
 {
-    advance();
     owners_ = std::move(owners);
     reevaluate();
     // The state may be unchanged but the attribution set is new.
@@ -105,7 +82,6 @@ GpsModel::setRequestOwners(std::vector<Uid> owners)
 void
 GpsModel::setSignalGood(bool good)
 {
-    advance();
     signalGood_ = good;
     reevaluate();
 }
@@ -116,27 +92,10 @@ GpsModel::addFixListener(std::function<void(bool)> fn)
     fixListeners_.push_back(std::move(fn));
 }
 
-double
-GpsModel::searchSeconds(Uid uid)
-{
-    advance();
-    auto it = searchSeconds_.find(uid);
-    return it == searchSeconds_.end() ? 0.0 : it->second;
-}
-
-double
-GpsModel::trackSeconds(Uid uid)
-{
-    advance();
-    auto it = trackSeconds_.find(uid);
-    return it == trackSeconds_.end() ? 0.0 : it->second;
-}
-
-
 void
 GpsModel::saveState(sim::CheckpointWriter &w) const
 {
-    w.beginSection("gps", 1);
+    w.beginSection("gps", 2);
     w.u8(static_cast<std::uint8_t>(state_));
     w.u8(signalGood_ ? 1 : 0);
     bool fixPending =
@@ -144,9 +103,6 @@ GpsModel::saveState(sim::CheckpointWriter &w) const
     w.u8(fixPending ? 1 : 0);
     ckpt::writeUids(w, owners_);
     w.time(fixAcquireDelay_);
-    w.time(lastAdvance_);
-    ckpt::writeUidDoubleMap(w, searchSeconds_);
-    ckpt::writeUidDoubleMap(w, trackSeconds_);
     w.endSection();
 }
 

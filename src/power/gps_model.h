@@ -13,7 +13,6 @@
  */
 
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "power/component.h"
@@ -44,12 +43,6 @@ class GpsModel : public PowerComponent
     /** Invoked with true when a fix is acquired, false when lost. */
     void addFixListener(std::function<void(bool)> fn);
 
-    /** Time spent searching (no fix) attributed to @p uid, seconds. */
-    double searchSeconds(Uid uid);
-
-    /** Time spent tracking attributed to @p uid, seconds. */
-    double trackSeconds(Uid uid);
-
     /** Time needed from search start to fix under good signal. */
     sim::Time fixAcquireDelay() const { return fixAcquireDelay_; }
 
@@ -57,7 +50,6 @@ class GpsModel : public PowerComponent
     void saveState(sim::CheckpointWriter &w) const;
 
   private:
-    void advance();
     void reevaluate();
     void setState(State s);
     void updatePower();
@@ -69,12 +61,6 @@ class GpsModel : public PowerComponent
     sim::Time fixAcquireDelay_ = sim::Time::fromSeconds(8.0);
     sim::EventId fixEvent_ = sim::kInvalidEventId;
     std::vector<std::function<void(bool)>> fixListeners_;
-
-    sim::Time lastAdvance_;
-    // leaselint: allow(flat-map-hotpath) -- per-run stats, read at teardown
-    std::map<Uid, double> searchSeconds_;
-    // leaselint: allow(flat-map-hotpath) -- per-run stats, read at teardown
-    std::map<Uid, double> trackSeconds_;
 };
 
 } // namespace leaseos::power

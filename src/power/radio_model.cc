@@ -27,10 +27,6 @@ RadioModel::advance()
         return;
     }
     double dt = (now - lastAdvance_).seconds();
-    if (!wifiLockOwners_.empty()) {
-        double each = dt / static_cast<double>(wifiLockOwners_.size());
-        for (Uid u : wifiLockOwners_) wifiLockSeconds_[u] += each;
-    }
     for (const auto &[uid, count] : wifiActiveCount_)
         if (count > 0) wifiActiveSeconds_[uid] += dt;
     lastAdvance_ = now;
@@ -116,14 +112,6 @@ RadioModel::transferCell(Uid uid, std::uint64_t bytes)
 }
 
 double
-RadioModel::wifiLockSeconds(Uid uid)
-{
-    advance();
-    auto it = wifiLockSeconds_.find(uid);
-    return it == wifiLockSeconds_.end() ? 0.0 : it->second;
-}
-
-double
 RadioModel::wifiActiveSeconds(Uid uid)
 {
     advance();
@@ -135,14 +123,13 @@ RadioModel::wifiActiveSeconds(Uid uid)
 void
 RadioModel::saveState(sim::CheckpointWriter &w) const
 {
-    w.beginSection("radio", 1);
+    w.beginSection("radio", 2);
     ckpt::writeUids(w, wifiLockOwners_);
     w.i64(wifiActive_);
     ckpt::writeUids(w, wifiActiveUids_);
     w.i64(cellActive_);
     ckpt::writeUids(w, cellActiveUids_);
     w.time(lastAdvance_);
-    ckpt::writeUidDoubleMap(w, wifiLockSeconds_);
     ckpt::writeUidIntMap(w, wifiActiveCount_);
     ckpt::writeUidDoubleMap(w, wifiActiveSeconds_);
     w.endSection();

@@ -43,9 +43,6 @@ class RadioModel : public PowerComponent
 
     bool wifiBusy() const { return wifiActive_ > 0; }
 
-    /** Wi-Fi radio-on seconds attributed to @p uid through locks. */
-    double wifiLockSeconds(Uid uid);
-
     /** Seconds @p uid spent actively transferring over Wi-Fi. */
     double wifiActiveSeconds(Uid uid);
 
@@ -70,8 +67,6 @@ class RadioModel : public PowerComponent
     std::vector<Uid> cellActiveUids_;
 
     sim::Time lastAdvance_;
-    // leaselint: allow(flat-map-hotpath) -- per-run stats, read at teardown
-    std::map<Uid, double> wifiLockSeconds_;
     // leaselint: allow(flat-map-hotpath) -- per-run stats, read at teardown
     std::map<Uid, int> wifiActiveCount_;
     // leaselint: allow(flat-map-hotpath) -- per-run stats, read at teardown

@@ -180,9 +180,6 @@ TEST_F(LeaseManagerTest, ProxyRegistrationRules)
                      [](const Lease &) { return TermCounters{}; });
     // Type already registered by the runtime.
     EXPECT_FALSE(mgr.registerProxy(&extra));
-    EXPECT_FALSE(mgr.unregisterProxy(&extra));
-    EXPECT_TRUE(mgr.unregisterProxy(mgr.proxies().at(ResourceType::Wakelock)));
-    EXPECT_TRUE(mgr.registerProxy(&extra));
     EXPECT_FALSE(mgr.registerProxy(nullptr));
 }
 

@@ -11,31 +11,6 @@ namespace {
 using sim::operator""_s;
 using testing::OsFixture;
 
-struct RecordingListener : ResourceListener {
-    std::vector<std::string> events;
-
-    void
-    onCreated(TokenId, Uid) override
-    {
-        events.push_back("created");
-    }
-    void
-    onAcquired(TokenId, Uid) override
-    {
-        events.push_back("acquired");
-    }
-    void
-    onReleased(TokenId, Uid) override
-    {
-        events.push_back("released");
-    }
-    void
-    onDestroyed(TokenId, Uid) override
-    {
-        events.push_back("destroyed");
-    }
-};
-
 struct PowerManagerTest : OsFixture {
     PowerManagerService &pms = server.powerManager();
 };
@@ -135,19 +110,6 @@ TEST_F(PowerManagerTest, FullLockForcesScreenOn)
     EXPECT_GT(acc.uidEnergyMj(kApp), profile.screenBaseMw * 9.0);
     pms.release(t);
     EXPECT_FALSE(screen.isOn());
-}
-
-TEST_F(PowerManagerTest, ListenersObserveLifecycle)
-{
-    RecordingListener listener;
-    pms.addListener(&listener);
-    TokenId t = pms.newWakeLock(kApp, WakeLockType::Partial, "x");
-    pms.acquire(t);
-    pms.release(t);
-    pms.destroy(t);
-    EXPECT_EQ(listener.events,
-              (std::vector<std::string>{"created", "acquired", "released",
-                                        "destroyed"}));
 }
 
 TEST_F(PowerManagerTest, CountsAcquiresAndReleases)

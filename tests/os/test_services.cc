@@ -1,8 +1,13 @@
 /**
  * @file
- * Unit tests for sensor/wifi/display/alarm/activity services and the
- * exception note handler.
+ * Unit tests for sensor/wifi/display/alarm/activity services, the
+ * exception note handler, and the kernel-object lifecycle the six
+ * resource services share.
  */
+
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "os_fixture.h"
 
@@ -309,17 +314,162 @@ TEST_F(ActivityManagerTest, ExceptionCountsBySeverity)
     EXPECT_EQ(eh.severeCount(kApp2), 0u);
 }
 
-// ---- IPC accounting ----------------------------------------------------
+// ---- Kernel-object lifecycle (all six resource services) ---------------
 
-struct IpcTest : OsFixture {};
+struct RecordingListener : ResourceListener {
+    std::vector<std::string> events;
 
-TEST_F(IpcTest, ServicesCountInboundIpcs)
+    void
+    onCreated(TokenId, Uid) override
+    {
+        events.push_back("created");
+    }
+    void
+    onAcquired(TokenId, Uid) override
+    {
+        events.push_back("acquired");
+    }
+    void
+    onReleased(TokenId, Uid) override
+    {
+        events.push_back("released");
+    }
+    void
+    onDestroyed(TokenId, Uid) override
+    {
+        events.push_back("destroyed");
+    }
+};
+
+/** One resource service's four lifecycle calls, by their Android names. */
+struct LifecycleCase {
+    const char *service;
+    std::function<ResourceServiceBase &(SystemServer &)> get;
+    std::function<TokenId(SystemServer &)> create;
+    /** Null where creating the object also acquires it (subscriptions). */
+    std::function<void(SystemServer &, TokenId)> acquire;
+    std::function<void(SystemServer &, TokenId)> release;
+    std::function<void(SystemServer &, TokenId)> destroy;
+};
+
+struct LifecycleTest : OsFixture {
+    /** Run the queued IPC work, then report @p uid's CPU seconds. */
+    double
+    settledCpuSeconds(Uid uid)
+    {
+        sim.runFor(1_s);
+        return cpu.cpuSeconds(uid);
+    }
+};
+
+TEST_F(LifecycleTest, EveryServiceFollowsOneLifecycle)
 {
-    auto &pms = server.powerManager();
-    TokenId t = pms.newWakeLock(kApp, WakeLockType::Partial, "x");
-    pms.acquire(t);
-    pms.release(t);
-    EXPECT_EQ(pms.ipcCount(), 3u);
+    const LifecycleCase cases[] = {
+        {"power",
+         [](SystemServer &s) -> ResourceServiceBase & {
+             return s.powerManager();
+         },
+         [](SystemServer &s) {
+             return s.powerManager().newWakeLock(
+                 kApp, WakeLockType::Partial, "x");
+         },
+         [](SystemServer &s, TokenId t) { s.powerManager().acquire(t); },
+         [](SystemServer &s, TokenId t) { s.powerManager().release(t); },
+         [](SystemServer &s, TokenId t) { s.powerManager().destroy(t); }},
+        {"wifi",
+         [](SystemServer &s) -> ResourceServiceBase & {
+             return s.wifiManager();
+         },
+         [](SystemServer &s) {
+             return s.wifiManager().createWifiLock(kApp, "x");
+         },
+         [](SystemServer &s, TokenId t) { s.wifiManager().acquire(t); },
+         [](SystemServer &s, TokenId t) { s.wifiManager().release(t); },
+         [](SystemServer &s, TokenId t) { s.wifiManager().destroy(t); }},
+        {"location",
+         [](SystemServer &s) -> ResourceServiceBase & {
+             return s.locationManager();
+         },
+         [](SystemServer &s) {
+             return s.locationManager().requestLocationUpdates(kApp, 1_s,
+                                                               nullptr);
+         },
+         nullptr,
+         [](SystemServer &s, TokenId t) {
+             s.locationManager().removeUpdates(t);
+         },
+         [](SystemServer &s, TokenId t) { s.locationManager().destroy(t); }},
+        {"sensor",
+         [](SystemServer &s) -> ResourceServiceBase & {
+             return s.sensorManager();
+         },
+         [](SystemServer &s) {
+             return s.sensorManager().registerListener(
+                 kApp, power::SensorType::Accelerometer, 1_s, nullptr);
+         },
+         nullptr,
+         [](SystemServer &s, TokenId t) {
+             s.sensorManager().unregisterListener(t);
+         },
+         [](SystemServer &s, TokenId t) { s.sensorManager().destroy(t); }},
+        {"audio",
+         [](SystemServer &s) -> ResourceServiceBase & {
+             return s.audioSessions();
+         },
+         [](SystemServer &s) { return s.audioSessions().openSession(kApp); },
+         nullptr,
+         [](SystemServer &s, TokenId t) { s.audioSessions().closeSession(t); },
+         [](SystemServer &s, TokenId t) { s.audioSessions().destroy(t); }},
+        {"bluetooth",
+         [](SystemServer &s) -> ResourceServiceBase & {
+             return s.bluetoothService();
+         },
+         [](SystemServer &s) {
+             return s.bluetoothService().startScan(kApp, nullptr);
+         },
+         nullptr,
+         [](SystemServer &s, TokenId t) { s.bluetoothService().stopScan(t); },
+         [](SystemServer &s, TokenId t) {
+             s.bluetoothService().destroy(t);
+         }},
+    };
+    // Keep the CPU awake so every IPC's work shows up as app CPU time.
+    server.displayManager().userSetScreen(true);
+    // Added to every service in turn; the earlier ones must stay silent.
+    RecordingListener listener;
+
+    for (const LifecycleCase &c : cases) {
+        SCOPED_TRACE(c.service);
+        ResourceServiceBase &service = c.get(server);
+        listener.events.clear();
+        service.addListener(&listener);
+        std::uint64_t ipcs = service.ipcCount();
+
+        TokenId t = c.create(server);
+        EXPECT_EQ(service.ipcCount(), ++ipcs);
+        if (c.acquire) {
+            EXPECT_EQ(listener.events,
+                      (std::vector<std::string>{"created"}));
+            c.acquire(server, t);
+            EXPECT_EQ(service.ipcCount(), ++ipcs);
+        }
+        EXPECT_TRUE(service.isLive(t));
+        c.release(server, t);
+        EXPECT_EQ(service.ipcCount(), ++ipcs);
+        EXPECT_FALSE(service.isLive(t));
+
+        // Releasing again is a no-op: no IPC, no CPU time, no listener.
+        const double cpuSeconds = settledCpuSeconds(kApp);
+        c.release(server, t);
+        EXPECT_EQ(service.ipcCount(), ipcs);
+        EXPECT_EQ(settledCpuSeconds(kApp), cpuSeconds);
+
+        c.destroy(server, t);
+        EXPECT_EQ(service.ipcCount(), ipcs);
+        EXPECT_EQ(listener.events,
+                  (std::vector<std::string>{"created", "acquired",
+                                            "released", "destroyed"}));
+    }
 }
 
 } // namespace

@@ -95,9 +95,10 @@ TEST_F(ComponentFixture, GpsStaysSearchingWithBadSignal)
     gps.setRequestOwners({kApp});
     sim.runFor(60_s);
     EXPECT_EQ(gps.state(), GpsModel::State::Searching);
-    EXPECT_NEAR(gps.searchSeconds(kApp), 60.0, 1e-6);
+    EXPECT_FALSE(gps.hasFix());
+    // All 60 s were spent searching, billed to the requester.
     acc.sync();
-    EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.gpsSearchMw * 60.0, 1.0);
+    EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.gpsSearchMw * 60.0, 1e-6);
 }
 
 TEST_F(ComponentFixture, GpsSignalLossRegressesToSearching)
@@ -128,7 +129,14 @@ TEST_F(ComponentFixture, GpsTrackingCheaperThanSearching)
     GpsModel gps(sim, acc, profile);
     gps.setRequestOwners({kApp});
     sim.runFor(gps.fixAcquireDelay() + 100_s);
-    EXPECT_GT(gps.trackSeconds(kApp), 0.0);
+    EXPECT_EQ(gps.state(), GpsModel::State::Tracking);
+    EXPECT_TRUE(gps.hasFix());
+    // Searching until the fix, then 100 s of the cheaper tracking draw.
+    acc.sync();
+    EXPECT_NEAR(acc.uidEnergyMj(kApp),
+                profile.gpsSearchMw * gps.fixAcquireDelay().seconds() +
+                    profile.gpsTrackMw * 100.0,
+                1e-6);
     EXPECT_LT(profile.gpsTrackMw, profile.gpsSearchMw);
 }
 
@@ -150,7 +158,11 @@ TEST_F(ComponentFixture, WifiLockDrawAttributedToHolder)
     sim.runFor(100_s);
     acc.sync();
     EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.wifiLockMw * 100.0, 1e-6);
-    EXPECT_NEAR(radio.wifiLockSeconds(kApp), 100.0, 1e-9);
+    // Only the 100 s the lock was held are billed to the holder.
+    radio.setWifiLockOwners({});
+    sim.runFor(100_s);
+    acc.sync();
+    EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.wifiLockMw * 100.0, 1e-6);
 }
 
 TEST_F(ComponentFixture, WifiTransferBurst)

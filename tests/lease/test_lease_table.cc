@@ -22,6 +22,7 @@ TEST(LeaseTableTest, CreateAssignsUniqueIdsAndIndexes)
     EXPECT_EQ(table.findByToken(22), &b);
     EXPECT_EQ(table.find(999), nullptr);
     EXPECT_EQ(table.findByToken(999), nullptr);
+    EXPECT_TRUE(table.indexMatchesLeases());
 }
 
 TEST(LeaseTableTest, ReapRemovesBothIndexes)
@@ -34,6 +35,17 @@ TEST(LeaseTableTest, ReapRemovesBothIndexes)
     EXPECT_EQ(table.find(id), nullptr);
     EXPECT_EQ(table.findByToken(7), nullptr);
     table.reap(id); // double reap is safe
+    EXPECT_TRUE(table.indexMatchesLeases());
+}
+
+TEST(LeaseTableTest, SecondLeaseForOneTokenBreaksTheIndex)
+{
+    LeaseTable table;
+    table.create(ResourceType::Gps, 5, kFirstAppUid);
+    ASSERT_TRUE(table.indexMatchesLeases());
+    Lease &second = table.create(ResourceType::Gps, 5, kFirstAppUid);
+    EXPECT_EQ(table.findByToken(5), &second);
+    EXPECT_FALSE(table.indexMatchesLeases());
 }
 
 TEST(LeaseTableTest, CountInStateAndAll)

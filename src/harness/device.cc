@@ -1,6 +1,6 @@
 #include "harness/device.h"
 
-#include "sim/checkpoint.h"
+#include "sim/state_digest.h"
 
 namespace leaseos::harness {
 
@@ -135,42 +135,38 @@ Device::start()
     }
 }
 
-std::vector<std::uint8_t>
-Device::saveCheckpoint() const
+std::uint64_t
+Device::stateDigest() const
 {
-    sim::CheckpointWriter w;
-    w.beginSection("meta", 1);
-    w.u8(static_cast<std::uint8_t>(config_.mode));
-    w.u64(config_.seed);
-    w.str(config_.profile.name);
-    w.u8(config_.dvfsEnabled ? 1 : 0);
-    w.time(config_.profilerPeriod);
-    w.u64(apps_.size());
-    w.endSection();
+    sim::StateDigest d;
+    d.u8(static_cast<std::uint8_t>(config_.mode));
+    d.u64(config_.seed);
+    d.str(config_.profile.name);
+    d.u8(config_.dvfsEnabled ? 1 : 0);
+    d.time(config_.profilerPeriod);
+    d.u64(apps_.size());
 
-    sim_.saveState(w);
-    rng_.saveState(w);
-    accountant_->saveState(w);
-    battery_->saveState(w);
-    cpu_->saveState(w);
-    screen_->saveState(w);
-    gps_->saveState(w);
-    radio_->saveState(w);
-    sensors_->saveState(w);
-    audio_->saveState(w);
-    bluetooth_->saveState(w);
-    profiler_->saveState(w);
-    if (leaseos_) leaseos_->manager().saveState(w);
+    sim_.digestState(d);
+    rng_.digestState(d);
+    accountant_->digestState(d);
+    battery_->digestState(d);
+    cpu_->digestState(d);
+    screen_->digestState(d);
+    gps_->digestState(d);
+    radio_->digestState(d);
+    sensors_->digestState(d);
+    audio_->digestState(d);
+    bluetooth_->digestState(d);
+    profiler_->digestState(d);
+    if (leaseos_) leaseos_->manager().digestState(d);
 
     // Identity and liveness only: app behaviour state lives in closures.
-    w.beginSection("apps", 2);
     for (const auto &app : apps_) {
-        w.u32(static_cast<std::uint32_t>(app->uid()));
-        w.str(app->name());
-        w.u8(app->processAlive() ? 1 : 0);
+        d.u32(static_cast<std::uint32_t>(app->uid()));
+        d.str(app->name());
+        d.u8(app->processAlive() ? 1 : 0);
     }
-    w.endSection();
-    return w.finish();
+    return d.value();
 }
 
 void

@@ -202,18 +202,17 @@ class Device
      */
     void auditInvariants(analysis::InvariantOracle &oracle);
 
-    // ---- Checkpointing (DESIGN.md §11) ----------------------------------
+    // ---- State digest (DESIGN.md §11) -----------------------------------
 
     /**
-     * Serialize the device's explicit state — simulator clock, RNG
+     * FNV-1a-64 over the device's explicit state — simulator clock, RNG
      * stream, every power model's integrals, lease service (LeaseOS
-     * mode), and app identities — into one framed blob. Deterministic:
-     * equal device state yields byte-identical blobs, so the blob's
-     * digest is a per-interval state fingerprint that must agree across
-     * job counts. Save-only: OS-service tables and pending events are
-     * not captured, so a blob cannot rebuild a device.
+     * mode), and app identities — hashed in a fixed order. Equal device
+     * state gives an equal digest, so it is a per-interval fingerprint
+     * that must agree across job counts. OS-service tables and pending
+     * events are left out.
      */
-    std::vector<std::uint8_t> saveCheckpoint() const;
+    std::uint64_t stateDigest() const;
 
   private:
     DeviceConfig config_;

@@ -110,16 +110,13 @@ struct RunSpec {
 
     /**
      * State digests (DESIGN.md §11). When checkpointEvery is non-zero,
-     * the run saves a device checkpoint at every multiple of that
-     * interval (k·every ≤ duration, k ≥ 1); each one's {time, size,
-     * digest} lands in RunResult::checkpoints, and the blob itself is
-     * written to checkpointDir when that is non-empty (for tracereplay
-     * --checkpoint). The instants depend only on the spec, never on the
-     * job count or on how a ScenarioSession is stepped, so the digests
-     * of two runs of one spec must agree interval by interval.
+     * the run takes Device::stateDigest() at every multiple of that
+     * interval (k·every ≤ duration, k ≥ 1) and records {time, digest} in
+     * RunResult::checkpoints. The instants depend only on the spec, never
+     * on the job count or on how a ScenarioSession is stepped, so the
+     * digests of two runs of one spec must agree interval by interval.
      */
     sim::Time checkpointEvery;
-    std::string checkpointDir;
 
     // ---- Fluent helpers (keep spec lists declarative) -------------------
 
@@ -191,10 +188,9 @@ struct RunSpec {
         return *this;
     }
     RunSpec &
-    withCheckpoints(sim::Time every, std::string dir = {})
+    withCheckpoints(sim::Time every)
     {
         checkpointEvery = every;
-        checkpointDir = std::move(dir);
         return *this;
     }
 };
@@ -232,21 +228,20 @@ struct RunResult {
     std::uint64_t traceEventsRetained = 0;
     std::uint64_t traceEventsEmitted = 0;
 
-    /** One saved device checkpoint (RunSpec::checkpointEvery). */
-    struct CheckpointStat {
-        std::int64_t timeNanos = 0;   ///< sim time of the boundary
-        std::uint64_t sizeBytes = 0;  ///< framed blob size
-        std::uint64_t digest = 0;     ///< FNV-1a 64 over the payload
-        friend bool operator==(const CheckpointStat &,
-                               const CheckpointStat &) = default;
+    /** One state digest taken at a RunSpec::checkpointEvery boundary. */
+    struct Checkpoint {
+        std::int64_t timeNanos = 0; ///< sim time of the boundary
+        std::uint64_t digest = 0;   ///< Device::stateDigest() there
+        friend bool operator==(const Checkpoint &,
+                               const Checkpoint &) = default;
     };
 
     /**
-     * Checkpoints saved during the run, in time order. Equal across job
-     * counts for the same spec; the first differing digest between two
-     * runs names the interval where they diverged.
+     * State digests taken during the run, in time order. Equal across
+     * job counts for the same spec; the first differing digest between
+     * two runs names the interval where they diverged.
      */
-    std::vector<CheckpointStat> checkpoints;
+    std::vector<Checkpoint> checkpoints;
 
     /** Probe value by name; throws std::out_of_range if absent. */
     double probe(const std::string &probeName) const;

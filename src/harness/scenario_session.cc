@@ -1,41 +1,6 @@
 #include "harness/scenario_session.h"
 
-#include <cstdio>
-#include <filesystem>
-#include <string>
-#include <system_error>
-
-#include "sim/checkpoint.h"
-
 namespace leaseos::harness {
-
-namespace {
-
-/** The frame's stored payload digest (header offset 24, LE). */
-std::uint64_t
-frameDigest(const std::vector<std::uint8_t> &blob)
-{
-    std::uint64_t d = 0;
-    for (std::size_t i = 0; i < 8; ++i)
-        d |= static_cast<std::uint64_t>(blob[24 + i]) << (8 * i);
-    return d;
-}
-
-/** Run names ("w/o lease") become filesystem-safe blob stems. */
-std::string
-sanitizeName(const std::string &name)
-{
-    std::string out = name.empty() ? "run" : name;
-    for (char &c : out) {
-        bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                  (c >= '0' && c <= '9') || c == '-' || c == '_' ||
-                  c == '.';
-        if (!ok) c = '-';
-    }
-    return out;
-}
-
-} // namespace
 
 ScenarioSession::ScenarioSession(const RunSpec &spec,
                                  const DeviceConfig &config)
@@ -86,29 +51,8 @@ ScenarioSession::advanceTo(sim::Time target)
         }
         sim.run(next);
         if (every.nanos() > 0 && sim.now().nanos() % every.nanos() == 0)
-            emitCheckpoint();
-    }
-}
-
-void
-ScenarioSession::emitCheckpoint()
-{
-    std::vector<std::uint8_t> blob = device_->saveCheckpoint();
-    RunResult::CheckpointStat stat;
-    stat.timeNanos = device_->simulator().now().nanos();
-    stat.sizeBytes = blob.size();
-    stat.digest = frameDigest(blob);
-    checkpoints_.push_back(stat);
-    if (!spec_->checkpointDir.empty()) {
-        std::error_code ec; // best-effort, like the write warning below
-        std::filesystem::create_directories(spec_->checkpointDir, ec);
-        std::string path = spec_->checkpointDir + "/" +
-                           sanitizeName(spec_->name) + "-ckpt-" +
-                           std::to_string(checkpoints_.size() - 1) +
-                           ".ckpt";
-        if (!sim::writeCheckpointFile(path, blob))
-            std::fprintf(stderr, "warning: cannot write checkpoint %s\n",
-                         path.c_str());
+            checkpoints_.push_back(
+                {sim.now().nanos(), device_->stateDigest()});
     }
 }
 

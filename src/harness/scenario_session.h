@@ -12,10 +12,10 @@
  * a discrete-event simulator satisfies run(T1); run(T2) ≡ run(T2), so the
  * result does not depend on the step sizes.
  *
- * Checkpoint digests are emitted whenever the clock reaches a multiple of
+ * A state digest is taken whenever the clock reaches a multiple of
  * RunSpec::checkpointEvery, regardless of how advanceTo() calls step
- * through the timeline; since equal device state serializes to
- * byte-identical blobs, the digests fingerprint each interval.
+ * through the timeline; since equal device state gives an equal digest,
+ * the digests fingerprint each interval.
  */
 
 #include <cstdint>
@@ -29,7 +29,7 @@
 namespace leaseos::harness {
 
 /**
- * A scenario mid-run: device, telemetry sinks, and checkpoint cursor.
+ * A scenario mid-run: device, telemetry sinks, and state digests so far.
  * Thread-local telemetry is installed on the constructing thread, so a
  * session must be advanced and finished on that thread.
  */
@@ -49,7 +49,7 @@ class ScenarioSession
 
     /**
      * Run virtual time forward to @p target (absolute; clamped to the
-     * spec duration), emitting a checkpoint at every multiple of
+     * spec duration), taking a state digest at every multiple of
      * checkpointEvery crossed on the way.
      */
     void advanceTo(sim::Time target);
@@ -63,15 +63,13 @@ class ScenarioSession
     RunResult finish();
 
   private:
-    void emitCheckpoint();
-
     const RunSpec *spec_;
     DeviceConfig config_;
     std::unique_ptr<TelemetryScope> telemetry_;
     std::unique_ptr<Device> device_;
     std::vector<Uid> uids_;
     sim::PeriodicHandle glanceTick_;
-    std::vector<RunResult::CheckpointStat> checkpoints_;
+    std::vector<RunResult::Checkpoint> checkpoints_;
 };
 
 } // namespace leaseos::harness

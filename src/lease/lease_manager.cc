@@ -1,6 +1,6 @@
 #include "lease/lease_manager.h"
 
-#include "sim/checkpoint.h"
+#include "sim/state_digest.h"
 
 #include "analysis/invariants.h"
 #include "lease/utility/generic_utility.h"
@@ -485,29 +485,27 @@ LeaseManagerService::lastBehavior(LeaseId id) const
 
 
 void
-LeaseManagerService::saveState(sim::CheckpointWriter &w) const
+LeaseManagerService::digestState(sim::StateDigest &d) const
 {
-    w.beginSection("leases", 1);
-    table_.saveState(w);
-    w.u64(reputations_.size());
+    table_.digestState(d);
+    d.u64(reputations_.size());
     for (const auto &[key, rep] : reputations_) {
-        w.u32(static_cast<std::uint32_t>(key.first));
-        w.u8(static_cast<std::uint8_t>(key.second));
-        w.i64(rep.consecutiveMisbehaved);
-        w.time(rep.diedAt);
+        d.u32(static_cast<std::uint32_t>(key.first));
+        d.u8(static_cast<std::uint8_t>(key.second));
+        d.i64(rep.consecutiveMisbehaved);
+        d.time(rep.diedAt);
     }
-    w.u64(totalDeferrals_);
-    w.u64(totalRenewals_);
-    w.u64(termChecks_);
-    w.f64(totalDeferralSeconds_);
-    w.u64(behaviorCounts_.size());
+    d.u64(totalDeferrals_);
+    d.u64(totalRenewals_);
+    d.u64(termChecks_);
+    d.f64(totalDeferralSeconds_);
+    d.u64(behaviorCounts_.size());
     for (const auto &[behavior, count] : behaviorCounts_) {
-        w.u8(static_cast<std::uint8_t>(behavior));
-        w.u64(count);
+        d.u8(static_cast<std::uint8_t>(behavior));
+        d.u64(count);
     }
-    lifespans_.saveState(w);
-    termCounts_.saveState(w);
-    w.endSection();
+    lifespans_.digestState(d);
+    termCounts_.digestState(d);
 }
 
 } // namespace leaseos::lease

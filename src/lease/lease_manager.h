@@ -133,10 +133,10 @@ class LeaseManagerService
     }
 
     /**
-     * Serialize the lease table, reputations, and counters as a
-     * "leases" section (DESIGN.md §11).
+     * Hash the lease table, reputations, and counters into @p d
+     * (DESIGN.md §11).
      */
-    void saveState(sim::CheckpointWriter &w) const;
+    void digestState(sim::StateDigest &d) const;
 
   private:
     LeaseProxy *proxyFor(ResourceType rtype) const;

@@ -1,16 +1,14 @@
 #include "power/audio_model.h"
 
-#include "power/checkpoint_io.h"
+#include "sim/state_digest.h"
 
 namespace leaseos::power {
 
 void
-AudioModel::saveState(sim::CheckpointWriter &w) const
+AudioModel::digestState(sim::StateDigest &d) const
 {
-    w.beginSection("audio", 1);
-    w.u64(players_.size());
-    for (Uid u : players_) w.u32(static_cast<std::uint32_t>(u));
-    w.endSection();
+    d.u64(players_.size());
+    for (Uid u : players_) d.u32(static_cast<std::uint32_t>(u));
 }
 
 } // namespace leaseos::power

@@ -41,8 +41,8 @@ class AudioModel : public PowerComponent
     bool playing() const { return !players_.empty(); }
     bool playing(Uid uid) const { return players_.count(uid) != 0; }
 
-    /** Serialize open players as an "audio" section (DESIGN.md §11). */
-    void saveState(sim::CheckpointWriter &w) const;
+    /** Hash the open players (DESIGN.md §11). */
+    void digestState(sim::StateDigest &d) const;
 
   private:
     void

@@ -1,15 +1,13 @@
 #include "power/battery.h"
 
-#include "sim/checkpoint.h"
+#include "sim/state_digest.h"
 
 namespace leaseos::power {
 
 void
-Battery::saveState(sim::CheckpointWriter &w) const
+Battery::digestState(sim::StateDigest &d) const
 {
-    w.beginSection("battery", 1);
-    w.f64(baseMj_);
-    w.endSection();
+    d.f64(baseMj_);
 }
 
 } // namespace leaseos::power

@@ -66,8 +66,8 @@ class Battery
         baseMj_ = accountant_.totalEnergyMj();
     }
 
-    /** Serialize the recharge baseline as a "battery" section. */
-    void saveState(sim::CheckpointWriter &w) const;
+    /** Hash the recharge baseline (DESIGN.md §11). */
+    void digestState(sim::StateDigest &d) const;
 
   private:
     EnergyAccountant &accountant_;

@@ -1,17 +1,19 @@
 #include "power/bluetooth_model.h"
 
-#include "power/checkpoint_io.h"
+#include "sim/state_digest.h"
 
 namespace leaseos::power {
 
 void
-BluetoothModel::saveState(sim::CheckpointWriter &w) const
+BluetoothModel::digestState(sim::StateDigest &d) const
 {
-    w.beginSection("bt", 1);
-    ckpt::writeUids(w, owners_);
-    w.time(lastAdvance_);
-    ckpt::writeUidDoubleMap(w, scanSeconds_);
-    w.endSection();
+    d.u32s(owners_);
+    d.time(lastAdvance_);
+    d.u64(scanSeconds_.size());
+    for (const auto &[uid, seconds] : scanSeconds_) {
+        d.u32(static_cast<std::uint32_t>(uid));
+        d.f64(seconds);
+    }
 }
 
 } // namespace leaseos::power

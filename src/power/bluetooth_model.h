@@ -92,8 +92,8 @@ class BluetoothModel : public PowerComponent
     std::map<Uid, double> scanSeconds_;
 
   public:
-    /** Serialize scan state as a "bt" section (DESIGN.md §11). */
-    void saveState(sim::CheckpointWriter &w) const;
+    /** Hash the scan state (DESIGN.md §11). */
+    void digestState(sim::StateDigest &d) const;
 };
 
 } // namespace leaseos::power

@@ -1,6 +1,6 @@
 #include "power/cpu_model.h"
 
-#include "power/checkpoint_io.h"
+#include "sim/state_digest.h"
 
 #include <algorithm>
 #include <utility>
@@ -307,40 +307,38 @@ CpuModel::asleepSeconds()
 
 
 void
-CpuModel::saveState(sim::CheckpointWriter &w) const
+CpuModel::digestState(sim::StateDigest &d) const
 {
-    w.beginSection("cpu", 1);
-    ckpt::writeUids(w, wakelockOwners_);
-    ckpt::writeUids(w, audioOwners_);
-    w.u8(screenOn_ ? 1 : 0);
-    w.i64(wakeWindows_);
-    w.u8(awake_ ? 1 : 0);
-    w.u64(tasks_.size());
+    d.u32s(wakelockOwners_);
+    d.u32s(audioOwners_);
+    d.u8(screenOn_ ? 1 : 0);
+    d.i64(wakeWindows_);
+    d.u8(awake_ ? 1 : 0);
+    d.u64(tasks_.size());
     for (std::size_t i = 0; i < tasks_.size(); ++i) {
-        w.u64(tasks_[i].first);
-        w.u32(static_cast<std::uint32_t>(tasks_[i].second.uid));
-        w.f64(tasks_[i].second.load);
+        d.u64(tasks_[i].first);
+        d.u32(static_cast<std::uint32_t>(tasks_[i].second.uid));
+        d.f64(tasks_[i].second.load);
     }
-    w.u64(nextToken_);
-    w.u64(wakeWaiters_.size()); // diagnostics; closures, not capturable
-    w.u8(dvfsEnabled_ ? 1 : 0);
-    w.u64(dvfsLevel_);
-    w.u64(levelSeconds_.size());
-    for (double s : levelSeconds_) w.f64(s);
-    w.time(lastAdvance_);
-    auto writeUidDoubles =
-        [&w](const common::InlineVec<std::pair<Uid, double>, 8> &v) {
-            w.u64(v.size());
+    d.u64(nextToken_);
+    d.u64(wakeWaiters_.size()); // diagnostics; closures, not capturable
+    d.u8(dvfsEnabled_ ? 1 : 0);
+    d.u64(dvfsLevel_);
+    d.u64(levelSeconds_.size());
+    for (double s : levelSeconds_) d.f64(s);
+    d.time(lastAdvance_);
+    auto digestUidDoubles =
+        [&d](const common::InlineVec<std::pair<Uid, double>, 8> &v) {
+            d.u64(v.size());
             for (std::size_t i = 0; i < v.size(); ++i) {
-                w.u32(static_cast<std::uint32_t>(v[i].first));
-                w.f64(v[i].second);
+                d.u32(static_cast<std::uint32_t>(v[i].first));
+                d.f64(v[i].second);
             }
         };
-    writeUidDoubles(cpuSeconds_);
-    writeUidDoubles(normalizedCpuSeconds_);
-    w.f64(awakeSeconds_);
-    w.f64(asleepSeconds_);
-    w.endSection();
+    digestUidDoubles(cpuSeconds_);
+    digestUidDoubles(normalizedCpuSeconds_);
+    d.f64(awakeSeconds_);
+    d.f64(asleepSeconds_);
 }
 
 } // namespace leaseos::power

@@ -132,11 +132,11 @@ class CpuModel : public PowerComponent
     double asleepSeconds();
 
     /**
-     * Serialize wake sources, tasks, DVFS, and the per-uid integrals as
-     * a "cpu" section (DESIGN.md §11). Parked wake waiters are counted
-     * but not captured (they are closures).
+     * Hash wake sources, tasks, DVFS, and the per-uid integrals
+     * (DESIGN.md §11). Parked wake waiters are counted but not hashed
+     * (they are closures).
      */
-    void saveState(sim::CheckpointWriter &w) const;
+    void digestState(sim::StateDigest &d) const;
 
   private:
     struct Task {

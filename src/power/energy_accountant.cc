@@ -4,7 +4,7 @@
 #include <cassert>
 
 #include "obs/trace.h"
-#include "sim/checkpoint.h"
+#include "sim/state_digest.h"
 
 namespace leaseos::power {
 
@@ -181,30 +181,28 @@ EnergyAccountant::knownUids() const
 }
 
 void
-EnergyAccountant::saveState(sim::CheckpointWriter &w) const
+EnergyAccountant::digestState(sim::StateDigest &d) const
 {
-    w.beginSection("energy", 1);
-    w.time(lastSync_);
-    w.f64(totalMj_);
-    w.u64(uids_.size());
+    d.time(lastSync_);
+    d.f64(totalMj_);
+    d.u64(uids_.size());
     for (std::size_t i = 0; i < uids_.size(); ++i) {
-        w.u32(static_cast<std::uint32_t>(uids_[i]));
-        w.f64(uidMj_[i]);
+        d.u32(static_cast<std::uint32_t>(uids_[i]));
+        d.f64(uidMj_[i]);
     }
-    w.u64(channels_.size());
+    d.u64(channels_.size());
     for (const Channel &c : channels_) {
-        w.str(c.name);
-        w.f64(c.energyMj);
-        w.u64(c.uidMj.size());
-        for (double mj : c.uidMj) w.f64(mj);
-        w.u64(c.shares.size());
+        d.str(c.name);
+        d.f64(c.energyMj);
+        d.u64(c.uidMj.size());
+        for (double mj : c.uidMj) d.f64(mj);
+        d.u64(c.shares.size());
         for (std::size_t i = 0; i < c.shares.size(); ++i) {
-            w.u32(static_cast<std::uint32_t>(c.shares[i].uid));
-            w.u32(c.shares[i].slot);
-            w.f64(c.shares[i].mw);
+            d.u32(static_cast<std::uint32_t>(c.shares[i].uid));
+            d.u32(c.shares[i].slot);
+            d.f64(c.shares[i].mw);
         }
     }
-    w.endSection();
 }
 
 } // namespace leaseos::power

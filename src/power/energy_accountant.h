@@ -135,13 +135,12 @@ class EnergyAccountant
     std::vector<Uid> knownUids() const;
 
     /**
-     * Serialize the raw integrals, uid-slot table, and current shares as
-     * an "energy" section (DESIGN.md §11). Deliberately does NOT sync()
-     * first: splitting an integration interval changes floating-point
-     * sums, so a checkpoint must capture the integrals exactly as the
-     * running device holds them.
+     * Hash the raw integrals, uid-slot table, and current shares
+     * (DESIGN.md §11). Deliberately does NOT sync() first: splitting an
+     * integration interval changes floating-point sums, so a digest must
+     * take the integrals exactly as the running device holds them.
      */
-    void saveState(sim::CheckpointWriter &w) const;
+    void digestState(sim::StateDigest &d) const;
 
   private:
     /** One attribution entry; the uid's dense slot is cached at set time. */

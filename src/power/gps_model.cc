@@ -1,6 +1,6 @@
 #include "power/gps_model.h"
 
-#include "power/checkpoint_io.h"
+#include "sim/state_digest.h"
 
 #include <utility>
 
@@ -93,17 +93,15 @@ GpsModel::addFixListener(std::function<void(bool)> fn)
 }
 
 void
-GpsModel::saveState(sim::CheckpointWriter &w) const
+GpsModel::digestState(sim::StateDigest &d) const
 {
-    w.beginSection("gps", 2);
-    w.u8(static_cast<std::uint8_t>(state_));
-    w.u8(signalGood_ ? 1 : 0);
+    d.u8(static_cast<std::uint8_t>(state_));
+    d.u8(signalGood_ ? 1 : 0);
     bool fixPending =
         fixEvent_ != sim::kInvalidEventId && sim_.pending(fixEvent_);
-    w.u8(fixPending ? 1 : 0);
-    ckpt::writeUids(w, owners_);
-    w.time(fixAcquireDelay_);
-    w.endSection();
+    d.u8(fixPending ? 1 : 0);
+    d.u32s(owners_);
+    d.time(fixAcquireDelay_);
 }
 
 } // namespace leaseos::power

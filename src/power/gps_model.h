@@ -46,8 +46,8 @@ class GpsModel : public PowerComponent
     /** Time needed from search start to fix under good signal. */
     sim::Time fixAcquireDelay() const { return fixAcquireDelay_; }
 
-    /** Serialize receiver state as a "gps" section (DESIGN.md §11). */
-    void saveState(sim::CheckpointWriter &w) const;
+    /** Hash the receiver state (DESIGN.md §11). */
+    void digestState(sim::StateDigest &d) const;
 
   private:
     void reevaluate();

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "sim/checkpoint.h"
+#include "sim/state_digest.h"
 
 namespace leaseos::power {
 
@@ -70,21 +70,19 @@ PowerProfiler::averageTotalPowerMw() const
 }
 
 void
-PowerProfiler::saveState(sim::CheckpointWriter &w) const
+PowerProfiler::digestState(sim::StateDigest &d) const
 {
-    w.beginSection("profiler", 1);
-    w.u8(running_ ? 1 : 0);
-    w.time(period_);
-    w.f64(lastTotalMj_);
-    total_.saveState(w);
-    w.u64(perUid_.size());
+    d.u8(running_ ? 1 : 0);
+    d.time(period_);
+    d.f64(lastTotalMj_);
+    total_.digestState(d);
+    d.u64(perUid_.size());
     for (const auto &[uid, series] : perUid_) {
-        w.u32(static_cast<std::uint32_t>(uid));
+        d.u32(static_cast<std::uint32_t>(uid));
         auto it = lastUidMj_.find(uid);
-        w.f64(it == lastUidMj_.end() ? 0.0 : it->second);
-        series.saveState(w);
+        d.f64(it == lastUidMj_.end() ? 0.0 : it->second);
+        series.digestState(d);
     }
-    w.endSection();
 }
 
 } // namespace leaseos::power

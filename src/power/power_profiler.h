@@ -60,10 +60,9 @@ class PowerProfiler
     sim::Time period() const { return period_; }
 
     /**
-     * Serialize the sampled series and interval baselines as a
-     * "profiler" section (DESIGN.md §11).
+     * Hash the sampled series and interval baselines (DESIGN.md §11).
      */
-    void saveState(sim::CheckpointWriter &w) const;
+    void digestState(sim::StateDigest &d) const;
 
   private:
     void sample();

@@ -1,6 +1,6 @@
 #include "power/radio_model.h"
 
-#include "power/checkpoint_io.h"
+#include "sim/state_digest.h"
 
 #include <algorithm>
 #include <utility>
@@ -121,18 +121,24 @@ RadioModel::wifiActiveSeconds(Uid uid)
 
 
 void
-RadioModel::saveState(sim::CheckpointWriter &w) const
+RadioModel::digestState(sim::StateDigest &d) const
 {
-    w.beginSection("radio", 2);
-    ckpt::writeUids(w, wifiLockOwners_);
-    w.i64(wifiActive_);
-    ckpt::writeUids(w, wifiActiveUids_);
-    w.i64(cellActive_);
-    ckpt::writeUids(w, cellActiveUids_);
-    w.time(lastAdvance_);
-    ckpt::writeUidIntMap(w, wifiActiveCount_);
-    ckpt::writeUidDoubleMap(w, wifiActiveSeconds_);
-    w.endSection();
+    d.u32s(wifiLockOwners_);
+    d.i64(wifiActive_);
+    d.u32s(wifiActiveUids_);
+    d.i64(cellActive_);
+    d.u32s(cellActiveUids_);
+    d.time(lastAdvance_);
+    d.u64(wifiActiveCount_.size());
+    for (const auto &[uid, count] : wifiActiveCount_) {
+        d.u32(static_cast<std::uint32_t>(uid));
+        d.i64(count);
+    }
+    d.u64(wifiActiveSeconds_.size());
+    for (const auto &[uid, seconds] : wifiActiveSeconds_) {
+        d.u32(static_cast<std::uint32_t>(uid));
+        d.f64(seconds);
+    }
 }
 
 } // namespace leaseos::power

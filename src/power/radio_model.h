@@ -50,8 +50,8 @@ class RadioModel : public PowerComponent
 
     sim::Time transferCell(Uid uid, std::uint64_t bytes);
 
-    /** Serialize radio state as a "radio" section (DESIGN.md §11). */
-    void saveState(sim::CheckpointWriter &w) const;
+    /** Hash the radio state (DESIGN.md §11). */
+    void digestState(sim::StateDigest &d) const;
 
   private:
     void advance();

@@ -1,17 +1,15 @@
 #include "power/screen_model.h"
 
-#include "power/checkpoint_io.h"
+#include "sim/state_digest.h"
 
 namespace leaseos::power {
 
 void
-ScreenModel::saveState(sim::CheckpointWriter &w) const
+ScreenModel::digestState(sim::StateDigest &d) const
 {
-    w.beginSection("screen", 1);
-    w.u8(on_ ? 1 : 0);
-    w.f64(brightness_);
-    ckpt::writeUids(w, owners_);
-    w.endSection();
+    d.u8(on_ ? 1 : 0);
+    d.f64(brightness_);
+    d.u32s(owners_);
 }
 
 } // namespace leaseos::power

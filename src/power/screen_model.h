@@ -56,8 +56,8 @@ class ScreenModel : public PowerComponent
     bool isOn() const { return on_; }
     double brightness() const { return brightness_; }
 
-    /** Serialize panel state as a "screen" section (DESIGN.md §11). */
-    void saveState(sim::CheckpointWriter &w) const;
+    /** Hash the panel state (DESIGN.md §11). */
+    void digestState(sim::StateDigest &d) const;
 
   private:
     void

@@ -1,6 +1,6 @@
 #include "power/sensor_model.h"
 
-#include "power/checkpoint_io.h"
+#include "sim/state_digest.h"
 
 #include <algorithm>
 
@@ -113,17 +113,15 @@ SensorModel::users(SensorType type) const
 
 
 void
-SensorModel::saveState(sim::CheckpointWriter &w) const
+SensorModel::digestState(sim::StateDigest &d) const
 {
-    w.beginSection("sensors", 1);
     for (const UserList &users : uses_) {
-        w.u64(users.size());
+        d.u64(users.size());
         for (std::size_t i = 0; i < users.size(); ++i) {
-            w.u32(static_cast<std::uint32_t>(users[i].first));
-            w.i64(users[i].second);
+            d.u32(static_cast<std::uint32_t>(users[i].first));
+            d.i64(users[i].second);
         }
     }
-    w.endSection();
 }
 
 } // namespace leaseos::power

@@ -45,8 +45,8 @@ class SensorModel : public PowerComponent
     /** Power draw of one sensor type from the device profile. */
     double sensorMw(SensorType type) const;
 
-    /** Serialize registrations as a "sensors" section (DESIGN.md §11). */
-    void saveState(sim::CheckpointWriter &w) const;
+    /** Hash the registrations (DESIGN.md §11). */
+    void digestState(sim::StateDigest &d) const;
 
   private:
     /** Registered (uid, count) pairs kept sorted by uid. */

@@ -23,7 +23,7 @@
 
 namespace leaseos::sim {
 
-class CheckpointWriter;
+class StateDigest;
 
 /**
  * Seeded pseudo-random generator with simulation-friendly helpers.
@@ -75,11 +75,11 @@ class RandomSource
     std::mt19937_64 &engine() { return rng_; }
 
     /**
-     * Serialize the engine's exact position in its stream as an "rng"
-     * section (DESIGN.md §11), via the standard mt19937_64 stream
-     * representation under the classic locale.
+     * Hash the engine's exact position in its stream (DESIGN.md §11),
+     * via the standard mt19937_64 stream representation under the
+     * classic locale.
      */
-    void saveState(CheckpointWriter &w) const;
+    void digestState(StateDigest &d) const;
 
   private:
     std::mt19937_64 rng_;

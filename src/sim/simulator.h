@@ -27,7 +27,7 @@
 
 namespace leaseos::sim {
 
-class CheckpointWriter;
+class StateDigest;
 class Simulator;
 
 namespace detail {
@@ -161,10 +161,10 @@ class Simulator
     std::uint64_t executedEvents() const { return executed_; }
 
     /**
-     * Serialize the clock and event counter as a "sim" section
-     * (DESIGN.md §11). Pending events are closures and are not captured.
+     * Hash the clock and event counter (DESIGN.md §11). Pending events
+     * are closures and are left out.
      */
-    void saveState(CheckpointWriter &w) const;
+    void digestState(StateDigest &d) const;
 
   private:
     EventQueue queue_;

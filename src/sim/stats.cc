@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/checkpoint.h"
+#include "sim/state_digest.h"
 
 namespace leaseos::sim {
 
@@ -38,14 +38,14 @@ Accumulator::stddev() const
 }
 
 void
-Accumulator::saveState(CheckpointWriter &w) const
+Accumulator::digestState(StateDigest &d) const
 {
-    w.u64(n_);
-    w.f64(mean_);
-    w.f64(m2_);
-    w.f64(sum_);
-    w.f64(min_);
-    w.f64(max_);
+    d.u64(n_);
+    d.f64(mean_);
+    d.f64(m2_);
+    d.f64(sum_);
+    d.f64(min_);
+    d.f64(max_);
 }
 
 } // namespace leaseos::sim

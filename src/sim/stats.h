@@ -12,7 +12,7 @@
 
 namespace leaseos::sim {
 
-class CheckpointWriter;
+class StateDigest;
 
 /**
  * Streaming sample statistics (Welford's algorithm for variance).
@@ -31,8 +31,8 @@ class Accumulator
     double variance() const;
     double stddev() const;
 
-    /** Raw-field serialization (embedded in the owner's section). */
-    void saveState(CheckpointWriter &w) const;
+    /** Hash the raw fields. */
+    void digestState(StateDigest &d) const;
 
   private:
     std::uint64_t n_ = 0;

@@ -5,17 +5,17 @@
 #include <map>
 #include <sstream>
 
-#include "sim/checkpoint.h"
+#include "sim/state_digest.h"
 
 namespace leaseos::sim {
 
 void
-TimeSeries::saveState(CheckpointWriter &w) const
+TimeSeries::digestState(StateDigest &d) const
 {
-    w.u64(points_.size());
+    d.u64(points_.size());
     for (const auto &p : points_) {
-        w.time(p.t);
-        w.f64(p.value);
+        d.time(p.t);
+        d.f64(p.value);
     }
 }
 

@@ -19,7 +19,7 @@
 
 namespace leaseos::sim {
 
-class CheckpointWriter;
+class StateDigest;
 
 /**
  * Ordered sequence of (timestamp, value) samples.
@@ -46,8 +46,8 @@ class TimeSeries
     double max() const;
     double min() const;
 
-    /** Raw-point serialization (embedded in the owner's section). */
-    void saveState(CheckpointWriter &w) const;
+    /** Hash the point count, then every raw point. */
+    void digestState(StateDigest &d) const;
 
   private:
     std::string name_;

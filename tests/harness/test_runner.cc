@@ -2,7 +2,7 @@
  * @file
  * Tests for the parallel experiment engine: scenario runs, deterministic
  * seed derivation, ordered collection, and bit-identical results
- * (checkpoint digests included) across worker-pool sizes.
+ * (per-interval state digests included) across worker-pool sizes.
  */
 
 #include <gtest/gtest.h>
@@ -126,8 +126,8 @@ TEST(RunScenarioTest, MitigationCellSpecDescribesTheStandardCell)
 
 TEST(ParallelRunnerTest, ResultsIdenticalAcrossJobCounts)
 {
-    // Per-minute checkpoints: jobs=1 vs jobs=8 also compares every
-    // interval's state digest, not only the end-of-run numbers.
+    // Per-minute state digests: jobs=1 vs jobs=8 also compares every
+    // interval's full state, not only the end-of-run numbers.
     std::vector<RunSpec> specs = sampleSpecs();
     for (RunSpec &spec : specs) spec.withCheckpoints(1_min);
 

@@ -1,6 +1,6 @@
-// Fixture: the clean counterpart of unordered_save.cc — serialization
-// walks an ordered std::map plus an install-order vector, so blob bytes
-// are a pure function of state. Display path src/power/fix/ordered_save.cc.
+// Fixture: the clean counterpart of unordered_save.cc — the digest walks
+// an ordered std::map plus an install-order vector, so it is a pure
+// function of state. Display path src/power/fix/ordered_save.cc.
 
 #include <cstdint>
 #include <map>
@@ -8,14 +8,14 @@
 
 namespace fix {
 
-struct CheckpointWriter;
+struct StateDigest;
 
 struct ShareTable {
     std::map<std::int32_t, double> mwByUid;
     std::vector<std::int32_t> uidsInInstallOrder;
 
     void
-    saveState(CheckpointWriter &w) const
+    digestState(StateDigest &d) const
     {
         for (const auto &[uid, mw] : mwByUid) {
             (void)uid;

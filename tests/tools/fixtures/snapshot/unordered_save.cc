@@ -1,7 +1,7 @@
-// Fixture: a component saveState() that serializes by iterating a
-// std::unordered_map — the canonical checkpoint hazard. Blob bytes would
-// follow hash/bucket order, which varies across libstdc++ versions and
-// ASLR, so "equal state => byte-identical blobs" (DESIGN.md §11) breaks
+// Fixture: a component digestState() that hashes by iterating a
+// std::unordered_map — the canonical state-digest hazard. The digest
+// would follow hash/bucket order, which varies across libstdc++ versions
+// and ASLR, so "equal state => equal digest" (DESIGN.md §11) breaks
 // silently. Display path src/power/fix/unordered_save.cc (the
 // determinism rule only audits src/ and bench/).
 
@@ -10,13 +10,13 @@
 
 namespace fix {
 
-struct CheckpointWriter;
+struct StateDigest;
 
 struct ShareTable {
     std::unordered_map<std::int32_t, double> mwByUid; // flagged
 
     void
-    saveState(CheckpointWriter &w) const
+    digestState(StateDigest &d) const
     {
         for (const auto &[uid, mw] : mwByUid) { // iteration order leaks
             (void)uid;

@@ -439,9 +439,9 @@ TEST(DeterminismRule, SuppressionSilencesButCounts)
 
 TEST(DeterminismRule, FlagsUnorderedIterationOnSnapshotPath)
 {
-    // The checkpoint hazard (DESIGN.md §11): a saveState() that walks a
-    // std::unordered_map serializes hash order straight into blob bytes,
-    // breaking "equal state => byte-identical blobs" across hosts.
+    // The state-digest hazard (DESIGN.md §11): a digestState() that walks
+    // a std::unordered_map hashes in bucket order, breaking "equal state
+    // => equal digest" across hosts.
     std::vector<SourceFile> files;
     files.push_back(fixture("snapshot/unordered_save.cc",
                             "src/power/fix/unordered_save.cc"));

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -20,9 +19,7 @@
 #include "apps/registry.h"
 #include "harness/experiment.h"
 #include "harness/runner.h"
-#include "sim/checkpoint.h"
 #include "support/minijson.h"
-#include "tracereplay/checkpoint_view.h"
 #include "tracereplay/replay.h"
 
 namespace leaseos::tracereplay {
@@ -357,147 +354,6 @@ TEST(TraceReplayTest, TracedCellRunIsDeterministic)
     // contract (and the file round-trip) still holds.
     EXPECT_TRUE(first.events.empty());
 #endif
-}
-
-TEST(CheckpointViewTest, LoadsBlobWrittenByHarnessRun)
-{
-    ScratchDir dir("leaseos_replay_ckpt");
-    harness::MitigationRunOptions opt;
-    opt.duration = sim::Time::fromMinutes(5.0);
-    harness::RunSpec spec = harness::mitigationCellSpec(
-        apps::buggySpec("torch"), harness::MitigationMode::LeaseOS, opt);
-    spec.withName("cell").withCheckpoints(
-        sim::Time::fromNanos(opt.duration.nanos() / 2), dir.path.string());
-    harness::RunResult result = harness::runScenario(spec);
-    ASSERT_EQ(result.checkpoints.size(), 2u);
-
-    std::vector<std::string> blobs;
-    for (const auto &entry : std::filesystem::directory_iterator(dir.path))
-        if (entry.path().extension() == ".ckpt")
-            blobs.push_back(entry.path().string());
-    std::sort(blobs.begin(), blobs.end());
-    ASSERT_EQ(blobs.size(), 2u);
-
-    CheckpointView view = loadCheckpointView(blobs.back());
-    ASSERT_TRUE(view.ok()) << view.error;
-    EXPECT_EQ(view.mode, 1); // MitigationMode::LeaseOS
-    EXPECT_EQ(view.profile, "Pixel XL");
-    EXPECT_EQ(view.appCount, 1u);
-    EXPECT_EQ(view.simTimeNs, opt.duration.nanos());
-    EXPECT_GT(view.executedEvents, 0u);
-    EXPECT_GT(view.totalMj, 0.0);
-    EXPECT_TRUE(view.hasLeases);
-    EXPECT_GE(view.nextLeaseId, 2u); // torch took at least one lease
-    ASSERT_FALSE(view.sections.empty());
-    EXPECT_EQ(view.sections.front().name, "meta");
-    EXPECT_EQ(view.sections.back().name, "apps");
-
-    // A blob from a real boundary satisfies the quiescence invariants.
-    std::vector<CheckpointIssue> issues = checkCheckpoint(view);
-    EXPECT_TRUE(issues.empty())
-        << (issues.empty() ? "" : issues[0].toString());
-
-    // Unreadable path surfaces as a load error, not a throw.
-    CheckpointView missing =
-        loadCheckpointView((dir.path / "absent.ckpt").string());
-    EXPECT_FALSE(missing.ok());
-
-    // A digest-valid blob whose one section claims 2^64 - 17 body bytes:
-    // the length must not wrap the reader backwards into an endless walk
-    // over the same section.
-    sim::CheckpointWriter w;
-    w.beginSection("x", 1);
-    w.u64(0);
-    w.endSection();
-    std::vector<std::uint8_t> blob = w.finish();
-    auto putLe64 = [&blob](std::size_t at, std::uint64_t v) {
-        for (std::size_t i = 0; i < 8; ++i)
-            blob[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-    };
-    putLe64(32 + 4 + 1 + 4, ~std::uint64_t{0} - 16); // section "x" bodyLen
-    putLe64(24, sim::checkpointDigest(blob.data() + 32, blob.size() - 32));
-    ASSERT_EQ(blob.size(), 57u);
-    std::string wrappedPath = (dir.path / "wrapped.ckpt").string();
-    ASSERT_TRUE(sim::writeCheckpointFile(wrappedPath, blob));
-    CheckpointView wrapped = loadCheckpointView(wrappedPath);
-    EXPECT_FALSE(wrapped.ok());
-    EXPECT_TRUE(wrapped.sections.empty());
-}
-
-TEST(CheckpointViewTest, ChecksFlagCorruptedLeaseTables)
-{
-    CheckpointView view;
-    view.hasLeases = true;
-    view.simTimeNs = 1000;
-    view.nextLeaseId = 3;
-
-    CkptLease active;
-    active.id = 1;
-    active.token = 0x11;
-    active.state = 0; // Active, but its term ended before the boundary
-    active.termStartNs = 0;
-    active.termLengthNs = 500;
-    view.leases.push_back(active);
-
-    CkptLease bogus;
-    bogus.id = 7; // >= nextLeaseId
-    bogus.state = 9; // not a LeaseState
-    view.leases.push_back(bogus);
-
-    view.byToken.emplace_back(0x11, 1); // ok
-    view.byToken.emplace_back(0x22, 1); // token disagrees with lease 1
-    view.byToken.emplace_back(0x33, 5); // unknown lease id
-
-    std::vector<CheckpointIssue> issues = checkCheckpoint(view);
-    std::vector<std::string> checks;
-    for (const CheckpointIssue &issue : issues) checks.push_back(issue.check);
-    EXPECT_EQ(checks,
-              (std::vector<std::string>{"term-deadline", "lease-state",
-                                        "token-index", "token-index"}));
-}
-
-TEST(CheckpointViewTest, BaselineSeedsValidateWithoutInference)
-{
-    CheckpointView view;
-    view.hasLeases = true;
-    view.simTimeNs = 5000;
-    view.nextLeaseId = 3;
-    CkptLease lease;
-    lease.id = 2;
-    lease.state = 0; // Active
-    lease.termStartNs = 4000;
-    lease.termLengthNs = 10000;
-    view.leases.push_back(lease);
-
-    ScratchDir dir("leaseos_replay_ckpt_base");
-    // A post-boundary slice trace: the lease transitions without ever
-    // having a lease_created event in this slice.
-    std::string path = writeFile(
-        dir, "slice.jsonl",
-        line(6000, "lease", "to_inactive", 10000, 2, "0") +
-            line(7000, "lease", "to_active", 10000, 2, "1"));
-    Trace trace = loadTrace(path);
-    ASSERT_TRUE(trace.ok()) << trace.error;
-
-    ReplayReport report = validate(trace, view);
-    EXPECT_TRUE(report.clean())
-        << (report.issues.empty() ? "" : report.issues[0].toString());
-    EXPECT_EQ(report.baselineLeases, 1u);
-    EXPECT_EQ(report.inferredLeases, 0u); // known from the blob, no guess
-
-    // Without the baseline the same trace counts the lease as inferred.
-    ReplayReport bare = validate(trace);
-    EXPECT_EQ(bare.inferredLeases, 1u);
-
-    // An event stamped before the blob's boundary cannot belong to this
-    // slice: the baseline anchors the replay clock.
-    std::string early = writeFile(
-        dir, "early.jsonl", line(4000, "lease", "to_inactive", 10000, 2, "0"));
-    Trace earlyTrace = loadTrace(early);
-    ASSERT_TRUE(earlyTrace.ok());
-    ReplayReport earlyReport = validate(earlyTrace, view);
-    ASSERT_EQ(earlyReport.issues.size(), 1u);
-    EXPECT_EQ(earlyReport.issues[0].check, "time-monotonicity");
 }
 
 } // namespace

@@ -3,21 +3,19 @@
  *
  *   tracereplay TRACE                 validate one trace / flight record
  *   tracereplay --diff A B            report the first diverging event
- *   tracereplay --checkpoint BLOB     decode + sanity-check a snapshot
- *   tracereplay --checkpoint BLOB TRACE
- *                                     validate TRACE from the blob's
- *                                     lease states as the baseline
  *
- * Exit status: 0 clean, 1 replay/checkpoint issues or divergence,
- * 2 usage or load error.
+ * To localise a divergence between two runs of one spec, compare their
+ * per-interval state digests (RunSpec::checkpointEvery) to find the
+ * first interval that differs, then --diff their traces to find the
+ * first event that differs.
+ *
+ * Exit status: 0 clean, 1 replay issues or divergence, 2 usage or load
+ * error.
  */
 
-#include <cstdint>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 
-#include "tracereplay/checkpoint_view.h"
 #include "tracereplay/replay.h"
 
 namespace {
@@ -28,9 +26,8 @@ usage()
     std::fprintf(stderr,
                  "usage: tracereplay TRACE\n"
                  "       tracereplay --diff A B\n"
-                 "       tracereplay --checkpoint BLOB [TRACE]\n"
-                 "TRACE is a .jsonl trace export or a flightrec-*.json;\n"
-                 "BLOB is a .ckpt device snapshot\n");
+                 "TRACE, A and B are .jsonl trace exports or "
+                 "flightrec-*.json\n");
     return 2;
 }
 
@@ -86,67 +83,6 @@ runDiff(const char *pathA, const char *pathB)
     return 1;
 }
 
-int
-runCheckpoint(const char *blobPath, const char *tracePath)
-{
-    using namespace leaseos::tracereplay;
-    CheckpointView view = loadCheckpointView(blobPath);
-    if (!view.ok()) {
-        std::fprintf(stderr, "tracereplay: %s: %s\n", blobPath,
-                     view.error.c_str());
-        return 2;
-    }
-    std::printf("checkpoint %s: %" PRIu64 " bytes, mode=%u profile=%s "
-                "seed=%" PRIu64 " apps=%" PRIu64 "\n",
-                blobPath, view.payloadBytes,
-                static_cast<unsigned>(view.mode), view.profile.c_str(),
-                view.seed, view.appCount);
-    std::printf("  sim t=%" PRId64 "ns, %" PRIu64 " events executed\n",
-                view.simTimeNs, view.executedEvents);
-    std::printf("  energy total=%.3f mJ\n", view.totalMj);
-    for (const auto &section : view.sections)
-        std::printf("  section %-10s v%u  %" PRIu64 " bytes\n",
-                    section.name.c_str(), section.version,
-                    section.bodyBytes);
-    if (view.hasLeases)
-        std::printf("  leases: %zu rows, next id %" PRIu64
-                    ", %zu live tokens\n",
-                    view.leases.size(), view.nextLeaseId,
-                    view.byToken.size());
-
-    std::vector<CheckpointIssue> issues = checkCheckpoint(view);
-    for (const CheckpointIssue &issue : issues)
-        std::printf("%s\n", issue.toString().c_str());
-    if (!issues.empty()) {
-        std::printf("checkpoint FAILED: %zu issues\n", issues.size());
-        return 1;
-    }
-    if (tracePath == nullptr) {
-        std::printf("checkpoint OK\n");
-        return 0;
-    }
-
-    Trace trace = loadTrace(tracePath);
-    if (!trace.ok()) {
-        std::fprintf(stderr, "tracereplay: %s\n", trace.error.c_str());
-        return 2;
-    }
-    ReplayReport report = validate(trace, view);
-    for (const ReplayIssue &issue : report.issues) {
-        std::printf("%s\n", issue.toString().c_str());
-        if (issue.eventIndex < trace.events.size())
-            std::printf("  %s\n",
-                        trace.events[issue.eventIndex].toString().c_str());
-    }
-    std::printf("%s: %zu events, %zu leases (%zu from checkpoint, "
-                "%zu pre-ring), %zu transitions checked, %zu issues\n",
-                report.clean() ? "replay OK" : "replay FAILED",
-                report.eventCount, report.leaseCount,
-                report.baselineLeases, report.inferredLeases,
-                report.transitionsChecked, report.issues.size());
-    return report.clean() ? 0 : 1;
-}
-
 } // namespace
 
 int
@@ -156,8 +92,5 @@ main(int argc, char **argv)
         return runValidate(argv[1]);
     if (argc == 4 && std::strcmp(argv[1], "--diff") == 0)
         return runDiff(argv[2], argv[3]);
-    if ((argc == 3 || argc == 4) &&
-        std::strcmp(argv[1], "--checkpoint") == 0)
-        return runCheckpoint(argv[2], argc == 4 ? argv[3] : nullptr);
     return usage();
 }

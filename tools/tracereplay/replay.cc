@@ -9,7 +9,6 @@
 #include "analysis/invariants.h"
 #include "lease/lease.h"
 #include "support/minijson.h"
-#include "tracereplay/checkpoint_view.h"
 
 namespace leaseos::tracereplay {
 
@@ -198,20 +197,14 @@ loadTrace(const std::string &path)
     return loadJsonLines(in);
 }
 
-namespace {
-
-/** Shared engine behind both validate() overloads: @p leases may arrive
- *  pre-seeded from a checkpoint and @p startTimeNs anchors the clock. */
 ReplayReport
-validateFrom(const Trace &trace,
-             std::map<std::uint64_t, TrackedLease> leases,
-             std::int64_t startTimeNs)
+validate(const Trace &trace)
 {
     ReplayReport report;
     report.eventCount = trace.events.size();
-    report.baselineLeases = leases.size();
 
-    std::int64_t lastTimeNs = startTimeNs;
+    std::map<std::uint64_t, TrackedLease> leases;
+    std::int64_t lastTimeNs = INT64_MIN;
     for (std::size_t i = 0; i < trace.events.size(); ++i) {
         const ReplayEvent &e = trace.events[i];
 
@@ -327,26 +320,6 @@ validateFrom(const Trace &trace,
     }
     report.leaseCount = leases.size();
     return report;
-}
-
-} // namespace
-
-ReplayReport
-validate(const Trace &trace)
-{
-    return validateFrom(trace, {}, INT64_MIN);
-}
-
-ReplayReport
-validate(const Trace &trace, const CheckpointView &baseline)
-{
-    std::map<std::uint64_t, TrackedLease> seeded;
-    for (const CkptLease &lease : baseline.leases) {
-        if (lease.state > 3) continue; // checkCheckpoint flags these
-        seeded[lease.id] =
-            TrackedLease{static_cast<LeaseState>(lease.state), false};
-    }
-    return validateFrom(trace, std::move(seeded), baseline.simTimeNs);
 }
 
 DiffResult

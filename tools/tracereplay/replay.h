@@ -76,7 +76,6 @@ struct ReplayReport {
     std::size_t leaseCount = 0;       ///< distinct lease ids seen
     std::size_t transitionsChecked = 0;
     std::size_t inferredLeases = 0;   ///< first seen mid-life (ring wrap)
-    std::size_t baselineLeases = 0;   ///< pre-seeded from a checkpoint
     bool clean() const { return issues.empty(); }
 };
 
@@ -93,18 +92,6 @@ Trace loadTrace(const std::string &path);
 
 /** Re-validate @p trace against the oracle's offline legality rules. */
 ReplayReport validate(const Trace &trace);
-
-struct CheckpointView; // checkpoint_view.h
-
-/**
- * Validate @p trace from a checkpoint baseline: every lease alive in the
- * blob is pre-seeded with its snapshotted state (counted in
- * ReplayReport::baselineLeases, not as inferences), and the replay clock
- * starts at the blob's sim time — a trace captured before the boundary
- * fails time monotonicity. This is how a trace that starts mid-run is
- * triaged without replaying the prefix before the blob.
- */
-ReplayReport validate(const Trace &trace, const CheckpointView &baseline);
 
 /** Field-for-field comparison; reports the first diverging event. */
 DiffResult diffTraces(const Trace &a, const Trace &b);

@@ -5,6 +5,16 @@
 
 namespace leaseos::sim {
 
+EventQueue::~EventQueue()
+{
+    std::vector<Slot> pending = std::move(slots_);
+    slots_.clear();
+    heap_.clear();
+    freeHead_ = kNoSlot;
+    liveCount_ = 0;
+    // `pending` dies here, and with it every closure.
+}
+
 EventId
 EventQueue::schedule(Time when, Callback cb)
 {

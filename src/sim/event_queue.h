@@ -52,6 +52,12 @@ class EventQueue
     using Callback = InlineCallback;
 
     EventQueue() = default;
+    /**
+     * Empties the queue before any pending closure is destroyed: a
+     * closure may own a PeriodicHandle, whose destructor cancels into
+     * this queue, and must then find it empty.
+     */
+    ~EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 

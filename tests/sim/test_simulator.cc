@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -209,6 +210,29 @@ TEST(PeriodicHandleTest, HandleCancelWorksAfterManyFires)
     EXPECT_EQ(count, 50);
     EXPECT_EQ(pendingAfterCancel, 0u)
         << "cancelling the handle must remove the pending occurrence";
+}
+
+TEST(SimulatorTest, DestroysPendingClosuresThatOwnHandles)
+{
+    // A script that re-arms itself (bench_fleet's week script) keeps its
+    // own PeriodicHandle inside the repeating closure, and a one-shot
+    // closure may own another repetition's handle. Destroying the
+    // simulator destroys those closures, and each handle then cancels
+    // into the queue being torn down. Under ASan this was a
+    // heap-use-after-free in EventQueue::cancel.
+    auto sim = std::make_unique<Simulator>();
+    int fires = 0;
+    auto self = std::make_shared<PeriodicHandle>();
+    *self = sim->schedulePeriodic(1_s, [self, &fires] { ++fires; });
+    auto other = std::make_shared<PeriodicHandle>();
+    *other = sim->schedulePeriodic(1_s, [&fires] { ++fires; });
+    sim->schedule(60_min, [other] {});
+    self.reset();
+    other.reset();
+    sim->run(2_s);
+    EXPECT_EQ(fires, 4);
+    EXPECT_EQ(sim->pendingEvents(), 3u);
+    sim.reset();
 }
 
 TEST(SimulatorTest, ExecutedEventsCounted)

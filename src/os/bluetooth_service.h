@@ -66,10 +66,12 @@ class BluetoothService : public ResourceService<BluetoothScan>
         return create({.uid = uid, .listener = listener, .live = true},
                       kResourceIpcLatency);
     }
+    /** Releases the scan and frees it (see removeUpdates). */
     void
     stopScan(TokenId token)
     {
         setLive(token, false, kBinderIpcLatency);
+        destroy(token);
     }
     bool isActive(TokenId token) const { return isLive(token); }
 

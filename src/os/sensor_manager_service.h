@@ -76,10 +76,12 @@ class SensorManagerService : public ResourceService<SensorRegistration>
                        .live = true},
                       kResourceIpcLatency);
     }
+    /** Releases the registration and frees it (see removeUpdates). */
     void
     unregisterListener(TokenId token)
     {
         setLive(token, false, kBinderIpcLatency);
+        destroy(token);
     }
     bool isActive(TokenId token) const { return isLive(token); }
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for os::ResourceTable's live index, through the services that use
- * it: after thousands of release cycles the released records persist
- * until destroy(), but the walks and per-uid queries see only live ones.
+ * it: after thousands of release cycles the released locks persist until
+ * destroy() and removed requests are gone, and the walks and per-uid
+ * queries see only live records.
  */
 
 #include "os_fixture.h"
@@ -27,8 +28,9 @@ struct ResourceTableTest : OsFixture {
 
 TEST_F(ResourceTableTest, QueriesListOnlyLiveTokensAfterRequestChurn)
 {
-    // Two apps request and remove updates without ever destroying; every
-    // 1000th request of the first app stays outstanding.
+    // Two apps request and remove updates; every 1000th request of the
+    // first app stays outstanding. Removal frees a request, so only the
+    // outstanding ones keep a record and a live token.
     std::vector<TokenId> live;
     for (int i = 0; i < kCycles; ++i) {
         TokenId mine = lms.requestLocationUpdates(kApp, 10_s, nullptr);
@@ -40,8 +42,9 @@ TEST_F(ResourceTableTest, QueriesListOnlyLiveTokensAfterRequestChurn)
     }
     EXPECT_EQ(lms.activeRequests(kApp), live);
     EXPECT_TRUE(lms.activeRequests(kApp2).empty());
-    EXPECT_EQ(lms.records().records().size(), 2u * kCycles);
+    EXPECT_EQ(lms.records().records().size(), live.size());
     EXPECT_EQ(lms.records().live().size(), live.size());
+    EXPECT_EQ(server.tokens().liveCount(), live.size());
     EXPECT_TRUE(lms.records().indexMatchesRecords());
     EXPECT_EQ(lms.requestCount(kApp), std::uint64_t(kCycles));
 
@@ -134,6 +137,7 @@ TEST_F(ResourceTableTest, RefilterFlipsOnlyLiveRecords)
 
 TEST_F(ResourceTableTest, DestroyingReleasedRecordsIsSafe)
 {
+    // removeUpdates() already freed each request: destroy() is a no-op.
     std::vector<TokenId> tokens;
     for (int i = 0; i < kCycles; ++i) {
         tokens.push_back(lms.requestLocationUpdates(kApp, 10_s, nullptr));

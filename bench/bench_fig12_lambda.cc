@@ -39,8 +39,7 @@ constexpr int kSlicesPerCase = 24;
 double
 wastedEnergyMj(harness::Device &device, Uid uid, double normalSeconds)
 {
-    auto &acc = device.accountant();
-    acc.sync();
+    const auto &acc = device.accountant();
     power::ChannelId idle = acc.channelByName("cpu_idle");
     double idle_mj = acc.uidChannelEnergyMj(uid, idle);
     double legitimate =

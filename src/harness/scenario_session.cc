@@ -91,6 +91,7 @@ ScenarioSession::finish()
     result.checkpoints = std::move(checkpoints_);
     checkpoints_.clear();
 
+    // Before the device goes: its bound gauges (channel energy) read it.
     telemetry_->finish(spec, result);
 
     // Tear down eagerly, before the caller's own bookkeeping: a dead

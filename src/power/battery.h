@@ -21,7 +21,7 @@ namespace leaseos::power {
 class Battery
 {
   public:
-    Battery(EnergyAccountant &accountant, const DeviceProfile &profile)
+    Battery(const EnergyAccountant &accountant, const DeviceProfile &profile)
         : accountant_(accountant),
           capacityMj_(profile.batteryEnergyMj()) {}
 
@@ -29,28 +29,27 @@ class Battery
 
     /** Energy drained so far (mJ). */
     double
-    drainedMj()
+    drainedMj() const
     {
-        accountant_.sync();
         return accountant_.totalEnergyMj() - baseMj_;
     }
 
     /** Remaining charge fraction in [0, 1]. */
     double
-    remainingFraction()
+    remainingFraction() const
     {
         double frac = 1.0 - drainedMj() / capacityMj_;
         return frac < 0.0 ? 0.0 : frac;
     }
 
-    bool empty() { return drainedMj() >= capacityMj_; }
+    bool empty() const { return drainedMj() >= capacityMj_; }
 
     /**
      * Estimated time to empty at the current instantaneous draw;
      * Time::max() when the device draws nothing.
      */
     sim::Time
-    projectedLife()
+    projectedLife() const
     {
         double mw = accountant_.totalPowerMw();
         if (mw <= 0.0) return sim::Time::max();
@@ -62,7 +61,6 @@ class Battery
     void
     recharge()
     {
-        accountant_.sync();
         baseMj_ = accountant_.totalEnergyMj();
     }
 
@@ -70,7 +68,7 @@ class Battery
     void digestState(sim::StateDigest &d) const;
 
   private:
-    EnergyAccountant &accountant_;
+    const EnergyAccountant &accountant_;
     double capacityMj_;
     double baseMj_ = 0.0;
 };

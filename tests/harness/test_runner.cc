@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -101,6 +102,33 @@ TEST(RunScenarioTest, ProbesReportInSpecOrder)
     EXPECT_EQ(r.probes[0].first, "b");
     EXPECT_DOUBLE_EQ(r.probe("a"), 1.0);
     EXPECT_THROW(r.probe("missing"), std::out_of_range);
+}
+
+TEST(RunScenarioTest, ChannelEnergyGaugesReadAsOfTheEnd)
+{
+    // A channel set once, before the run starts: its energy gauge must
+    // cover the whole run, not stop at the device's last power change.
+    RunSpec spec = RunSpec{}
+                       .withDuration(10_min)
+                       .withSetup([](Device &d) {
+                           auto &acc = d.accountant();
+                           acc.setPower(acc.makeChannel("steady"), 100.0,
+                                        {kSystemUid});
+                       })
+                       .withProbe("steady", [](Device &d) {
+                           auto &acc = d.accountant();
+                           return acc.channelEnergyMj(
+                               acc.channelByName("steady"));
+                       });
+    spec.collectMetrics = true;
+    RunResult r = runScenario(spec);
+    auto gauge = std::find_if(r.metrics.begin(), r.metrics.end(),
+                              [](const auto &metric) {
+                                  return metric.first == "power.steady.mj";
+                              });
+    ASSERT_NE(gauge, r.metrics.end());
+    EXPECT_NEAR(gauge->second, 100.0 * 600.0, 1e-6);
+    EXPECT_EQ(gauge->second, r.probe("steady"));
 }
 
 TEST(RunScenarioTest, MitigationCellSpecDescribesTheStandardCell)

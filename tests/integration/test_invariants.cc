@@ -46,7 +46,6 @@ TEST_P(EnergyConservationSweep, UidAndChannelSumsMatchTotal)
     device.runFor(15_min);
 
     auto &acc = device.accountant();
-    acc.sync();
     double total = acc.totalEnergyMj();
     EXPECT_GT(total, 0.0);
 
@@ -167,7 +166,6 @@ TEST_P(LeaseFuzzSweep, RandomOpSequencesKeepInvariants)
         }
     }
     // Accounting stays exact under churn.
-    device.accountant().sync();
     double total = device.accountant().totalEnergyMj();
     double uid_sum = 0.0;
     for (Uid uid : device.accountant().knownUids())

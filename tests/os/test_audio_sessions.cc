@@ -41,7 +41,6 @@ TEST_F(AudioSessionTest, PlaybackDrawsAudioPower)
     svc.stopPlayback(t);
     EXPECT_FALSE(audio.playing(kApp));
     EXPECT_NEAR(svc.playingSeconds(kApp), 10.0, 0.1);
-    acc.sync();
     EXPECT_GT(acc.uidEnergyMj(kApp), profile.audioMw * 9.0);
 }
 
@@ -52,7 +51,6 @@ TEST_F(AudioSessionTest, SilentOpenSessionStillCosts)
     // Pipeline + awake-idle CPU, all billed to the leaking app.
     double expected_min =
         (AudioSessionService::kPipelineMw + profile.cpuIdleAwakeMw) * 55.0;
-    acc.sync();
     EXPECT_GT(acc.uidEnergyMj(kApp), expected_min);
     EXPECT_NEAR(svc.openSeconds(kApp), 60.0, 0.5);
     EXPECT_DOUBLE_EQ(svc.playingSeconds(kApp), 0.0);

@@ -41,7 +41,6 @@ TEST_F(BluetoothTest, ScanDrawsPowerAndDiscovers)
     EXPECT_EQ(svc.discoveries(kApp),
               static_cast<std::uint64_t>(listener.found));
     EXPECT_NEAR(svc.scanSeconds(kApp), 60.0, 0.5);
-    acc.sync();
     EXPECT_GT(acc.uidEnergyMj(kApp),
               power::BluetoothModel::kScanMw * 55.0);
     svc.stopScan(t);

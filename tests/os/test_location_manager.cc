@@ -129,7 +129,6 @@ TEST_F(LocationManagerTest, SharedGpsAcrossApps)
     EXPECT_GT(l2.fixes, 0);
     // Both uids accrue request time and share GPS power.
     EXPECT_GT(lms.requestSeconds(kApp2), 0.0);
-    acc.sync();
     EXPECT_NEAR(acc.uidEnergyMj(kApp), acc.uidEnergyMj(kApp2), 5.0);
 }
 

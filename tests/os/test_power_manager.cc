@@ -106,7 +106,6 @@ TEST_F(PowerManagerTest, FullLockForcesScreenOn)
     EXPECT_TRUE(cpu.isAwake());
     sim.runFor(10_s);
     // Screen power billed to the forcing app.
-    acc.sync();
     EXPECT_GT(acc.uidEnergyMj(kApp), profile.screenBaseMw * 9.0);
     pms.release(t);
     EXPECT_FALSE(screen.isOn());
@@ -130,7 +129,6 @@ TEST_F(PowerManagerTest, MultipleHoldersShareIdleCost)
     pms.acquire(a);
     pms.acquire(b);
     sim.runFor(10_s);
-    acc.sync();
     EXPECT_NEAR(acc.uidEnergyMj(kApp), acc.uidEnergyMj(kApp2), 1.0);
     auto owners = pms.enabledOwners();
     EXPECT_EQ(owners.size(), 2u);

@@ -31,7 +31,6 @@ TEST_F(ComponentFixture, ScreenOffDrawsNothing)
 {
     ScreenModel screen(sim, acc, profile);
     sim.runFor(10_s);
-    acc.sync();
     EXPECT_DOUBLE_EQ(acc.totalEnergyMj(), 0.0);
 }
 
@@ -41,7 +40,6 @@ TEST_F(ComponentFixture, ScreenOnDrawsBasePlusBrightness)
     screen.setBrightness(1.0);
     screen.setOn(true);
     sim.runFor(10_s);
-    acc.sync();
     EXPECT_DOUBLE_EQ(acc.totalEnergyMj(),
                      (profile.screenBaseMw + profile.screenFullMw) * 10.0);
 }
@@ -51,7 +49,6 @@ TEST_F(ComponentFixture, ScreenWakelockOwnerAttribution)
     ScreenModel screen(sim, acc, profile);
     screen.setOn(true, {kApp});
     sim.runFor(10_s);
-    acc.sync();
     EXPECT_GT(acc.uidEnergyMj(kApp), 0.0);
     EXPECT_DOUBLE_EQ(acc.uidEnergyMj(kSystemUid), 0.0);
 }
@@ -72,7 +69,6 @@ TEST_F(ComponentFixture, GpsOffWithNoRequests)
     GpsModel gps(sim, acc, profile);
     EXPECT_EQ(gps.state(), GpsModel::State::Off);
     sim.runFor(5_s);
-    acc.sync();
     EXPECT_DOUBLE_EQ(acc.totalEnergyMj(), 0.0);
 }
 
@@ -97,7 +93,6 @@ TEST_F(ComponentFixture, GpsStaysSearchingWithBadSignal)
     EXPECT_EQ(gps.state(), GpsModel::State::Searching);
     EXPECT_FALSE(gps.hasFix());
     // All 60 s were spent searching, billed to the requester.
-    acc.sync();
     EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.gpsSearchMw * 60.0, 1e-6);
 }
 
@@ -120,7 +115,6 @@ TEST_F(ComponentFixture, GpsTurnsOffWhenRequestsEnd)
     EXPECT_EQ(gps.state(), GpsModel::State::Off);
     double e = acc.totalEnergyMj();
     sim.runFor(20_s);
-    acc.sync();
     EXPECT_DOUBLE_EQ(acc.totalEnergyMj(), e);
 }
 
@@ -132,7 +126,6 @@ TEST_F(ComponentFixture, GpsTrackingCheaperThanSearching)
     EXPECT_EQ(gps.state(), GpsModel::State::Tracking);
     EXPECT_TRUE(gps.hasFix());
     // Searching until the fix, then 100 s of the cheaper tracking draw.
-    acc.sync();
     EXPECT_NEAR(acc.uidEnergyMj(kApp),
                 profile.gpsSearchMw * gps.fixAcquireDelay().seconds() +
                     profile.gpsTrackMw * 100.0,
@@ -146,7 +139,6 @@ TEST_F(ComponentFixture, WifiIdleByDefault)
 {
     RadioModel radio(sim, acc, profile);
     sim.runFor(10_s);
-    acc.sync();
     EXPECT_NEAR(acc.totalEnergyMj(),
                 (profile.wifiIdleMw + profile.cellIdleMw) * 10.0, 1e-6);
 }
@@ -156,12 +148,10 @@ TEST_F(ComponentFixture, WifiLockDrawAttributedToHolder)
     RadioModel radio(sim, acc, profile);
     radio.setWifiLockOwners({kApp});
     sim.runFor(100_s);
-    acc.sync();
     EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.wifiLockMw * 100.0, 1e-6);
     // Only the 100 s the lock was held are billed to the holder.
     radio.setWifiLockOwners({});
     sim.runFor(100_s);
-    acc.sync();
     EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.wifiLockMw * 100.0, 1e-6);
 }
 
@@ -173,7 +163,6 @@ TEST_F(ComponentFixture, WifiTransferBurst)
     EXPECT_TRUE(radio.wifiBusy());
     sim.runFor(2_s);
     EXPECT_FALSE(radio.wifiBusy());
-    acc.sync();
     EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.wifiActiveMw * 1.0, 1e-6);
 }
 
@@ -182,7 +171,6 @@ TEST_F(ComponentFixture, CellTransferBurst)
     RadioModel radio(sim, acc, profile);
     radio.transferCell(kApp, 625000); // 625 KB at 625 KB/s = 1 s
     sim.runFor(2_s);
-    acc.sync();
     EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.cellActiveMw * 1.0, 1e-6);
 }
 
@@ -197,7 +185,6 @@ TEST_F(ComponentFixture, SensorDrawsWhileRegistered)
     sensors.unregisterUse(SensorType::Orientation, kApp);
     EXPECT_FALSE(sensors.active(SensorType::Orientation));
     sim.runFor(10_s);
-    acc.sync();
     EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.orientationMw * 10.0, 1e-6);
 }
 
@@ -207,7 +194,6 @@ TEST_F(ComponentFixture, SensorSharedAcrossUids)
     sensors.registerUse(SensorType::Accelerometer, kApp);
     sensors.registerUse(SensorType::Accelerometer, kApp2);
     sim.runFor(10_s);
-    acc.sync();
     EXPECT_NEAR(acc.uidEnergyMj(kApp),
                 profile.accelerometerMw * 10.0 / 2.0, 1e-6);
     auto users = sensors.users(SensorType::Accelerometer);
@@ -242,7 +228,6 @@ TEST_F(ComponentFixture, AudioDrawWhilePlaying)
     sim.runFor(10_s);
     audio.setPlaying(kApp, false);
     sim.runFor(10_s);
-    acc.sync();
     EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.audioMw * 10.0, 1e-6);
 }
 

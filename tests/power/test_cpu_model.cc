@@ -34,7 +34,6 @@ TEST_F(CpuFixture, AsleepByDefault)
 TEST_F(CpuFixture, SleepPowerIsFloor)
 {
     sim.runFor(10_s);
-    acc.sync();
     EXPECT_DOUBLE_EQ(acc.totalEnergyMj(), profile.cpuSleepMw * 10.0);
 }
 
@@ -68,7 +67,6 @@ TEST_F(CpuFixture, WakelockIdlePowerAttributedToHolder)
     cpu.setWakelockOwners({kApp});
     sim.runFor(10_s);
     // Holder pays the awake-idle draw while the screen is off.
-    acc.sync();
     EXPECT_DOUBLE_EQ(acc.uidEnergyMj(kApp), profile.cpuIdleAwakeMw * 10.0);
 }
 
@@ -76,7 +74,6 @@ TEST_F(CpuFixture, ScreenOnIdleGoesToSystem)
 {
     cpu.setScreenOn(true);
     sim.runFor(10_s);
-    acc.sync();
     EXPECT_DOUBLE_EQ(acc.uidEnergyMj(kSystemUid),
                      profile.cpuIdleAwakeMw * 10.0);
 }
@@ -89,7 +86,6 @@ TEST_F(CpuFixture, BusyPowerAndCpuSeconds)
     EXPECT_NEAR(cpu.cpuSeconds(kApp), 4.0, 1e-9);
     double expected = profile.cpuIdleAwakeMw * 10.0 +
         profile.cpuActivePerCoreMw * 4.0;
-    acc.sync();
     EXPECT_NEAR(acc.uidEnergyMj(kApp), expected, 1e-6);
 }
 
@@ -100,7 +96,6 @@ TEST_F(CpuFixture, LoadCappedAtCoreCount)
     sim.runFor(1_s);
     cpu.endWork(t1);
     // Power capped to cores * per-core.
-    acc.sync();
     double busy = acc.uidEnergyMj(kApp);
     EXPECT_NEAR(busy,
                 profile.cpuActivePerCoreMw * profile.cores, 1e-6);

@@ -57,18 +57,15 @@ TEST_F(DvfsFixture, LightLoadDrawsSuperlinearlyLess)
 {
     // Same load with and without DVFS: the low operating point's power
     // factor (0.28) cuts the busy draw.
-    acc.sync();
     double idle0 = acc.totalEnergyMj();
     cpu.runWorkFor(kApp, 0.5, 10_s);
     sim.runFor(10_s);
-    acc.sync();
     double with_dvfs = acc.totalEnergyMj() - idle0;
 
     cpu.setDvfsEnabled(false);
     double idle1 = acc.totalEnergyMj();
     cpu.runWorkFor(kApp, 0.5, 10_s);
     sim.runFor(10_s);
-    acc.sync();
     double without = acc.totalEnergyMj() - idle1;
 
     EXPECT_LT(with_dvfs, 0.5 * without);

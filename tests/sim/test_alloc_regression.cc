@@ -183,10 +183,16 @@ TEST(AllocRegressionTest, PowerReattributionIsAllocationFree)
     // First set interns the uids and sizes the share array.
     acc.setPower(ch, 100.0, owners);
     std::uint64_t before = allocCount();
-    for (int i = 0; i < 10'000; ++i)
+    for (int i = 0; i < 10'000; ++i) {
+        sim.runFor(sim::Time::fromMillis(1));
         acc.setPower(ch, 100.0 + static_cast<double>(i % 7), owners);
-    acc.sync();
+    }
+    // Reads add the pending interval without storing it.
+    sim.runFor(sim::Time::fromMillis(1));
+    double mj = acc.totalEnergyMj() + acc.uidEnergyMj(owners[0]) +
+        acc.channelEnergyMj(ch) + acc.uidChannelEnergyMj(owners[1], ch);
     std::uint64_t after = allocCount();
+    EXPECT_GT(mj, 0.0);
     EXPECT_EQ(after, before)
         << "steady setPower re-attribution allocated " << (after - before)
         << " times in 10k iterations";

@@ -46,8 +46,7 @@ Device::Device(DeviceConfig config)
         sim_, *accountant_, config_.profile);
     battery_ = std::make_unique<power::Battery>(*accountant_,
                                                 config_.profile);
-    profiler_ = std::make_unique<power::PowerProfiler>(
-        sim_, *accountant_, config_.profilerPeriod);
+    profiler_ = std::make_unique<power::PowerProfiler>(sim_, *accountant_);
 
     server_ = std::make_unique<os::SystemServer>(
         sim_, *cpu_, *screen_, *gps_, *radio_, *sensors_, *audio_,
@@ -143,7 +142,6 @@ Device::stateDigest() const
     d.u64(config_.seed);
     d.str(config_.profile.name);
     d.u8(config_.dvfsEnabled ? 1 : 0);
-    d.time(config_.profilerPeriod);
     d.u64(apps_.size());
 
     sim_.digestState(d);

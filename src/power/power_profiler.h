@@ -3,16 +3,16 @@
 
 /**
  * @file
- * Sampled power profiler (Trepn / Monsoon analog).
+ * Average power over a run (Trepn / Monsoon analog).
  *
- * The evaluation samples power every 100 ms (§7.3) and the §2 profiling
- * tool samples per-app metric vectors every 60 s. PowerProfiler produces
- * the power side: a total-power series and per-uid series, computed as
- * average power over each sampling interval from the accountant's exact
- * energy integrals (which is what a hardware power monitor reports too).
+ * The evaluation takes a run's result as its average power (§7.3), which
+ * is what a hardware power monitor reports for the span it measured.
+ * PowerProfiler keeps the accountant's energy integrals at start() as a
+ * baseline and averages (E(now) − E(start)) / (now − start). The
+ * accountant's reads are exact as of now, so no sampling loop is needed.
  */
 
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -23,63 +23,43 @@
 namespace leaseos::power {
 
 /**
- * Periodic sampler turning accountant integrals into TimeSeries.
+ * Start baseline over the accountant's exact energy integrals.
  */
 class PowerProfiler
 {
   public:
-    PowerProfiler(sim::Simulator &sim, EnergyAccountant &accountant,
-                  sim::Time period);
-
-    /** Track an app's power (call before start()). */
-    void watchUid(Uid uid);
-
-    /** Begin sampling. */
-    void start();
-
-    /**
-     * Stop sampling: the pending tick is cancelled immediately (no zombie
-     * event stays in the queue). start() may be called again later.
-     */
-    void
-    stop()
+    PowerProfiler(const sim::Simulator &sim,
+                  const EnergyAccountant &accountant)
+        : sim_(sim), accountant_(accountant)
     {
-        running_ = false;
-        tick_.cancel();
     }
 
-    const sim::TimeSeries &totalSeries() const { return total_; }
-    const sim::TimeSeries &uidSeries(Uid uid) const;
+    /** Take the baseline; later calls do nothing. */
+    void start();
 
-    /** Average app power (mW) over the profiled span so far. */
+    /** Always empty: nothing is sampled (leasebench still counts it). */
+    static const sim::TimeSeries &totalSeries();
+
+    /** Average app power (mW) since start(); 0 before any time passed. */
     double averageUidPowerMw(Uid uid) const;
 
-    /** Average system power (mW) over the profiled span so far. */
+    /** Average system power (mW) since start(); 0 before any time passed. */
     double averageTotalPowerMw() const;
 
-    sim::Time period() const { return period_; }
-
-    /**
-     * Hash the sampled series and interval baselines (DESIGN.md §11).
-     */
+    /** Hash the start baseline (DESIGN.md §11). */
     void digestState(sim::StateDigest &d) const;
 
   private:
-    void sample();
+    /** Seconds since start(), 0 when not started. */
+    double elapsedSeconds() const;
 
-    sim::Simulator &sim_;
-    EnergyAccountant &accountant_;
-    sim::Time period_;
-    bool running_ = false;
-    /** Owns the sampling loop; cancelled by stop() / destruction. */
-    sim::PeriodicHandle tick_;
-
-    sim::TimeSeries total_;
-    // leaselint: allow(flat-map-hotpath) -- touched once per sample tick
-    std::map<Uid, sim::TimeSeries> perUid_;
-    double lastTotalMj_ = 0.0;
-    // leaselint: allow(flat-map-hotpath) -- touched once per sample tick
-    std::map<Uid, double> lastUidMj_;
+    const sim::Simulator &sim_;
+    const EnergyAccountant &accountant_;
+    bool started_ = false;
+    sim::Time startTime_;
+    double startTotalMj_ = 0.0;
+    /** Energy of each uid that had drawn power before start(). */
+    std::vector<std::pair<Uid, double>> startUidMj_;
 };
 
 } // namespace leaseos::power

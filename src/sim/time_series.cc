@@ -5,19 +5,7 @@
 #include <map>
 #include <sstream>
 
-#include "sim/state_digest.h"
-
 namespace leaseos::sim {
-
-void
-TimeSeries::digestState(StateDigest &d) const
-{
-    d.u64(points_.size());
-    for (const auto &p : points_) {
-        d.time(p.t);
-        d.f64(p.value);
-    }
-}
 
 double
 TimeSeries::sum() const

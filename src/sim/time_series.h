@@ -19,8 +19,6 @@
 
 namespace leaseos::sim {
 
-class StateDigest;
-
 /**
  * Ordered sequence of (timestamp, value) samples.
  */
@@ -45,9 +43,6 @@ class TimeSeries
     double mean() const;
     double max() const;
     double min() const;
-
-    /** Hash the point count, then every raw point. */
-    void digestState(StateDigest &d) const;
 
   private:
     std::string name_;

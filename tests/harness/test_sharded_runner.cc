@@ -8,19 +8,24 @@
  * the result must be *bit-identical* to the single-shot runScenario() —
  * including the state digests taken along the way — because a
  * discrete-event run satisfies run(T1); run(T2) ≡ run(T2). leasebench's
- * traced half probes the device between slices and relies on this.
+ * traced half probes the device between slices and relies on this, and
+ * on reads between slices moving no bit either.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "analysis/invariants.h"
 #include "apps/registry.h"
 #include "harness/experiment.h"
 #include "harness/runner.h"
 #include "harness/scenario_session.h"
+#include "sim/random.h"
 
 namespace leaseos::harness {
 namespace {
@@ -114,6 +119,61 @@ TEST(ScenarioSessionTest, ResultIndependentOfStepping)
         unprobed.checkpoints = expected.checkpoints;
         EXPECT_EQ(unprobed, expected);
     }
+}
+
+/**
+ * Run @p spec, stopping at each of @p stops to read what a caller may
+ * read mid-run: the battery drain, each app's energy and average power,
+ * and every invariant audit. @p digest gets the device's state digest at
+ * the end.
+ */
+RunResult
+runObserved(const RunSpec &spec, const std::vector<sim::Time> &stops,
+            std::uint64_t &digest)
+{
+    RunSpec observed = spec;
+    Device *device = nullptr;
+    observed.setup.insert(observed.setup.begin(),
+                          [&device](Device &d) { device = &d; });
+    ScenarioSession session(observed, observed.config);
+    for (sim::Time stop : stops) {
+        session.advanceTo(stop);
+        double read = device->battery().drainedMj();
+        for (const auto &app : device->apps())
+            read += device->accountant().uidEnergyMj(app->uid()) +
+                device->appPowerMw(app->uid());
+        EXPECT_TRUE(std::isfinite(read));
+        analysis::InvariantOracle oracle(
+            analysis::InvariantOracle::FailMode::Record);
+        device->auditInvariants(oracle);
+        EXPECT_TRUE(oracle.clean());
+    }
+    session.advanceTo(spec.duration);
+    digest = device->stateDigest();
+    return session.finish();
+}
+
+TEST(ScenarioSessionTest, MidRunReadsMoveNoBit)
+{
+    // The same Table-5 cell, once straight through and once read at 40
+    // seeded random instants: power bits and the final state digest must
+    // not depend on who reads the accountant or when.
+    MitigationRunOptions opt;
+    RunSpec spec = mitigationCellSpec(apps::buggySpec("betterweather"),
+                                      MitigationMode::LeaseOS, opt);
+    sim::RandomSource rng(0x0b5e);
+    std::vector<sim::Time> stops;
+    for (int i = 0; i < 40; ++i)
+        stops.push_back(rng.uniformTime(sim::Time{}, spec.duration));
+    std::sort(stops.begin(), stops.end());
+
+    std::uint64_t plainDigest = 0;
+    std::uint64_t readDigest = 0;
+    RunResult plain = runObserved(spec, {}, plainDigest);
+    RunResult read = runObserved(spec, stops, readDigest);
+    EXPECT_EQ(read, plain);
+    EXPECT_EQ(read.systemPowerMw, plain.systemPowerMw);
+    EXPECT_EQ(readDigest, plainDigest);
 }
 
 TEST(ShardedRunTest, MatchesParallelRunnerWithDerivedSeeds)

@@ -12,7 +12,6 @@ namespace leaseos::power {
 namespace {
 
 using sim::operator""_s;
-using sim::operator""_ms;
 
 constexpr Uid kApp = kFirstAppUid;
 
@@ -62,80 +61,63 @@ TEST(BatteryTest, RechargeResetsBaseline)
     EXPECT_DOUBLE_EQ(battery.drainedMj(), 0.0);
 }
 
-TEST(PowerProfilerTest, SamplesAveragePower)
+TEST(PowerProfilerTest, AveragesConstantDraw)
 {
     sim::Simulator sim;
     EnergyAccountant acc(sim);
-    PowerProfiler profiler(sim, acc, 100_ms);
-    profiler.watchUid(kApp);
+    PowerProfiler profiler(sim, acc);
     ChannelId ch = acc.makeChannel("x");
     acc.setPower(ch, 200.0, {kApp});
     profiler.start();
     sim.runFor(10_s);
-    EXPECT_NEAR(profiler.averageUidPowerMw(kApp), 200.0, 1e-6);
-    EXPECT_NEAR(profiler.averageTotalPowerMw(), 200.0, 1e-6);
-    EXPECT_EQ(profiler.totalSeries().size(), 100u);
+    EXPECT_NEAR(profiler.averageUidPowerMw(kApp), 200.0, 1e-9);
+    EXPECT_NEAR(profiler.averageTotalPowerMw(), 200.0, 1e-9);
+    EXPECT_TRUE(profiler.totalSeries().empty());
 }
 
-TEST(PowerProfilerTest, CapturesPowerChanges)
+TEST(PowerProfilerTest, AveragesAcrossAPowerStep)
 {
     sim::Simulator sim;
     EnergyAccountant acc(sim);
-    PowerProfiler profiler(sim, acc, 1_s);
-    profiler.watchUid(kApp);
+    PowerProfiler profiler(sim, acc);
     ChannelId ch = acc.makeChannel("x");
+    // Energy drawn before start() is not part of the average.
+    acc.setPower(ch, 300.0, {kApp});
+    sim.runFor(2_s);
     profiler.start();
     acc.setPower(ch, 100.0, {kApp});
     sim.runFor(5_s);
     acc.setPower(ch, 0.0, {kApp});
     sim.runFor(5_s);
-    EXPECT_NEAR(profiler.averageUidPowerMw(kApp), 50.0, 1e-6);
-    const auto &series = profiler.uidSeries(kApp);
-    EXPECT_NEAR(series.points().front().value, 100.0, 1e-6);
-    EXPECT_NEAR(series.points().back().value, 0.0, 1e-6);
+    EXPECT_NEAR(profiler.averageUidPowerMw(kApp), 50.0, 1e-9);
+    EXPECT_NEAR(profiler.averageTotalPowerMw(), 50.0, 1e-9);
 }
 
-TEST(PowerProfilerTest, UnwatchedUidThrows)
+TEST(PowerProfilerTest, UidThatNeverDrewPowerAveragesZero)
 {
     sim::Simulator sim;
     EnergyAccountant acc(sim);
-    PowerProfiler profiler(sim, acc, 1_s);
-    EXPECT_THROW(profiler.uidSeries(kApp), std::out_of_range);
+    PowerProfiler profiler(sim, acc);
+    ChannelId ch = acc.makeChannel("x");
+    acc.setPower(ch, 100.0, {kApp});
+    profiler.start();
+    sim.runFor(5_s);
+    EXPECT_DOUBLE_EQ(profiler.averageUidPowerMw(kApp + 1), 0.0);
 }
 
-TEST(PowerProfilerTest, StopHaltsSampling)
+TEST(PowerProfilerTest, StartArmsNoEvent)
 {
+    // The averages come from the accountant's integrals, so profiling
+    // schedules nothing; before any time has passed they read 0.
     sim::Simulator sim;
     EnergyAccountant acc(sim);
-    PowerProfiler profiler(sim, acc, 1_s);
+    PowerProfiler profiler(sim, acc);
+    ChannelId ch = acc.makeChannel("x");
+    acc.setPower(ch, 100.0, {kApp});
     profiler.start();
-    sim.runFor(3_s);
-    profiler.stop();
-    sim.runFor(3_s);
-    EXPECT_LE(profiler.totalSeries().size(), 4u);
-}
-
-TEST(PowerProfilerTest, StopCancelsThePendingTickImmediately)
-{
-    // Regression: the legacy periodic left its next occurrence in the
-    // queue after stop() (the cooperative flag only took effect when the
-    // zombie event fired), so a "stopped" profiler still owned a pending
-    // event — a stale-id hazard and a drain blocker for run-to-empty.
-    sim::Simulator sim;
-    EnergyAccountant acc(sim);
-    PowerProfiler profiler(sim, acc, 1_s);
-    profiler.start();
-    sim.runFor(3_s);
-    EXPECT_EQ(profiler.totalSeries().size(), 3u);
-    profiler.stop();
-    EXPECT_EQ(sim.pendingEvents(), 0u)
-        << "stop() must cancel the pending sampling tick";
-    EXPECT_EQ(sim.run(), 3_s) << "queue drains at the stop point";
-    // And the profiler is restartable afterwards.
-    profiler.start();
-    sim.runFor(2_s);
-    EXPECT_EQ(profiler.totalSeries().size(), 5u);
-    EXPECT_EQ(sim.pendingEvents(), 1u);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+    EXPECT_DOUBLE_EQ(profiler.averageTotalPowerMw(), 0.0);
+    EXPECT_DOUBLE_EQ(profiler.averageUidPowerMw(kApp), 0.0);
 }
 
 } // namespace

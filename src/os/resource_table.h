@@ -6,10 +6,10 @@
  * One resource service's kernel-object records (DESIGN.md §4).
  *
  * A record lives from the IPC that mints its token until destroy(), so a
- * released record (a removed update request, a released wakelock) stays
- * until the app frees its object (§3.2). Only *live* records — an active
- * request, a held lock, an open session, a running scan — can be enabled,
- * accrue time or own hardware. The table keeps an index of the live
+ * released lock stays until the app frees its object (§3.2); releasing a
+ * subscription or a session destroys it too. Only *live* records — an
+ * active request, a held lock, an open session, a running scan — can be
+ * enabled, accrue time or own hardware. The table keeps an index of the live
  * records in token order; the services' accrue()/apply() walks and
  * per-uid queries visit that index instead of the service's history.
  *

@@ -70,6 +70,32 @@ TEST_F(CpuFixture, WakelockIdlePowerAttributedToHolder)
     EXPECT_DOUBLE_EQ(acc.uidEnergyMj(kApp), profile.cpuIdleAwakeMw * 10.0);
 }
 
+TEST_F(CpuFixture, WakelockAndAudioOwnersShareIdleOnce)
+{
+    constexpr Uid kOther = kApp + 1;
+    const ChannelId idle = acc.channelByName("cpu_idle");
+    const double mw = profile.cpuIdleAwakeMw;
+    // Screen off: the merged owners {A, B} split the idle draw, and A,
+    // holding both a wakelock and a session, is counted once.
+    cpu.setWakelockOwners({kApp});
+    cpu.setAudioSessionOwners({kOther, kApp});
+    sim.runFor(10_s);
+    EXPECT_DOUBLE_EQ(acc.uidChannelEnergyMj(kApp, idle), mw * 10.0 / 2.0);
+    EXPECT_DOUBLE_EQ(acc.uidChannelEnergyMj(kOther, idle), mw * 10.0 / 2.0);
+    // Without the wakelock the sessions keep the CPU awake on their own.
+    cpu.setWakelockOwners({});
+    EXPECT_TRUE(cpu.isAwake());
+    sim.runFor(10_s);
+    EXPECT_DOUBLE_EQ(acc.uidChannelEnergyMj(kApp, idle), mw * 10.0);
+    EXPECT_DOUBLE_EQ(acc.uidChannelEnergyMj(kOther, idle), mw * 10.0);
+    // A lit screen moves the idle draw to the system uid.
+    cpu.setScreenOn(true);
+    sim.runFor(10_s);
+    EXPECT_DOUBLE_EQ(acc.uidChannelEnergyMj(kSystemUid, idle), mw * 10.0);
+    EXPECT_DOUBLE_EQ(acc.uidChannelEnergyMj(kApp, idle), mw * 10.0);
+    EXPECT_DOUBLE_EQ(acc.uidChannelEnergyMj(kOther, idle), mw * 10.0);
+}
+
 TEST_F(CpuFixture, ScreenOnIdleGoesToSystem)
 {
     cpu.setScreenOn(true);

@@ -43,7 +43,7 @@ enum class TraceCategory : std::uint16_t {
     Classifier, ///< behavior-classifier verdicts at term end
     Utility,    ///< utility-counter charges
     Queue,      ///< EventQueue schedule / cancel / fire (sampled)
-    Power,      ///< per-channel energy syncs (sampled)
+    Power,      ///< per-channel energy commits (sampled)
 };
 
 constexpr std::size_t kTraceCategoryCount = 6;

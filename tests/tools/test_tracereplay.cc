@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -349,6 +350,10 @@ TEST(TraceReplayTest, TracedCellRunIsDeterministic)
     EXPECT_TRUE(report.clean())
         << (report.issues.empty() ? "" : report.issues[0].toString());
     EXPECT_GT(report.transitionsChecked, 0u);
+    // Channel commits still carry power events (one in 16 is kept).
+    EXPECT_TRUE(std::any_of(
+        first.events.begin(), first.events.end(),
+        [](const ReplayEvent &e) { return e.ev == "power_sync"; }));
 #else
     // Hooks compiled out: the export is empty but the determinism
     // contract (and the file round-trip) still holds.

@@ -20,6 +20,7 @@
  * accumulation — see the determinism contract in DESIGN.md §1.
  */
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <memory>
@@ -164,6 +165,20 @@ class InlineVec
     std::size_t size_ = 0;
     std::size_t cap_ = N;
 };
+
+/**
+ * Sort @p v ascending and drop repeats, the order a std::set gives, and
+ * view the result.
+ */
+template <typename T, std::size_t N>
+std::span<const T>
+sortUnique(InlineVec<T, N> &v)
+{
+    std::sort(v.begin(), v.end());
+    const T *last = std::unique(v.begin(), v.end());
+    while (v.end() != last) v.pop_back();
+    return v.span();
+}
 
 } // namespace leaseos::common
 

@@ -1,6 +1,6 @@
 #include "os/audio_session_service.h"
 
-#include <set>
+#include <algorithm>
 
 namespace leaseos::os {
 
@@ -28,26 +28,23 @@ AudioSessionService::accrue(double dt)
 void
 AudioSessionService::apply()
 {
-    std::set<Uid> open_owners;
-    std::map<Uid, bool> playing;
-    records_.sweep([&](TokenId, AudioSession &session) {
-        session.enabled = shouldEnable(session);
-        if (session.enabled) {
-            open_owners.insert(session.uid);
-            if (session.playing) playing[session.uid] = true;
-        }
-    });
+    Owners playing;
+    const Owners open =
+        sweepOwners([&](TokenId, AudioSession &session, bool) {
+            if (session.playing) playing.push_back(session.uid);
+        });
     // Open sessions keep the pipeline powered and the app runnable (the
     // iOS background-audio semantics behind the Facebook leak).
-    std::vector<Uid> owners(open_owners.begin(), open_owners.end());
-    accountant_.setPower(pipelineChannel_,
-                         open_owners.empty() ? 0.0 : kPipelineMw, owners);
-    cpu_.setAudioSessionOwners(owners);
+    accountant_.setPower(pipelineChannel_, open.empty() ? 0.0 : kPipelineMw,
+                         open.span());
+    cpu_.setAudioSessionOwners(open.span());
     // Route audible output per uid.
-    for (const auto &[uid, on] : lastPlaying_)
-        if (!playing.count(uid)) audio_.setPlaying(uid, false);
-    for (const auto &[uid, on] : playing) audio_.setPlaying(uid, true);
-    lastPlaying_ = playing;
+    const std::span<const Uid> nowPlaying = common::sortUnique(playing);
+    for (Uid uid : lastPlaying_)
+        if (!std::binary_search(nowPlaying.begin(), nowPlaying.end(), uid))
+            audio_.setPlaying(uid, false);
+    for (Uid uid : nowPlaying) audio_.setPlaying(uid, true);
+    lastPlaying_.assign(nowPlaying.begin(), nowPlaying.end());
 }
 
 void

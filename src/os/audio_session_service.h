@@ -15,7 +15,7 @@
  * resources Table 1 lists as leasable.
  */
 
-#include <map>
+#include <vector>
 
 #include "os/binder.h"
 #include "os/resource_service.h"
@@ -97,7 +97,8 @@ class AudioSessionService : public ResourceService<AudioSession>
     power::EnergyAccountant &accountant_;
     power::ChannelId pipelineChannel_;
 
-    std::map<Uid, bool> lastPlaying_;
+    /** Uids playing through an enabled session, sorted (as of apply()). */
+    std::vector<Uid> lastPlaying_;
 };
 
 } // namespace leaseos::os

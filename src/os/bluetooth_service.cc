@@ -1,7 +1,5 @@
 #include "os/bluetooth_service.h"
 
-#include <set>
-
 namespace leaseos::os {
 
 BluetoothService::BluetoothService(sim::Simulator &sim,
@@ -15,15 +13,11 @@ BluetoothService::BluetoothService(sim::Simulator &sim,
 void
 BluetoothService::apply()
 {
-    std::set<Uid> owners;
-    records_.sweep([&](TokenId token, BluetoothScan &scan) {
-        bool enabled = shouldEnable(scan);
-        if (enabled && !scan.enabled)
-            scheduleTick(token, kDiscoveryInterval);
-        scan.enabled = enabled;
-        if (enabled) owners.insert(scan.uid);
-    });
-    bluetooth_.setScanOwners({owners.begin(), owners.end()});
+    const Owners owners =
+        sweepOwners([this](TokenId token, BluetoothScan &, bool wasEnabled) {
+            if (!wasEnabled) scheduleTick(token, kDiscoveryInterval);
+        });
+    bluetooth_.setScanOwners(owners.span());
 }
 
 void

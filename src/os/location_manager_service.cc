@@ -1,6 +1,5 @@
 #include "os/location_manager_service.h"
 
-#include <set>
 #include <utility>
 
 namespace leaseos::os {
@@ -30,14 +29,11 @@ LocationManagerService::accrue(double dt)
 void
 LocationManagerService::apply()
 {
-    std::set<Uid> owners;
-    records_.sweep([&](TokenId token, LocationRequest &req) {
-        bool enabled = shouldEnable(req);
-        if (enabled && !req.enabled) scheduleTick(token, req.interval);
-        req.enabled = enabled;
-        if (enabled) owners.insert(req.uid);
-    });
-    gps_.setRequestOwners({owners.begin(), owners.end()});
+    const Owners owners = sweepOwners(
+        [this](TokenId token, LocationRequest &req, bool wasEnabled) {
+            if (!wasEnabled) scheduleTick(token, req.interval);
+        });
+    gps_.setRequestOwners(owners.span());
 }
 
 void

@@ -1,7 +1,6 @@
 #include "os/power_manager_service.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 namespace leaseos::os {
@@ -33,22 +32,16 @@ PowerManagerService::accrue(double dt)
 void
 PowerManagerService::apply()
 {
-    std::set<Uid> partial;
-    std::set<Uid> full;
-    records_.sweep([&](TokenId, WakeLock &lock) {
-        lock.enabled = shouldEnable(lock);
-        if (!lock.enabled) return;
-        if (lock.type == WakeLockType::Partial) partial.insert(lock.uid);
-        else full.insert(lock.uid);
+    // Every enabled lock keeps the CPU awake; full ones also the screen.
+    Owners full;
+    const Owners cpuOwners = sweepOwners([&](TokenId, WakeLock &lock, bool) {
+        if (lock.type == WakeLockType::Full) full.push_back(lock.uid);
     });
-    // Full locks also keep the CPU awake.
-    std::set<Uid> cpu_owners = partial;
-    cpu_owners.insert(full.begin(), full.end());
-    cpu_.setWakelockOwners({cpu_owners.begin(), cpu_owners.end()});
+    cpu_.setWakelockOwners(cpuOwners.span());
 
-    std::vector<Uid> full_owners(full.begin(), full.end());
-    if (full_owners != lastFullOwners_) {
-        lastFullOwners_ = full_owners;
+    const std::span<const Uid> fullOwners = common::sortUnique(full);
+    if (!std::ranges::equal(fullOwners, lastFullOwners_)) {
+        lastFullOwners_.assign(fullOwners.begin(), fullOwners.end());
         if (fullLockCb_) fullLockCb_(lastFullOwners_);
     }
 }
@@ -80,15 +73,6 @@ PowerManagerService::enabledSecondsForToken(TokenId token)
     advance();
     const WakeLock *lock = records_.find(token);
     return lock ? lock->enabledSeconds : 0.0;
-}
-
-std::vector<Uid>
-PowerManagerService::enabledOwners() const
-{
-    std::set<Uid> owners;
-    for (const auto *entry : records_.live())
-        if (entry->second.enabled) owners.insert(entry->second.uid);
-    return {owners.begin(), owners.end()};
 }
 
 WakeLockType

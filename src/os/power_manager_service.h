@@ -129,9 +129,6 @@ class PowerManagerService : public ResourceService<WakeLock>
         return records_.totals(uid).releases;
     }
 
-    /** Uids with at least one enabled partial or full lock. */
-    std::vector<Uid> enabledOwners() const;
-
     /** Tokens @p uid currently holds (acquired, not released/destroyed). */
     std::vector<TokenId>
     heldTokens(Uid uid) const

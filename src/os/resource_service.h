@@ -27,6 +27,10 @@
  * hardware state, accrue(), which integrates its time-based totals, and,
  * for a subscription (location, sensor, Bluetooth), deliver(), the
  * callback that scheduleTick() repeats while the record stays enabled.
+ * sweepOwners() collects the enabled records' uids into a stack buffer and
+ * apply() hands the hardware a span over it; the hardware setters copy it
+ * into storage they keep between calls, so an acquire or a release
+ * allocates nothing once warm (DESIGN.md §8).
  */
 
 #include <functional>
@@ -34,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/inline_vec.h"
 #include "os/binder.h"
 #include "os/resource_listener.h"
 #include "os/resource_table.h"
@@ -167,6 +172,8 @@ class ResourceService : public ResourceServiceBase
   protected:
     using Filter = std::function<bool(const Record &)>;
     using Totals = typename Record::Totals;
+    /** Uids apply() collects for the hardware; a handful fit inline. */
+    using Owners = common::InlineVec<Uid, 8>;
 
     ResourceService(sim::Simulator &sim, power::CpuModel &cpu,
                     std::string name, TokenAllocator &tokens)
@@ -241,6 +248,29 @@ class ResourceService : public ResourceServiceBase
 
     /** Recompute enabled flags and push them to the hardware. */
     virtual void apply() = 0;
+
+    /**
+     * apply()'s walk (ResourceTable::sweep): recompute each indexed
+     * record's enabled flag, call @p onEnabled(token, record, wasEnabled)
+     * on every enabled one, and return their uids ascending and without
+     * repeats. The hardware splits power across owners in the order
+     * given, so this order is part of the output bits.
+     */
+    template <typename OnEnabled = void (*)(TokenId, Record &, bool)>
+    Owners
+    sweepOwners(OnEnabled onEnabled = [](TokenId, Record &, bool) {})
+    {
+        Owners owners;
+        records_.sweep([&](TokenId token, Record &record) {
+            const bool wasEnabled = record.enabled;
+            record.enabled = shouldEnable(record);
+            if (!record.enabled) return;
+            owners.push_back(record.uid);
+            onEnabled(token, record, wasEnabled);
+        });
+        common::sortUnique(owners);
+        return owners;
+    }
 
     /** Whether @p record should be enabled under the current filter. */
     bool

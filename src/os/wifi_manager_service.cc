@@ -1,7 +1,5 @@
 #include "os/wifi_manager_service.h"
 
-#include <set>
-
 namespace leaseos::os {
 
 WifiManagerService::WifiManagerService(sim::Simulator &sim,
@@ -26,12 +24,8 @@ WifiManagerService::accrue(double dt)
 void
 WifiManagerService::apply()
 {
-    std::set<Uid> owners;
-    records_.sweep([&](TokenId, WifiLock &lock) {
-        lock.enabled = shouldEnable(lock);
-        if (lock.enabled) owners.insert(lock.uid);
-    });
-    radio_.setWifiLockOwners({owners.begin(), owners.end()});
+    const Owners owners = sweepOwners();
+    radio_.setWifiLockOwners(owners.span());
 }
 
 } // namespace leaseos::os

@@ -10,7 +10,8 @@
  * background streaming in the §7.4 usability experiment needs it.
  */
 
-#include <set>
+#include <algorithm>
+#include <vector>
 
 #include "power/component.h"
 
@@ -30,16 +31,23 @@ class AudioModel : public PowerComponent
         update();
     }
 
+    /** Start or stop @p uid's output; a call that changes nothing returns. */
     void
     setPlaying(Uid uid, bool playing)
     {
-        if (playing) players_.insert(uid);
-        else players_.erase(uid);
+        auto it = std::lower_bound(players_.begin(), players_.end(), uid);
+        if ((it != players_.end() && *it == uid) == playing) return;
+        if (playing) players_.insert(it, uid);
+        else players_.erase(it);
         update();
     }
 
     bool playing() const { return !players_.empty(); }
-    bool playing(Uid uid) const { return players_.count(uid) != 0; }
+    bool
+    playing(Uid uid) const
+    {
+        return std::binary_search(players_.begin(), players_.end(), uid);
+    }
 
     /** Hash the open players (DESIGN.md §11). */
     void digestState(sim::StateDigest &d) const;
@@ -48,14 +56,14 @@ class AudioModel : public PowerComponent
     void
     update()
     {
-        std::vector<Uid> owners(players_.begin(), players_.end());
         accountant_.setPower(channel_,
                              players_.empty() ? 0.0 : profile_.audioMw,
-                             owners);
+                             players_);
     }
 
     ChannelId channel_;
-    std::set<Uid> players_;
+    /** Playing uids, sorted. */
+    std::vector<Uid> players_;
 };
 
 } // namespace leaseos::power

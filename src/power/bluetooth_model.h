@@ -11,7 +11,7 @@
  * nearly free.
  */
 
-#include <map>
+#include <span>
 #include <vector>
 
 #include "power/component.h"
@@ -38,12 +38,12 @@ class BluetoothModel : public PowerComponent
         update();
     }
 
-    /** Uids with enabled scans (from os::BluetoothService). */
+    /** Uids with enabled scans (from os::BluetoothService), sorted. */
     void
-    setScanOwners(std::vector<Uid> owners)
+    setScanOwners(std::span<const Uid> owners)
     {
         advance();
-        owners_ = std::move(owners);
+        owners_.assign(owners.begin(), owners.end());
         update();
     }
 
@@ -54,8 +54,7 @@ class BluetoothModel : public PowerComponent
     scanSeconds(Uid uid)
     {
         advance();
-        auto it = scanSeconds_.find(uid);
-        return it == scanSeconds_.end() ? 0.0 : it->second;
+        return totalOf(scanSeconds_, uid);
     }
 
   private:
@@ -70,7 +69,8 @@ class BluetoothModel : public PowerComponent
         double dt = (now - lastAdvance_).seconds();
         if (!owners_.empty()) {
             double each = dt / static_cast<double>(owners_.size());
-            for (Uid u : owners_) scanSeconds_[u] += each;
+            for (Uid u : owners_)
+                scanSeconds_[totalIndex(scanSeconds_, u)].second += each;
         }
         lastAdvance_ = now;
     }
@@ -88,8 +88,7 @@ class BluetoothModel : public PowerComponent
     ChannelId channel_;
     std::vector<Uid> owners_;
     sim::Time lastAdvance_;
-    // leaselint: allow(flat-map-hotpath) -- per-run stat, read at teardown
-    std::map<Uid, double> scanSeconds_;
+    UidTotals scanSeconds_;
 
   public:
     /** Hash the scan state (DESIGN.md §11). */

@@ -71,9 +71,9 @@ GpsModel::updatePower()
 }
 
 void
-GpsModel::setRequestOwners(std::vector<Uid> owners)
+GpsModel::setRequestOwners(std::span<const Uid> owners)
 {
-    owners_ = std::move(owners);
+    owners_.assign(owners.begin(), owners.end());
     reevaluate();
     // The state may be unchanged but the attribution set is new.
     updatePower();

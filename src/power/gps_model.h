@@ -13,6 +13,7 @@
  */
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "power/component.h"
@@ -31,8 +32,11 @@ class GpsModel : public PowerComponent
     GpsModel(sim::Simulator &sim, EnergyAccountant &accountant,
              const DeviceProfile &profile);
 
-    /** Uids with outstanding location requests (from the OS service). */
-    void setRequestOwners(std::vector<Uid> owners);
+    /**
+     * Uids with outstanding location requests (from the OS service),
+     * sorted and without repeats.
+     */
+    void setRequestOwners(std::span<const Uid> owners);
 
     /** Sky-view quality (from env::GpsEnvironment). */
     void setSignalGood(bool good);

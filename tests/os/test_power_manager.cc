@@ -130,8 +130,8 @@ TEST_F(PowerManagerTest, MultipleHoldersShareIdleCost)
     pms.acquire(b);
     sim.runFor(10_s);
     EXPECT_NEAR(acc.uidEnergyMj(kApp), acc.uidEnergyMj(kApp2), 1.0);
-    auto owners = pms.enabledOwners();
-    EXPECT_EQ(owners.size(), 2u);
+    EXPECT_TRUE(pms.isEnabled(a));
+    EXPECT_TRUE(pms.isEnabled(b));
 }
 
 TEST_F(PowerManagerTest, DestroyedLockDropsWakeSource)

@@ -74,7 +74,8 @@ TEST_F(ResourceTableTest, QueriesListOnlyHeldTokensAfterAcquireChurn)
     EXPECT_EQ(pms.records().records().size(), std::size_t(kCycles) + 1);
     EXPECT_EQ(pms.records().live().size(), held.size());
     EXPECT_TRUE(pms.records().indexMatchesRecords());
-    EXPECT_EQ(pms.enabledOwners(), std::vector<Uid>{kApp});
+    for (TokenId t : held) EXPECT_TRUE(pms.isEnabled(t));
+    EXPECT_FALSE(pms.isEnabled(cycled));
     EXPECT_EQ(pms.acquireCount(kApp), 2u * kCycles);
     EXPECT_EQ(pms.releaseCount(kApp), 2u * kCycles - held.size());
 }

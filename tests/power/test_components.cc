@@ -18,6 +18,8 @@ using sim::operator""_s;
 
 constexpr Uid kApp = kFirstAppUid;
 constexpr Uid kApp2 = kFirstAppUid + 1;
+/** The owner list of kApp alone (the setters take spans). */
+constexpr Uid kAppOnly[] = {kApp};
 
 struct ComponentFixture : ::testing::Test {
     sim::Simulator sim;
@@ -77,7 +79,7 @@ TEST_F(ComponentFixture, GpsAcquiresFixWithGoodSignal)
     GpsModel gps(sim, acc, profile);
     bool got_fix = false;
     gps.addFixListener([&](bool fix) { got_fix = fix; });
-    gps.setRequestOwners({kApp});
+    gps.setRequestOwners(kAppOnly);
     EXPECT_EQ(gps.state(), GpsModel::State::Searching);
     sim.runFor(gps.fixAcquireDelay() + 1_s);
     EXPECT_EQ(gps.state(), GpsModel::State::Tracking);
@@ -88,7 +90,7 @@ TEST_F(ComponentFixture, GpsStaysSearchingWithBadSignal)
 {
     GpsModel gps(sim, acc, profile);
     gps.setSignalGood(false);
-    gps.setRequestOwners({kApp});
+    gps.setRequestOwners(kAppOnly);
     sim.runFor(60_s);
     EXPECT_EQ(gps.state(), GpsModel::State::Searching);
     EXPECT_FALSE(gps.hasFix());
@@ -99,7 +101,7 @@ TEST_F(ComponentFixture, GpsStaysSearchingWithBadSignal)
 TEST_F(ComponentFixture, GpsSignalLossRegressesToSearching)
 {
     GpsModel gps(sim, acc, profile);
-    gps.setRequestOwners({kApp});
+    gps.setRequestOwners(kAppOnly);
     sim.runFor(gps.fixAcquireDelay() + 1_s);
     ASSERT_TRUE(gps.hasFix());
     gps.setSignalGood(false);
@@ -109,7 +111,7 @@ TEST_F(ComponentFixture, GpsSignalLossRegressesToSearching)
 TEST_F(ComponentFixture, GpsTurnsOffWhenRequestsEnd)
 {
     GpsModel gps(sim, acc, profile);
-    gps.setRequestOwners({kApp});
+    gps.setRequestOwners(kAppOnly);
     sim.runFor(20_s);
     gps.setRequestOwners({});
     EXPECT_EQ(gps.state(), GpsModel::State::Off);
@@ -121,7 +123,7 @@ TEST_F(ComponentFixture, GpsTurnsOffWhenRequestsEnd)
 TEST_F(ComponentFixture, GpsTrackingCheaperThanSearching)
 {
     GpsModel gps(sim, acc, profile);
-    gps.setRequestOwners({kApp});
+    gps.setRequestOwners(kAppOnly);
     sim.runFor(gps.fixAcquireDelay() + 100_s);
     EXPECT_EQ(gps.state(), GpsModel::State::Tracking);
     EXPECT_TRUE(gps.hasFix());
@@ -146,7 +148,7 @@ TEST_F(ComponentFixture, WifiIdleByDefault)
 TEST_F(ComponentFixture, WifiLockDrawAttributedToHolder)
 {
     RadioModel radio(sim, acc, profile);
-    radio.setWifiLockOwners({kApp});
+    radio.setWifiLockOwners(kAppOnly);
     sim.runFor(100_s);
     EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.wifiLockMw * 100.0, 1e-6);
     // Only the 100 s the lock was held are billed to the holder.

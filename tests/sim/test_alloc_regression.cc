@@ -3,11 +3,12 @@
  * Allocation-count regression tests for the hot path (DESIGN.md §8).
  *
  * This binary replaces the global operator new/delete with counting
- * versions, then asserts that steady-state event-queue churn and power
- * re-attribution perform ZERO heap allocations. The same invariant is
- * enforced at scale by the perf-bench CI gate over bench_eventqueue's
- * allocs_per_op column; this test catches regressions at unit scope with
- * a precise callstack when it fires.
+ * versions, then asserts that steady-state event-queue churn, power
+ * re-attribution and resource-service acquire/release cycles perform ZERO
+ * heap allocations. The same invariant is enforced at scale by the
+ * perf-bench CI gate over bench_eventqueue's allocs_per_op column; this
+ * test catches regressions at unit scope with a precise callstack when it
+ * fires.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,8 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "os/system_server.h"
+#include "power/bluetooth_model.h"
 #include "power/energy_accountant.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
@@ -200,3 +203,57 @@ TEST(AllocRegressionTest, PowerReattributionIsAllocationFree)
 
 } // namespace
 } // namespace leaseos::power
+
+namespace leaseos::os {
+namespace {
+
+TEST(AllocRegressionTest, ServiceAcquireReleaseIsAllocationFree)
+{
+    // The hardware models and services of tests/os/os_fixture.h.
+    sim::Simulator sim;
+    power::DeviceProfile profile = power::profiles::pixelXl();
+    power::EnergyAccountant acc{sim};
+    power::CpuModel cpu{sim, acc, profile};
+    power::ScreenModel screen{sim, acc, profile};
+    power::GpsModel gps{sim, acc, profile};
+    power::RadioModel radio{sim, acc, profile};
+    power::SensorModel sensors{sim, acc, profile};
+    power::AudioModel audio{sim, acc, profile};
+    power::BluetoothModel bluetooth{sim, acc, profile};
+    SystemServer server{sim,     cpu,   screen,    gps, radio,
+                        sensors, audio, bluetooth, acc};
+    PowerManagerService &pms = server.powerManager();
+    WifiManagerService &wifi = server.wifiManager();
+
+    const Uid a = kFirstAppUid;
+    const Uid b = kFirstAppUid + 1;
+    const TokenId lockA = pms.newWakeLock(a, WakeLockType::Partial, "a");
+    const TokenId lockB = pms.newWakeLock(b, WakeLockType::Partial, "b");
+    const TokenId wifiLock = wifi.createWifiLock(a, "w");
+    // Each apply() hands the owners to the CPU or radio model; the
+    // transfer starts and ends a burst in flight.
+    auto cycle = [&] {
+        pms.acquire(lockA);
+        pms.acquire(lockB);
+        wifi.acquire(wifiLock);
+        radio.transferWifi(b, 4096);
+        sim.runFor(sim::Time::fromMillis(200));
+        wifi.release(wifiLock);
+        pms.release(lockB);
+        pms.release(lockA);
+        sim.runFor(sim::Time::fromMillis(200));
+    };
+    // Warm-up: the uids are interned and every buffer reaches its size.
+    for (int i = 0; i < 10; ++i) cycle();
+    std::uint64_t before = allocCount();
+    for (int i = 0; i < 1'000; ++i) cycle();
+    std::uint64_t after = allocCount();
+    EXPECT_EQ(after, before)
+        << "wakelock and Wi-Fi lock cycles allocated " << (after - before)
+        << " times in 1k cycles";
+    EXPECT_EQ(pms.acquireCount(a), 1'010u);
+    EXPECT_GT(radio.wifiActiveSeconds(b), 0.0);
+}
+
+} // namespace
+} // namespace leaseos::os

@@ -706,12 +706,17 @@ TEST(FlatMapHotpathRule, FlagsNodeMapsInHotPathDirs)
 {
     LintReport report = lintOne("src/power/bad.h",
                                 "std::map<Uid, double> table_;\n"
-                                "std::unordered_map<int, int> index_;\n",
+                                "std::unordered_map<int, int> index_;\n"
+                                "std::set<Uid> players_;\n"
+                                "std::unordered_set<Uid> seen_;\n",
                                 "flat-map-hotpath");
-    ASSERT_EQ(report.findings.size(), 2u);
+    ASSERT_EQ(report.findings.size(), 4u);
     EXPECT_EQ(report.findings[0].rule, "flat-map-hotpath");
     EXPECT_EQ(report.findings[0].line, 1u);
     EXPECT_NE(report.findings[0].message.find("dense"), std::string::npos);
+    EXPECT_EQ(report.findings[2].line, 3u);
+    EXPECT_NE(report.findings[2].message.find("std::set"),
+              std::string::npos);
 }
 
 TEST(FlatMapHotpathRule, IgnoresColdDirsIncludesAndUnqualifiedNames)
@@ -724,7 +729,8 @@ TEST(FlatMapHotpathRule, IgnoresColdDirsIncludesAndUnqualifiedNames)
     LintReport clean = lintOne("src/sim/ok.cc",
                                "#include <map>\n"
                                "// the old std::map layout\n"
-                               "int bitmap = roadmap(mapIndex);\n",
+                               "int bitmap = roadmap(mapIndex);\n"
+                               "os << std::setw(2) << std::setfill(0);\n",
                                "flat-map-hotpath");
     EXPECT_TRUE(clean.findings.empty());
 }

@@ -96,6 +96,24 @@ TEST(MiniJsonTest, ReportsErrorsWithLineNumbers)
     EXPECT_FALSE(minijson::parse("{\"a\":1} trailing").ok());
 }
 
+TEST(MiniJsonTest, RejectsNestingPastTheDepthCap)
+{
+    // The parser recurses once per level: uncapped, these overflow the
+    // stack instead of failing.
+    auto arrays = minijson::parse(std::string(100'000, '['));
+    EXPECT_FALSE(arrays.ok());
+    EXPECT_EQ(arrays.error, "nesting too deep");
+    std::string objects;
+    for (int i = 0; i < 100'000; ++i) objects += "{\"a\":";
+    EXPECT_EQ(minijson::parse(objects).error, "nesting too deep");
+    // 512 levels parse; the 513th does not.
+    auto nest = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_TRUE(minijson::parse(nest(512)).ok());
+    EXPECT_EQ(minijson::parse(nest(513)).error, "nesting too deep");
+}
+
 // ---- loadTrace ----------------------------------------------------------
 
 TEST(TraceReplayTest, LoadsJsonLinesTrace)

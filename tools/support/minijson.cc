@@ -8,6 +8,12 @@ namespace {
 
 const std::string kEmpty;
 
+/**
+ * Deepest array/object nesting parse() accepts. The parser recurses once
+ * per level, so this bounds its stack use on hostile input.
+ */
+constexpr std::size_t kMaxDepth = 512;
+
 class Parser
 {
   public:
@@ -64,8 +70,8 @@ class Parser
     {
         if (pos_ >= text_.size()) return fail("unexpected end of input");
         switch (text_[pos_]) {
-        case '{': return parseObject(out);
-        case '[': return parseArray(out);
+        case '{': return nested(&Parser::parseObject, out);
+        case '[': return nested(&Parser::parseArray, out);
         case '"':
             out.kind = Value::Kind::String;
             return parseString(out.raw);
@@ -82,6 +88,17 @@ class Parser
             return literal("null");
         default: return parseNumber(out);
         }
+    }
+
+    /** Parse a container with @p parse one level deeper, up to kMaxDepth. */
+    bool
+    nested(bool (Parser::*parse)(Value &), Value &out)
+    {
+        if (depth_ == kMaxDepth) return fail("nesting too deep");
+        ++depth_;
+        const bool ok = (this->*parse)(out);
+        --depth_;
+        return ok;
     }
 
     bool
@@ -264,6 +281,7 @@ class Parser
     std::string_view text_;
     std::size_t pos_ = 0;
     std::size_t line_ = 1;
+    std::size_t depth_ = 0;
     std::string error_;
 };
 

@@ -18,6 +18,8 @@
  *    numeric comparisons (metricsdiff tolerances) use `number`.
  *  - No exceptions: parse() returns a ParseResult with an error string
  *    and the 1-based line it occurred on.
+ *  - Arrays and objects nest at most 512 deep; deeper input fails with
+ *    "nesting too deep" instead of exhausting the stack.
  *
  * Deliberately an offline-tool dependency only — nothing in src/ links
  * this; the simulator itself never parses JSON.

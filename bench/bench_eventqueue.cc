@@ -253,7 +253,8 @@ benchCancelChurn(std::uint64_t n, std::uint64_t window, int reps)
 int
 main(int argc, char **argv)
 {
-    // --ops N scales every workload (default 1M ops; CI smoke uses less).
+    // --ops=N runs N iterations per workload; each row reports 2N ops
+    // (default 500,000; CI's gate and the committed baseline use 1M).
     std::uint64_t n = 500'000;
     int reps = 5;
     std::string tracePath;

@@ -3,11 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
 #include <sstream>
 
 #include "lease/lease_table.h"
-#include "lease/proxies/lease_proxy.h"
 #include "obs/flight_recorder.h"
 #include "os/binder.h"
 #include "os/system_server.h"
@@ -233,33 +231,6 @@ InvariantOracle::auditServiceIndexes(sim::Time now, os::SystemServer &server)
     audit("wifi", server.wifiManager().records());
     audit("audio", server.audioSessions().records());
     audit("bluetooth", server.bluetoothService().records());
-}
-
-void
-InvariantOracle::auditProxySnapshots(sim::Time now,
-                                     const lease::LeaseTable &table,
-                                     const lease::LeaseProxy &proxy)
-{
-    std::set<lease::LeaseId> active;
-    for (const lease::Lease *l : table.all())
-        if (l->rtype == proxy.rtype() && l->state == lease::LeaseState::Active)
-            active.insert(l->id);
-    const char *rtype = lease::resourceTypeName(proxy.rtype());
-    for (lease::LeaseId id : proxy.snapshotLeases()) {
-        if (active.erase(id)) continue;
-        const lease::Lease *l = table.find(id);
-        std::ostringstream detail;
-        detail << rtype << " proxy holds a term snapshot for a lease that is "
-               << (l ? lease::leaseStateName(l->state) : "no longer in the "
-                                                         "lease table");
-        report({"proxy-snapshot", now, id, detail.str()});
-    }
-    for (lease::LeaseId id : active) {
-        std::ostringstream detail;
-        detail << "ACTIVE " << rtype
-               << " lease has no term snapshot in its proxy";
-        report({"proxy-snapshot", now, id, detail.str()});
-    }
 }
 
 void

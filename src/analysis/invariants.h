@@ -26,9 +26,7 @@
  *  - service live indexes: each resource service's index of live records
  *    lists exactly its live records, in token order, and every record's
  *    token is live in the TokenAllocator (the mirror of the lease-table
- *    check);
- *  - proxy term snapshots: each lease proxy holds a snapshot for exactly
- *    the ACTIVE leases of its resource type.
+ *    check).
  *
  * Violations produce a structured diagnostic carrying the simulated time
  * and lease id (when one is involved). In Abort mode (the default for
@@ -67,7 +65,6 @@ class EnergyAccountant;
 } // namespace leaseos::power
 
 namespace leaseos::lease {
-class LeaseProxy;
 class LeaseTable;
 } // namespace leaseos::lease
 
@@ -154,14 +151,6 @@ class InvariantOracle
      * running scans) in token order, and no record outlives its token.
      */
     void auditServiceIndexes(sim::Time now, os::SystemServer &server);
-
-    /**
-     * @p proxy holds a term snapshot for exactly the ACTIVE leases of its
-     * resource type in @p table: none for a reaped, INACTIVE or DEFERRED
-     * lease, and one for every lease whose term is running.
-     */
-    void auditProxySnapshots(sim::Time now, const lease::LeaseTable &table,
-                             const lease::LeaseProxy &proxy);
 
     /** Wakelock/GPS/sensor balance when the app with @p uid stops. */
     void checkAppTeardown(sim::Time now, os::SystemServer &server, Uid uid);

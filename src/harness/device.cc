@@ -172,12 +172,9 @@ Device::auditInvariants(analysis::InvariantOracle &oracle)
 {
     oracle.auditEnergy(sim_.now(), *accountant_, *battery_);
     oracle.auditServiceIndexes(sim_.now(), *server_);
-    if (leaseos_) {
-        const lease::LeaseManagerService &manager = leaseos_->manager();
-        oracle.auditLeaseTable(sim_, manager.table(), server_->tokens());
-        for (const auto &[rtype, proxy] : manager.proxies())
-            oracle.auditProxySnapshots(sim_.now(), manager.table(), *proxy);
-    }
+    if (leaseos_)
+        oracle.auditLeaseTable(sim_, leaseos_->manager().table(),
+                               server_->tokens());
 }
 
 } // namespace leaseos::harness

@@ -13,7 +13,6 @@
  */
 
 #include <cstdint>
-#include <deque>
 
 #include "common/ids.h"
 #include "lease/behavior.h"
@@ -45,7 +44,10 @@ leaseStateName(LeaseState s)
     return "?";
 }
 
-/** One completed term's record kept in the bounded history (§4.3). */
+/**
+ * One completed term: its stats and class. The manager publishes it to
+ * the term observer; a lease keeps only the class (§4.3).
+ */
 struct TermRecord {
     LeaseStat stat;
     BehaviorType behavior = BehaviorType::Normal;
@@ -80,8 +82,13 @@ struct Lease {
      */
     double totalDeferralSeconds = 0.0;
 
-    /** Bounded per-term history, newest at the back. */
-    std::deque<TermRecord> history;
+    /** Counters the proxy read as the current term began (beginTerm). */
+    TermCounters termStartCounters;
+
+    /** Class of the newest classified term; Normal before any. */
+    BehaviorType lastBehavior = BehaviorType::Normal;
+    /** Classified terms in a row of class lastBehavior, newest included. */
+    int behaviorRun = 0;
 
     /** Pending term-expiry / deferral-end event. */
     sim::EventId pendingEvent = sim::kInvalidEventId;
@@ -89,18 +96,12 @@ struct Lease {
     bool isActive() const { return state == LeaseState::Active; }
     bool isDead() const { return state == LeaseState::Dead; }
 
-    BehaviorType
-    lastBehavior() const
-    {
-        return history.empty() ? BehaviorType::Normal
-                               : history.back().behavior;
-    }
-
+    /** Count one classified term into the run of its class. */
     void
-    recordTerm(TermRecord record, std::size_t depth)
+    recordTerm(BehaviorType behavior)
     {
-        history.push_back(std::move(record));
-        while (history.size() > depth) history.pop_front();
+        behaviorRun = behavior == lastBehavior ? behaviorRun + 1 : 1;
+        lastBehavior = behavior;
     }
 };
 

@@ -219,7 +219,6 @@ LeaseManagerService::remove(LeaseId id)
                                        LeaseState::Dead));
     noteTransition(*lease, LeaseState::Dead);
     lease->state = LeaseState::Dead;
-    if (LeaseProxy *proxy = proxyFor(lease->rtype)) proxy->dropSnapshot(id);
     recordDeath(*lease);
     table_.reap(id);
     return true;
@@ -308,7 +307,6 @@ LeaseManagerService::onTermEnd(LeaseId id)
                                            LeaseState::Inactive));
         noteTransition(*lease, LeaseState::Inactive);
         lease->state = LeaseState::Inactive;
-        proxy->dropSnapshot(id);
         return;
     }
 
@@ -341,7 +339,7 @@ LeaseManagerService::onTermEnd(LeaseId id)
     LEASEOS_TRACE(emit(sim_.now(), obs::TraceCategory::Classifier,
                        classifyCode(record.behavior), lease->uid, lease->id,
                        static_cast<std::uint64_t>(lease->termIndex)));
-    lease->recordTerm(record, policy_.historyDepth);
+    lease->recordTerm(record.behavior);
     if (termObserver_) termObserver_(*lease, record);
 
     // Misbehaviour on GPS needs confirmation across consecutive terms of
@@ -354,23 +352,15 @@ LeaseManagerService::onTermEnd(LeaseId id)
         // A lease already carrying misbehaviour (ongoing, or inherited
         // via the §8 reputation extension) needs no re-confirmation.
         if (lease->consecutiveMisbehaved > 0) required = 1;
-        if (required > 1) {
-            int trailing = 0;
-            for (auto it = lease->history.rbegin();
-                 it != lease->history.rend(); ++it) {
-                if (it->behavior != record.behavior) break;
-                ++trailing;
-            }
-            if (trailing < required) {
-                // Suspected but unconfirmed: renew on a short term,
-                // without normal-streak credit.
-                lease->consecutiveNormal = 0;
-                ++lease->termIndex;
-                ++totalRenewals_;
-                if (metrics_) metrics_->add(m_.renewals);
-                startTerm(*lease, policy_.initialTerm);
-                return;
-            }
+        if (lease->behaviorRun < required) {
+            // Suspected but unconfirmed: renew on a short term, without
+            // normal-streak credit.
+            lease->consecutiveNormal = 0;
+            ++lease->termIndex;
+            ++totalRenewals_;
+            if (metrics_) metrics_->add(m_.renewals);
+            startTerm(*lease, policy_.initialTerm);
+            return;
         }
     }
 
@@ -480,7 +470,7 @@ BehaviorType
 LeaseManagerService::lastBehavior(LeaseId id) const
 {
     const Lease *lease = table_.find(id);
-    return lease ? lease->lastBehavior() : BehaviorType::Normal;
+    return lease ? lease->lastBehavior : BehaviorType::Normal;
 }
 
 

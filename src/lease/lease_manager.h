@@ -62,13 +62,6 @@ class LeaseManagerService
     /** Register @p proxy for its resource type. */
     bool registerProxy(LeaseProxy *proxy);
 
-    /** Registered proxies by resource type (the oracle audits them). */
-    const std::map<ResourceType, LeaseProxy *> &
-    proxies() const
-    {
-        return proxies_;
-    }
-
     /** Create a lease for a kernel object; returns its descriptor. */
     LeaseId create(ResourceType rtype, os::TokenId token, Uid uid);
 

@@ -69,9 +69,6 @@ struct LeasePolicy {
         return 1;
     }
 
-    /** History depth kept per lease (bounded, §4.3). */
-    std::size_t historyDepth = 16;
-
     // ---- §8 extension: app usage history --------------------------------
     /**
      * Carry misbehaviour reputation across kernel-object churn: when an

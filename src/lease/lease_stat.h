@@ -19,6 +19,23 @@
 namespace leaseos::lease {
 
 /**
+ * Cumulative service counters a lease term is measured against: the
+ * counter fields of LeaseStat, zero where a resource measures nothing. A
+ * term's stat is the field-by-field difference of two readings.
+ */
+struct TermCounters {
+    double requestSeconds = 0.0;
+    double failedRequestSeconds = 0.0;
+    double holdingSeconds = 0.0;
+    double usageSeconds = 0.0;
+    std::uint64_t exceptions = 0;
+    std::uint64_t uiUpdates = 0;
+    std::uint64_t interactions = 0;
+    double distanceMeters = 0.0;
+    std::uint64_t acquires = 0;
+};
+
+/**
  * Raw usage measurements for one lease term.
  */
 struct LeaseStat {

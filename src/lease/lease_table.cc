@@ -7,29 +7,28 @@ namespace leaseos::lease {
 Lease &
 LeaseTable::create(ResourceType rtype, os::TokenId token, Uid uid)
 {
-    auto lease = std::make_unique<Lease>();
-    lease->id = nextId_++;
-    lease->uid = uid;
-    lease->rtype = rtype;
-    lease->token = token;
-    Lease &ref = *lease;
-    leases_.emplace(ref.id, std::move(lease));
-    byToken_[token] = ref.id;
-    return ref;
+    const LeaseId id = nextId_++;
+    Lease &lease = leases_[id];
+    lease.id = id;
+    lease.uid = uid;
+    lease.rtype = rtype;
+    lease.token = token;
+    byToken_[token] = id;
+    return lease;
 }
 
 Lease *
 LeaseTable::find(LeaseId id)
 {
     auto it = leases_.find(id);
-    return it == leases_.end() ? nullptr : it->second.get();
+    return it == leases_.end() ? nullptr : &it->second;
 }
 
 const Lease *
 LeaseTable::find(LeaseId id) const
 {
     auto it = leases_.find(id);
-    return it == leases_.end() ? nullptr : it->second.get();
+    return it == leases_.end() ? nullptr : &it->second;
 }
 
 Lease *
@@ -44,7 +43,7 @@ LeaseTable::reap(LeaseId id)
 {
     auto it = leases_.find(id);
     if (it == leases_.end()) return;
-    byToken_.erase(it->second->token);
+    byToken_.erase(it->second.token);
     leases_.erase(it);
 }
 
@@ -53,7 +52,7 @@ LeaseTable::all()
 {
     std::vector<Lease *> out;
     out.reserve(leases_.size());
-    for (auto &[id, lease] : leases_) out.push_back(lease.get());
+    for (auto &[id, lease] : leases_) out.push_back(&lease);
     return out;
 }
 
@@ -62,7 +61,7 @@ LeaseTable::all() const
 {
     std::vector<const Lease *> out;
     out.reserve(leases_.size());
-    for (const auto &[id, lease] : leases_) out.push_back(lease.get());
+    for (const auto &[id, lease] : leases_) out.push_back(&lease);
     return out;
 }
 
@@ -71,7 +70,7 @@ LeaseTable::countInState(LeaseState state) const
 {
     std::size_t n = 0;
     for (const auto &[id, lease] : leases_)
-        if (lease->state == state) ++n;
+        if (lease.state == state) ++n;
     return n;
 }
 
@@ -80,33 +79,11 @@ LeaseTable::indexMatchesLeases() const
 {
     if (byToken_.size() != leases_.size()) return false;
     for (const auto &[id, lease] : leases_) {
-        auto it = byToken_.find(lease->token);
+        auto it = byToken_.find(lease.token);
         if (it == byToken_.end() || it->second != id) return false;
     }
     return true;
 }
-
-namespace {
-
-void
-digestStat(sim::StateDigest &d, const LeaseStat &s)
-{
-    d.time(s.termStart);
-    d.time(s.termEnd);
-    d.f64(s.requestSeconds);
-    d.f64(s.failedRequestSeconds);
-    d.f64(s.holdingSeconds);
-    d.f64(s.usageSeconds);
-    d.f64(s.utilityScore);
-    d.u64(s.exceptions);
-    d.u64(s.uiUpdates);
-    d.u64(s.interactions);
-    d.f64(s.distanceMeters);
-    d.u64(s.acquires);
-    d.u8(s.heldAtTermEnd ? 1 : 0);
-}
-
-} // namespace
 
 void
 LeaseTable::digestState(sim::StateDigest &d) const
@@ -114,26 +91,33 @@ LeaseTable::digestState(sim::StateDigest &d) const
     d.u64(nextId_);
     d.u64(leases_.size());
     for (const auto &[id, lease] : leases_) {
-        d.u64(lease->id);
-        d.u32(static_cast<std::uint32_t>(lease->uid));
-        d.u8(static_cast<std::uint8_t>(lease->rtype));
-        d.u64(lease->token);
-        d.u8(static_cast<std::uint8_t>(lease->state));
-        d.time(lease->createdAt);
-        d.time(lease->termStart);
-        d.time(lease->termLength);
-        d.i64(lease->termIndex);
-        d.i64(lease->consecutiveNormal);
-        d.i64(lease->consecutiveMisbehaved);
-        d.u64(lease->renewals);
-        d.u64(lease->deferrals);
-        d.time(lease->deferredAt);
-        d.f64(lease->totalDeferralSeconds);
-        d.u64(lease->history.size());
-        for (const TermRecord &rec : lease->history) {
-            digestStat(d, rec.stat);
-            d.u8(static_cast<std::uint8_t>(rec.behavior));
-        }
+        d.u64(lease.id);
+        d.u32(static_cast<std::uint32_t>(lease.uid));
+        d.u8(static_cast<std::uint8_t>(lease.rtype));
+        d.u64(lease.token);
+        d.u8(static_cast<std::uint8_t>(lease.state));
+        d.time(lease.createdAt);
+        d.time(lease.termStart);
+        d.time(lease.termLength);
+        d.i64(lease.termIndex);
+        d.i64(lease.consecutiveNormal);
+        d.i64(lease.consecutiveMisbehaved);
+        d.u64(lease.renewals);
+        d.u64(lease.deferrals);
+        d.time(lease.deferredAt);
+        d.f64(lease.totalDeferralSeconds);
+        const TermCounters &c = lease.termStartCounters;
+        d.f64(c.requestSeconds);
+        d.f64(c.failedRequestSeconds);
+        d.f64(c.holdingSeconds);
+        d.f64(c.usageSeconds);
+        d.u64(c.exceptions);
+        d.u64(c.uiUpdates);
+        d.u64(c.interactions);
+        d.f64(c.distanceMeters);
+        d.u64(c.acquires);
+        d.u8(static_cast<std::uint8_t>(lease.lastBehavior));
+        d.i64(lease.behaviorRun);
     }
     d.u64(byToken_.size());
     for (const auto &[token, id] : byToken_) {

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "lease/lease.h"
@@ -63,7 +62,7 @@ class LeaseTable
     void digestState(sim::StateDigest &d) const;
 
   private:
-    std::map<LeaseId, std::unique_ptr<Lease>> leases_;
+    std::map<LeaseId, Lease> leases_;
     std::map<os::TokenId, LeaseId> byToken_;
     LeaseId nextId_ = 1;
 };

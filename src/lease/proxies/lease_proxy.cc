@@ -18,8 +18,7 @@ LeaseProxy::LeaseProxy(ResourceType rtype, os::ResourceServiceBase &service,
 LeaseStat
 LeaseProxy::collectStat(const Lease &lease)
 {
-    auto taken = snapshots_.extract(lease.id);
-    const TermCounters start = taken ? taken.mapped() : TermCounters{};
+    const TermCounters &start = lease.termStartCounters;
     const TermCounters now = read_(lease);
 
     LeaseStat stat;
@@ -38,15 +37,6 @@ LeaseProxy::collectStat(const Lease &lease)
     stat.heldAtTermEnd = service_.isLive(lease.token);
     stat.utilityScore = utility::termScore(rtype_, stat);
     return stat;
-}
-
-std::vector<LeaseId>
-LeaseProxy::snapshotLeases() const
-{
-    std::vector<LeaseId> ids;
-    ids.reserve(snapshots_.size());
-    for (const auto &entry : snapshots_) ids.push_back(entry.first);
-    return ids;
 }
 
 const Lease *

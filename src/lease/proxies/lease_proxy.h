@@ -19,10 +19,7 @@
  * levels sharing PowerManagerService) which tokens are its own.
  */
 
-#include <cstdint>
 #include <functional>
-#include <map>
-#include <vector>
 
 #include "lease/lease.h"
 #include "lease/lease_stat.h"
@@ -33,23 +30,6 @@
 namespace leaseos::lease {
 
 class LeaseManagerService;
-
-/**
- * Cumulative service counters a lease term is measured against: the
- * counter fields of LeaseStat, zero where a resource measures nothing. A
- * term's stat is the field-by-field difference of two readings.
- */
-struct TermCounters {
-    double requestSeconds = 0.0;
-    double failedRequestSeconds = 0.0;
-    double holdingSeconds = 0.0;
-    double usageSeconds = 0.0;
-    std::uint64_t exceptions = 0;
-    std::uint64_t uiUpdates = 0;
-    std::uint64_t interactions = 0;
-    double distanceMeters = 0.0;
-    std::uint64_t acquires = 0;
-};
 
 /**
  * Lease proxy for one resource type.
@@ -92,20 +72,11 @@ class LeaseProxy : public os::ResourceListener
         return service_.isLive(lease.token);
     }
 
-    /** A new term begins: snapshot the counters. */
-    void beginTerm(const Lease &lease) { snapshots_[lease.id] = read_(lease); }
+    /** A new term begins: read the counters into the lease. */
+    void beginTerm(Lease &lease) { lease.termStartCounters = read_(lease); }
 
-    /** Term over: the term's stats from the counter deltas. */
+    /** Term over: the term's stats, counters read now minus at its start. */
     LeaseStat collectStat(const Lease &lease);
-
-    /**
-     * The lease left ACTIVE without a collectStat (released at term end,
-     * or dead): forget its term snapshot.
-     */
-    void dropSnapshot(LeaseId id) { snapshots_.erase(id); }
-
-    /** Leases holding a term snapshot, in id order (for the oracle). */
-    std::vector<LeaseId> snapshotLeases() const;
 
     // ---- ResourceListener: forwarding to the manager --------------------
 
@@ -122,8 +93,6 @@ class LeaseProxy : public os::ResourceListener
     CounterReader read_;
     TokenFilter mine_;
     LeaseManagerService *manager_ = nullptr;
-    /** Term-start counters, held exactly while their lease is ACTIVE. */
-    std::map<LeaseId, TermCounters> snapshots_;
 };
 
 } // namespace leaseos::lease

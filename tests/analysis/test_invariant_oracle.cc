@@ -359,14 +359,14 @@ TEST(InvariantOracle, TwoLeasesForOneTokenAreReported)
               std::string::npos);
 }
 
-// ---- Service live indexes and proxy snapshots -------------------------------
+// ---- Service live indexes ---------------------------------------------------
 
 TEST(InvariantOracle, ChurningGpsAppAuditsCleanWithBoundedSnapshots)
 {
     // BetterWeather removes its update request on every retry and makes
     // a new one. Removal frees the request and its lease goes DEAD, so
-    // records, tokens, leases and the proxy's term snapshots all stay at
-    // the one live request however many the app has made.
+    // records, tokens and leases all stay at the one live request however
+    // many the app has made.
     const apps::BuggyAppSpec &spec = apps::buggySpec("betterweather");
     harness::Device device(harness::DeviceConfig{}
                                .withMode(harness::MitigationMode::LeaseOS)
@@ -386,73 +386,6 @@ TEST(InvariantOracle, ChurningGpsAppAuditsCleanWithBoundedSnapshots)
     auto &manager = device.leaseos()->manager();
     EXPECT_GT(manager.totalCreated(), 10u);
     EXPECT_LE(manager.table().size(), 1u);
-    EXPECT_EQ(
-        manager.proxies().at(lease::ResourceType::Gps)->snapshotLeases().size(),
-        manager.activeLeases());
-}
-
-/**
- * Run the torch cell until its screen lease is ACTIVE (@p active) or not;
- * nullptr if that does not happen within half an hour.
- */
-const lease::Lease *
-runTorchUntil(harness::Device &device, bool active)
-{
-    const apps::BuggyAppSpec &spec = apps::buggySpec("torch");
-    spec.install(device);
-    spec.trigger(device);
-    device.start();
-    for (int step = 0; step < 180; ++step) {
-        device.runFor(10_s);
-        for (const lease::Lease *l : device.leaseos()->manager().table().all())
-            if ((l->state == LeaseState::Active) == active) return l;
-    }
-    return nullptr;
-}
-
-TEST(InvariantOracle, SnapshotOfNonActiveLeaseIsReported)
-{
-    harness::Device device(harness::DeviceConfig{}
-                               .withMode(harness::MitigationMode::LeaseOS)
-                               .withCheckedOracle(false));
-    const lease::Lease *l = runTorchUntil(device, false);
-    ASSERT_NE(l, nullptr);
-    auto &manager = device.leaseos()->manager();
-    lease::LeaseProxy *proxy = manager.proxies().at(l->rtype);
-
-    InvariantOracle clean = recordOracle();
-    device.auditInvariants(clean);
-    EXPECT_TRUE(clean.clean()) << clean.violations().front().toString();
-
-    // A term begun on a lease that is not ACTIVE leaves a snapshot no
-    // collectStat will ever take back.
-    proxy->beginTerm(*l);
-    InvariantOracle oracle = recordOracle();
-    device.auditInvariants(oracle);
-    ASSERT_EQ(oracle.violations().size(), 1u);
-    EXPECT_EQ(oracle.violations().front().check, "proxy-snapshot");
-    EXPECT_EQ(oracle.violations().front().leaseId, l->id);
-    proxy->dropSnapshot(l->id);
-}
-
-TEST(InvariantOracle, ActiveLeaseWithoutSnapshotIsReported)
-{
-    harness::Device device(harness::DeviceConfig{}
-                               .withMode(harness::MitigationMode::LeaseOS)
-                               .withCheckedOracle(false));
-    const lease::Lease *l = runTorchUntil(device, true);
-    ASSERT_NE(l, nullptr);
-    auto &manager = device.leaseos()->manager();
-    lease::LeaseProxy *proxy = manager.proxies().at(l->rtype);
-    proxy->dropSnapshot(l->id);
-
-    InvariantOracle oracle = recordOracle();
-    oracle.auditProxySnapshots(device.simulator().now(), manager.table(),
-                               *proxy);
-    ASSERT_EQ(oracle.violations().size(), 1u);
-    EXPECT_EQ(oracle.violations().front().check, "proxy-snapshot");
-    EXPECT_EQ(oracle.violations().front().leaseId, l->id);
-    proxy->beginTerm(*l);
 }
 
 // ---- Energy conservation ----------------------------------------------------

@@ -159,8 +159,11 @@ TEST_F(LeaseStateTest, HistoryIsBounded)
     sim.runFor(sim::Time::fromMinutes(30));
     const Lease *lease = mgr.lease(id);
     ASSERT_NE(lease, nullptr);
-    EXPECT_LE(lease->history.size(), mgr.policy().historyDepth);
+    EXPECT_EQ(lease->lastBehavior, BehaviorType::LongHolding);
     EXPECT_GT(lease->deferrals, 0u);
+    // Every classified term was Long-Holding and deferred the lease.
+    EXPECT_EQ(static_cast<std::uint64_t>(lease->behaviorRun),
+              lease->deferrals);
 }
 
 TEST_F(LeaseStateTest, EachAppLeaseIndependent)

@@ -65,15 +65,32 @@ TEST(LeaseTableTest, CountInStateAndAll)
 TEST(LeaseTest, HistoryBoundedAndLastBehavior)
 {
     Lease lease;
-    EXPECT_EQ(lease.lastBehavior(), BehaviorType::Normal);
+    EXPECT_EQ(lease.lastBehavior, BehaviorType::Normal);
+    EXPECT_EQ(lease.behaviorRun, 0);
+
+    // Alternating classes never build a run past the newest term.
     for (int i = 0; i < 20; ++i) {
-        TermRecord rec;
-        rec.behavior = i % 2 == 0 ? BehaviorType::LongHolding
-                                  : BehaviorType::Normal;
-        lease.recordTerm(rec, 8);
+        lease.recordTerm(i % 2 == 0 ? BehaviorType::LongHolding
+                                    : BehaviorType::Normal);
+        EXPECT_EQ(lease.behaviorRun, 1) << "term " << i;
     }
-    EXPECT_EQ(lease.history.size(), 8u);
-    EXPECT_EQ(lease.lastBehavior(), BehaviorType::Normal); // i=19 odd
+    EXPECT_EQ(lease.lastBehavior, BehaviorType::Normal); // i=19 odd
+
+    // Repeats of one class count up without bound.
+    for (int run = 2; run <= 20; ++run) {
+        lease.recordTerm(BehaviorType::Normal);
+        EXPECT_EQ(lease.behaviorRun, run);
+    }
+
+    // A class change starts a new run of one.
+    lease.recordTerm(BehaviorType::FrequentAsk);
+    EXPECT_EQ(lease.lastBehavior, BehaviorType::FrequentAsk);
+    EXPECT_EQ(lease.behaviorRun, 1);
+    lease.recordTerm(BehaviorType::FrequentAsk);
+    EXPECT_EQ(lease.behaviorRun, 2);
+    lease.recordTerm(BehaviorType::LowUtility);
+    EXPECT_EQ(lease.lastBehavior, BehaviorType::LowUtility);
+    EXPECT_EQ(lease.behaviorRun, 1);
 }
 
 TEST(LeaseTest, StateNames)

@@ -182,48 +182,19 @@ InvariantOracle::auditLeaseTable(const sim::Simulator &sim,
     }
 }
 
-namespace {
-
-/** "N records, M live, K indexed" when @p table's index is off, else "". */
-template <typename Table>
-std::string
-liveIndexMismatch(const Table &table)
-{
-    if (table.indexMatchesRecords()) return {};
-    std::size_t live = 0;
-    for (const auto &entry : table.records())
-        if (entry.second.live) ++live;
-    std::ostringstream detail;
-    detail << table.records().size() << " records, " << live
-           << " live, but the live index lists " << table.live().size();
-    return detail.str();
-}
-
-/** The first record of @p table whose token is retired, else "". */
-template <typename Table>
-std::string
-retiredTokenRecord(const Table &table, const os::TokenAllocator &tokens)
-{
-    for (const auto &entry : table.records())
-        if (!tokens.live(entry.first))
-            return "record for retired token " + std::to_string(entry.first);
-    return {};
-}
-
-} // namespace
-
 void
-InvariantOracle::auditServiceIndexes(sim::Time now, os::SystemServer &server)
+InvariantOracle::auditServiceTokens(sim::Time now, os::SystemServer &server)
 {
-    auto audit = [&](const char *service, const auto &table) {
-        const std::pair<const char *, std::string> findings[] = {
-            {"service-index", liveIndexMismatch(table)},
-            {"service-token", retiredTokenRecord(table, server.tokens())},
-        };
-        for (const auto &[check, detail] : findings)
-            if (!detail.empty())
-                report({check, now, lease::kInvalidLeaseId,
-                        std::string(service) + " service: " + detail});
+    // Report the first record of each service whose token is retired.
+    auto audit = [&](const char *service, const auto &records) {
+        for (const auto &entry : records) {
+            if (server.tokens().live(entry.first)) continue;
+            report({"service-token", now, lease::kInvalidLeaseId,
+                    std::string(service) +
+                        " service: record for retired token " +
+                        std::to_string(entry.first)});
+            return;
+        }
     };
     audit("power", server.powerManager().records());
     audit("location", server.locationManager().records());

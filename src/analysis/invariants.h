@@ -23,10 +23,9 @@
  *  - deferral τ accounting: when a lease leaves DEFERRED, the seconds
  *    credited to totalDeferralSeconds equal the wall deferral time that
  *    actually elapsed;
- *  - service live indexes: each resource service's index of live records
- *    lists exactly its live records, in token order, and every record's
- *    token is live in the TokenAllocator (the mirror of the lease-table
- *    check).
+ *  - service tokens: every record a resource service keeps has a token
+ *    the TokenAllocator reports live (the mirror of the lease-table
+ *    check), so no record outlives its kernel object.
  *
  * Violations produce a structured diagnostic carrying the simulated time
  * and lease id (when one is involved). In Abort mode (the default for
@@ -145,12 +144,8 @@ class InvariantOracle
     void auditEnergy(sim::Time now, const power::EnergyAccountant &accountant,
                      const power::Battery &battery, double tolerance = 1e-6);
 
-    /**
-     * Each resource service's live index lists exactly its live records
-     * (held locks, active requests and registrations, open sessions,
-     * running scans) in token order, and no record outlives its token.
-     */
-    void auditServiceIndexes(sim::Time now, os::SystemServer &server);
+    /** No resource service keeps a record whose token is retired. */
+    void auditServiceTokens(sim::Time now, os::SystemServer &server);
 
     /** Wakelock/GPS/sensor balance when the app with @p uid stops. */
     void checkAppTeardown(sim::Time now, os::SystemServer &server, Uid uid);

@@ -171,7 +171,7 @@ void
 Device::auditInvariants(analysis::InvariantOracle &oracle)
 {
     oracle.auditEnergy(sim_.now(), *accountant_, *battery_);
-    oracle.auditServiceIndexes(sim_.now(), *server_);
+    oracle.auditServiceTokens(sim_.now(), *server_);
     if (leaseos_)
         oracle.auditLeaseTable(sim_, leaseos_->manager().table(),
                                server_->tokens());

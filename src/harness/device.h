@@ -193,11 +193,11 @@ class Device
     double appPowerMw(Uid uid) { return profiler_->averageUidPowerMw(uid); }
 
     /**
-     * Run the pull-style invariant audits (lease table ↔ binder, energy
-     * conservation, service live indexes, proxy term snapshots) against
-     * @p oracle now. Checked builds call this periodically and at
-     * teardown through the device's own oracle; tests can call it
-     * directly with a Record-mode oracle in any build.
+     * Run the pull-style invariant audits (energy conservation, service
+     * records ↔ binder tokens, lease table ↔ binder) against @p oracle
+     * now. Checked builds call this periodically and at teardown through
+     * the device's own oracle; tests can call it directly with a
+     * Record-mode oracle in any build.
      */
     void auditInvariants(analysis::InvariantOracle &oracle);
 

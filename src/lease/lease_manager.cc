@@ -88,9 +88,10 @@ LeaseManagerService::initMetrics()
 }
 
 void
-LeaseManagerService::noteTransition([[maybe_unused]] const Lease &lease,
-                                    LeaseState to)
+LeaseManagerService::transition(Lease &lease, LeaseState to)
 {
+    LEASEOS_ORACLE(
+        noteLeaseTransition(sim_.now(), lease.id, lease.state, to));
     if (metrics_) {
         switch (to) {
           case LeaseState::Active: metrics_->add(m_.toActive); break;
@@ -103,6 +104,16 @@ LeaseManagerService::noteTransition([[maybe_unused]] const Lease &lease,
     LEASEOS_TRACE(emit(sim_.now(), obs::TraceCategory::Lease,
                        transitionCode(to), lease.uid, lease.id,
                        static_cast<std::uint64_t>(lease.state)));
+    lease.state = to;
+}
+
+void
+LeaseManagerService::renewTerm(Lease &lease, sim::Time length)
+{
+    ++lease.termIndex;
+    ++totalRenewals_;
+    if (metrics_) metrics_->add(m_.renewals);
+    startTerm(lease, length);
 }
 
 bool
@@ -190,15 +201,8 @@ LeaseManagerService::renew(LeaseId id)
         return false;
     }
     if (lease->state == LeaseState::Inactive) {
-        LEASEOS_ORACLE(noteLeaseTransition(sim_.now(), lease->id,
-                                           lease->state,
-                                           LeaseState::Active));
-        noteTransition(*lease, LeaseState::Active);
-        lease->state = LeaseState::Active;
-        ++lease->termIndex;
-        ++totalRenewals_;
-        if (metrics_) metrics_->add(m_.renewals);
-        startTerm(*lease, policy_.termFor(lease->consecutiveNormal));
+        transition(*lease, LeaseState::Active);
+        renewTerm(*lease, policy_.termFor(lease->consecutiveNormal));
     }
     return true;
 }
@@ -215,10 +219,7 @@ LeaseManagerService::remove(LeaseId id)
     // A lease killed mid-τ gets credit for the deferral time it actually
     // served — not the full scheduled τ (the historic over-count).
     if (lease->state == LeaseState::Deferred) settleDeferral(*lease);
-    LEASEOS_ORACLE(noteLeaseTransition(sim_.now(), lease->id, lease->state,
-                                       LeaseState::Dead));
-    noteTransition(*lease, LeaseState::Dead);
-    lease->state = LeaseState::Dead;
+    transition(*lease, LeaseState::Dead);
     recordDeath(*lease);
     table_.reap(id);
     return true;
@@ -302,11 +303,7 @@ LeaseManagerService::onTermEnd(LeaseId id)
     }
 
     if (!proxy->resourceHeld(*lease)) {
-        LEASEOS_ORACLE(noteLeaseTransition(sim_.now(), lease->id,
-                                           lease->state,
-                                           LeaseState::Inactive));
-        noteTransition(*lease, LeaseState::Inactive);
-        lease->state = LeaseState::Inactive;
+        transition(*lease, LeaseState::Inactive);
         return;
     }
 
@@ -356,10 +353,7 @@ LeaseManagerService::onTermEnd(LeaseId id)
             // Suspected but unconfirmed: renew on a short term, without
             // normal-streak credit.
             lease->consecutiveNormal = 0;
-            ++lease->termIndex;
-            ++totalRenewals_;
-            if (metrics_) metrics_->add(m_.renewals);
-            startTerm(*lease, policy_.initialTerm);
+            renewTerm(*lease, policy_.initialTerm);
             return;
         }
     }
@@ -378,11 +372,7 @@ LeaseManagerService::onTermEnd(LeaseId id)
         LEASE_LOG(sim_) << "lease " << lease->id << " DEFERRED for "
                         << tau.toString() << " (offence #"
                         << lease->consecutiveMisbehaved << ")";
-        LEASEOS_ORACLE(noteLeaseTransition(sim_.now(), lease->id,
-                                           lease->state,
-                                           LeaseState::Deferred));
-        noteTransition(*lease, LeaseState::Deferred);
-        lease->state = LeaseState::Deferred;
+        transition(*lease, LeaseState::Deferred);
         lease->deferredAt = sim_.now();
         ++lease->deferrals;
         ++totalDeferrals_;
@@ -397,10 +387,7 @@ LeaseManagerService::onTermEnd(LeaseId id)
     // immediately; well-behaved leases earn longer terms (§5.2).
     ++lease->consecutiveNormal;
     lease->consecutiveMisbehaved = 0;
-    ++lease->termIndex;
-    ++totalRenewals_;
-    if (metrics_) metrics_->add(m_.renewals);
-    startTerm(*lease, policy_.termFor(lease->consecutiveNormal));
+    renewTerm(*lease, policy_.termFor(lease->consecutiveNormal));
 }
 
 void
@@ -417,23 +404,12 @@ LeaseManagerService::onDeferralEnd(LeaseId id)
     if (proxy && proxy->resourceHeld(*lease)) {
         LEASE_LOG(sim_) << "lease " << lease->id
                         << " restored to ACTIVE after deferral";
-        LEASEOS_ORACLE(noteLeaseTransition(sim_.now(), lease->id,
-                                           lease->state,
-                                           LeaseState::Active));
-        noteTransition(*lease, LeaseState::Active);
-        lease->state = LeaseState::Active;
-        ++lease->termIndex;
-        ++totalRenewals_;
-        if (metrics_) metrics_->add(m_.renewals);
+        transition(*lease, LeaseState::Active);
         // Back to the short initial term: the lease just misbehaved.
-        startTerm(*lease, policy_.initialTerm);
+        renewTerm(*lease, policy_.initialTerm);
     } else {
         // The app released the resource during τ.
-        LEASEOS_ORACLE(noteLeaseTransition(sim_.now(), lease->id,
-                                           lease->state,
-                                           LeaseState::Inactive));
-        noteTransition(*lease, LeaseState::Inactive);
-        lease->state = LeaseState::Inactive;
+        transition(*lease, LeaseState::Inactive);
     }
 }
 

@@ -137,6 +137,8 @@ class LeaseManagerService
 
     /** Start a fresh term on an active lease and arm its expiry check. */
     void startTerm(Lease &lease, sim::Time length);
+    /** Count a renewal and start the lease's next term of @p length. */
+    void renewTerm(Lease &lease, sim::Time length);
     void onTermEnd(LeaseId id);
     void onDeferralEnd(LeaseId id);
 
@@ -150,8 +152,11 @@ class LeaseManagerService
 
     /** Intern this service's metrics in the run's registry (DESIGN §9). */
     void initMetrics();
-    /** Count + trace one state transition (the six Fig. 5 sites). */
-    void noteTransition(const Lease &lease, LeaseState to);
+    /**
+     * Move @p lease to @p to, one Fig. 5 edge: the oracle checks it, then
+     * it is counted and traced, then the state is written.
+     */
+    void transition(Lease &lease, LeaseState to);
 
     /** §8 extension: misbehaviour reputation outliving the lease. */
     struct Reputation {

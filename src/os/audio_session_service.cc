@@ -16,10 +16,9 @@ AudioSessionService::AudioSessionService(
 void
 AudioSessionService::accrue(double dt)
 {
-    for (const auto *entry : records_.live()) {
-        const AudioSession &session = entry->second;
+    for (const auto &[token, session] : records_) {
         if (!session.enabled) continue;
-        auto &totals = records_.accrue(session.uid);
+        auto &totals = totals_[session.uid];
         totals.openSeconds += dt;
         if (session.playing) totals.playingSeconds += dt;
     }
@@ -50,7 +49,7 @@ AudioSessionService::apply()
 void
 AudioSessionService::startPlayback(TokenId token)
 {
-    AudioSession *session = records_.find(token);
+    AudioSession *session = find(token);
     if (!session || !session->live) return;
     chargeIpc(session->uid, kBinderIpcLatency);
     advance();
@@ -61,7 +60,7 @@ AudioSessionService::startPlayback(TokenId token)
 void
 AudioSessionService::stopPlayback(TokenId token)
 {
-    AudioSession *session = records_.find(token);
+    AudioSession *session = find(token);
     if (!session) return;
     chargeIpc(session->uid, kBinderIpcLatency);
     advance();

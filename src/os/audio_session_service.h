@@ -77,7 +77,7 @@ class AudioSessionService : public ResourceService<AudioSession>
     bool
     isPlaying(TokenId token) const
     {
-        const AudioSession *session = records_.find(token);
+        const AudioSession *session = find(token);
         return session && session->playing;
     }
 

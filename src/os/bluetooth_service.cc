@@ -24,7 +24,7 @@ void
 BluetoothService::deliver(BluetoothScan &scan)
 {
     if (nearbyDevices_ <= 0) return;
-    ++records_.accrue(scan.uid).discoveries;
+    ++totals_[scan.uid].discoveries;
     if (scan.listener) {
         cpu_.runWorkFor(scan.uid, 0.3, sim::Time::fromMillis(3));
         scan.listener->onDeviceFound(

@@ -81,7 +81,7 @@ class BluetoothService : public ResourceService<BluetoothScan>
     std::uint64_t
     discoveries(Uid uid) const
     {
-        return records_.totals(uid).discoveries;
+        return totals(uid).discoveries;
     }
 
   private:

@@ -17,10 +17,9 @@ void
 LocationManagerService::accrue(double dt)
 {
     bool fix = gps_.hasFix();
-    for (const auto *entry : records_.live()) {
-        const LocationRequest &req = entry->second;
+    for (const auto &[token, req] : records_) {
         if (!req.enabled) continue;
-        auto &totals = records_.accrue(req.uid);
+        auto &totals = totals_[req.uid];
         totals.requestSeconds += dt;
         if (!fix) totals.noFixSeconds += dt;
     }
@@ -41,7 +40,7 @@ LocationManagerService::deliver(LocationRequest &req)
 {
     if (!gps_.hasFix()) return;
     GeoPoint here = positionFn_(sim_.now());
-    auto &totals = records_.accrue(req.uid);
+    auto &totals = totals_[req.uid];
     ++totals.fixes;
     if (req.hasLastPoint)
         totals.distanceMeters += leaseos::distanceMeters(req.lastPoint, here);

@@ -79,7 +79,7 @@ class LocationManagerService : public ResourceService<LocationRequest>
     requestLocationUpdates(Uid uid, sim::Time interval,
                            LocationListener *listener)
     {
-        ++records_.accrue(uid).requests;
+        ++totals_[uid].requests;
         return create({.uid = uid,
                        .interval = interval,
                        .listener = listener,
@@ -108,19 +108,19 @@ class LocationManagerService : public ResourceService<LocationRequest>
     std::uint64_t
     fixCount(Uid uid) const
     {
-        return records_.totals(uid).fixes;
+        return totals(uid).fixes;
     }
     std::uint64_t
     requestCount(Uid uid) const
     {
-        return records_.totals(uid).requests;
+        return totals(uid).requests;
     }
 
     /** Metres moved between consecutive delivered fixes. */
     double
     distanceMeters(Uid uid) const
     {
-        return records_.totals(uid).distanceMeters;
+        return totals(uid).distanceMeters;
     }
 
     bool hasFix() const { return gps_.hasFix(); }
@@ -129,7 +129,7 @@ class LocationManagerService : public ResourceService<LocationRequest>
     std::vector<TokenId>
     activeRequests(Uid uid) const
     {
-        return records_.liveTokens(uid);
+        return liveTokens(uid);
     }
 
   private:

@@ -15,13 +15,11 @@ PowerManagerService::PowerManagerService(sim::Simulator &sim,
 void
 PowerManagerService::accrue(double dt)
 {
-    for (auto *entry : records_.live()) {
-        WakeLock &lock = entry->second;
-        auto &totals = records_.accrue(lock.uid);
-        if (lock.live) {
-            lock.heldSeconds += dt;
-            totals.heldSeconds += dt;
-        }
+    for (auto &[token, lock] : records_) {
+        if (!lock.live) continue;
+        auto &totals = totals_[lock.uid];
+        lock.heldSeconds += dt;
+        totals.heldSeconds += dt;
         if (lock.enabled) {
             lock.enabledSeconds += dt;
             totals.enabledSeconds += dt;
@@ -63,7 +61,7 @@ double
 PowerManagerService::heldSecondsForToken(TokenId token)
 {
     advance();
-    const WakeLock *lock = records_.find(token);
+    const WakeLock *lock = find(token);
     return lock ? lock->heldSeconds : 0.0;
 }
 
@@ -71,14 +69,14 @@ double
 PowerManagerService::enabledSecondsForToken(TokenId token)
 {
     advance();
-    const WakeLock *lock = records_.find(token);
+    const WakeLock *lock = find(token);
     return lock ? lock->enabledSeconds : 0.0;
 }
 
 WakeLockType
 PowerManagerService::typeOf(TokenId token) const
 {
-    const WakeLock *lock = records_.find(token);
+    const WakeLock *lock = find(token);
     return lock ? lock->type : WakeLockType::Partial;
 }
 
@@ -86,7 +84,7 @@ const std::string &
 PowerManagerService::tagOf(TokenId token) const
 {
     static const std::string empty;
-    const WakeLock *lock = records_.find(token);
+    const WakeLock *lock = find(token);
     return lock ? lock->tag : empty;
 }
 

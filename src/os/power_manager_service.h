@@ -79,7 +79,7 @@ class PowerManagerService : public ResourceService<WakeLock>
     acquire(TokenId token)
     {
         setLive(token, true, kResourceIpcLatency, [this](WakeLock &lock) {
-            ++records_.accrue(lock.uid).acquires;
+            ++totals_[lock.uid].acquires;
         });
     }
 
@@ -88,7 +88,7 @@ class PowerManagerService : public ResourceService<WakeLock>
     release(TokenId token)
     {
         setLive(token, false, kBinderIpcLatency, [this](WakeLock &lock) {
-            ++records_.accrue(lock.uid).releases;
+            ++totals_[lock.uid].releases;
         });
     }
 
@@ -121,19 +121,19 @@ class PowerManagerService : public ResourceService<WakeLock>
     std::uint64_t
     acquireCount(Uid uid) const
     {
-        return records_.totals(uid).acquires;
+        return totals(uid).acquires;
     }
     std::uint64_t
     releaseCount(Uid uid) const
     {
-        return records_.totals(uid).releases;
+        return totals(uid).releases;
     }
 
     /** Tokens @p uid currently holds (acquired, not released/destroyed). */
     std::vector<TokenId>
     heldTokens(Uid uid) const
     {
-        return records_.liveTokens(uid);
+        return liveTokens(uid);
     }
 
     const std::string &tagOf(TokenId token) const;

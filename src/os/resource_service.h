@@ -10,14 +10,15 @@
  * the lease proxies of §4.4 follow these four events). Every step runs in
  * one order: charge the inbound binder IPC to the caller's uid (destroy
  * has no IPC: the object dies with its app or wrapper), advance() the
- * time-based totals to now, mint or retire the token and update the live
- * index, apply() the enabled records to the hardware (a create that adds
- * no live record skips it), and only then call the listeners.
+ * time-based totals to now, mint or retire the token and add, flag or
+ * erase the record, apply() the enabled records to the hardware (a create
+ * that adds no live record skips it), and only then call the listeners.
  * Releasing an object that is not live is a no-op: no IPC, no accrual, no
  * listener call, just as Android's WakeLock.release() makes no binder call
  * for a lock it does not hold.
  *
- * Each service keeps its kernel objects in a ResourceTable and offers the
+ * Each service keeps its kernel objects in one token-ordered record map,
+ * beside the per-uid totals behind its metric getters, and offers the
  * same interposition surface to LeaseOS and the baselines: suspend(token)
  * pulls one object out of service without the app noticing (the
  * descriptor stays valid and acquire/release IPCs behave as §4.6
@@ -27,6 +28,13 @@
  * hardware state, accrue(), which integrates its time-based totals, and,
  * for a subscription (location, sensor, Bluetooth), deliver(), the
  * callback that scheduleTick() repeats while the record stays enabled.
+ * A record holds a kernel object from the IPC that mints its token until
+ * destroy(); only a live one (a held lock, an active request or
+ * registration, an open session, a running scan) can be enabled, accrue
+ * time or own hardware. Releasing a subscription or a session frees its
+ * object too, so the map holds the live objects and the released locks
+ * that their apps have not freed, and the walks below visit every record
+ * in token order.
  * sweepOwners() collects the enabled records' uids into a stack buffer and
  * apply() hands the hardware a span over it; the hardware setters copy it
  * into storage they keep between calls, so an acquire or a release
@@ -34,6 +42,7 @@
  */
 
 #include <functional>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,7 +50,6 @@
 #include "common/inline_vec.h"
 #include "os/binder.h"
 #include "os/resource_listener.h"
-#include "os/resource_table.h"
 #include "os/service.h"
 
 namespace leaseos::os {
@@ -87,8 +95,8 @@ class ResourceServiceBase : public Service
 
 /**
  * Record needs `uid`, `live`, `suspended` and `enabled` members and a
- * `Totals` type (see ResourceTable); scheduleTick() also needs a
- * `tickScheduled` flag.
+ * default-constructible `Totals` type (the per-uid totals); scheduleTick()
+ * also needs a `tickScheduled` flag.
  */
 template <typename Record>
 class ResourceService : public ResourceServiceBase
@@ -102,7 +110,7 @@ class ResourceService : public ResourceServiceBase
     void
     destroy(TokenId token)
     {
-        const Record *record = records_.find(token);
+        const Record *record = find(token);
         if (!record) return;
         const Uid uid = record->uid;
         advance();
@@ -121,14 +129,14 @@ class ResourceService : public ResourceServiceBase
     bool
     isLive(TokenId token) const final
     {
-        const Record *record = records_.find(token);
+        const Record *record = find(token);
         return record && record->live;
     }
 
     bool
     isSuspended(TokenId token) const
     {
-        const Record *record = records_.find(token);
+        const Record *record = find(token);
         return record && record->suspended;
     }
 
@@ -136,7 +144,7 @@ class ResourceService : public ResourceServiceBase
     bool
     isEnabled(TokenId token) const
     {
-        const Record *record = records_.find(token);
+        const Record *record = find(token);
         return record && record->enabled;
     }
 
@@ -164,10 +172,15 @@ class ResourceService : public ResourceServiceBase
         apply();
     }
 
-    Uid ownerOf(TokenId token) const { return records_.ownerOf(token); }
+    Uid
+    ownerOf(TokenId token) const
+    {
+        const Record *record = find(token);
+        return record ? record->uid : kInvalidUid;
+    }
 
-    /** Every record, for the invariant audits. */
-    const ResourceTable<Record> &records() const { return records_; }
+    /** Every record in token order, for the invariant audits. */
+    const std::map<TokenId, Record> &records() const { return records_; }
 
   protected:
     using Filter = std::function<bool(const Record &)>;
@@ -195,7 +208,7 @@ class ResourceService : public ResourceServiceBase
         chargeIpc(uid, ipc);
         advance();
         const TokenId token = tokens_.next();
-        records_.add(token, std::move(record));
+        records_.emplace(token, std::move(record));
         if (live) apply();
         notify(&ResourceListener::onCreated, token, uid);
         if (live) notify(&ResourceListener::onAcquired, token, uid);
@@ -213,12 +226,12 @@ class ResourceService : public ResourceServiceBase
     setLive(TokenId token, bool live, sim::Time ipc,
             Edit edit = [](Record &) {})
     {
-        Record *record = records_.find(token);
+        Record *record = find(token);
         if (!record || (!live && !record->live)) return;
         const Uid uid = record->uid;
         chargeIpc(uid, ipc);
         advance();
-        records_.setLive(token, live);
+        record->live = live;
         edit(*record);
         apply();
         notify(live ? &ResourceListener::onAcquired
@@ -240,7 +253,40 @@ class ResourceService : public ResourceServiceBase
     totalsNow(Uid uid)
     {
         advance();
-        return records_.totals(uid);
+        return totals(uid);
+    }
+
+    Record *
+    find(TokenId token)
+    {
+        auto it = records_.find(token);
+        return it == records_.end() ? nullptr : &it->second;
+    }
+
+    const Record *
+    find(TokenId token) const
+    {
+        auto it = records_.find(token);
+        return it == records_.end() ? nullptr : &it->second;
+    }
+
+    /** @p uid's totals; zero for a uid that never accrued any. */
+    const Totals &
+    totals(Uid uid) const
+    {
+        static const Totals zero{};
+        auto it = totals_.find(uid);
+        return it == totals_.end() ? zero : it->second;
+    }
+
+    /** Tokens of @p uid's live records, in token order. */
+    std::vector<TokenId>
+    liveTokens(Uid uid) const
+    {
+        std::vector<TokenId> tokens;
+        for (const auto &[token, record] : records_)
+            if (record.live && record.uid == uid) tokens.push_back(token);
+        return tokens;
     }
 
     /** Add the @p dt seconds since the last advance() to the totals. */
@@ -250,24 +296,26 @@ class ResourceService : public ResourceServiceBase
     virtual void apply() = 0;
 
     /**
-     * apply()'s walk (ResourceTable::sweep): recompute each indexed
-     * record's enabled flag, call @p onEnabled(token, record, wasEnabled)
-     * on every enabled one, and return their uids ascending and without
-     * repeats. The hardware splits power across owners in the order
-     * given, so this order is part of the output bits.
+     * apply()'s walk: recompute every record's enabled flag in token
+     * order, call @p onEnabled(token, record, wasEnabled) on each enabled
+     * one, and return their uids ascending and without repeats. The
+     * hardware splits power across owners in the order given, so this
+     * order is part of the output bits. A released record is cleared here
+     * in the apply() of its release; @p onEnabled must not add or erase
+     * records.
      */
     template <typename OnEnabled = void (*)(TokenId, Record &, bool)>
     Owners
     sweepOwners(OnEnabled onEnabled = [](TokenId, Record &, bool) {})
     {
         Owners owners;
-        records_.sweep([&](TokenId token, Record &record) {
+        for (auto &[token, record] : records_) {
             const bool wasEnabled = record.enabled;
             record.enabled = shouldEnable(record);
-            if (!record.enabled) return;
+            if (!record.enabled) continue;
             owners.push_back(record.uid);
             onEnabled(token, record, wasEnabled);
-        });
+        }
         common::sortUnique(owners);
         return owners;
     }
@@ -298,7 +346,7 @@ class ResourceService : public ResourceServiceBase
     void
     scheduleTick(TokenId token, sim::Time interval)
     {
-        Record *record = records_.find(token);
+        Record *record = find(token);
         if (!record || record->tickScheduled) return;
         record->tickScheduled = true;
         sim_.schedule(interval,
@@ -308,13 +356,16 @@ class ResourceService : public ResourceServiceBase
     /** One callback of a subscription's loop (see scheduleTick()). */
     virtual void deliver(Record &record) { (void)record; }
 
-    ResourceTable<Record> records_;
+    /** The kernel-object records, live or released, in token order. */
+    std::map<TokenId, Record> records_;
+    /** Per-uid totals behind the metric getters; accrue() adds to them. */
+    std::map<Uid, Totals> totals_;
 
   private:
     void
     setSuspended(TokenId token, bool suspended)
     {
-        Record *record = records_.find(token);
+        Record *record = find(token);
         if (!record || record->suspended == suspended) return;
         advance();
         record->suspended = suspended;
@@ -324,7 +375,7 @@ class ResourceService : public ResourceServiceBase
     void
     tick(TokenId token, sim::Time interval)
     {
-        Record *record = records_.find(token);
+        Record *record = find(token);
         if (!record) return;
         record->tickScheduled = false;
         if (!record->enabled) return;

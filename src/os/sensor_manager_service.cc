@@ -16,43 +16,25 @@ SensorManagerService::SensorManagerService(sim::Simulator &sim,
 void
 SensorManagerService::accrue(double dt)
 {
-    for (const auto *entry : records_.live()) {
-        const SensorRegistration &reg = entry->second;
-        if (reg.enabled) records_.accrue(reg.uid).registeredSeconds += dt;
-    }
+    for (const auto &[token, reg] : records_)
+        if (reg.enabled) totals_[reg.uid].registeredSeconds += dt;
 }
 
 void
 SensorManagerService::apply()
 {
-    records_.sweep([&](TokenId token, SensorRegistration &reg) {
-        bool enabled = shouldEnable(reg);
-        bool was_hw = hwRegs_.count(token) != 0;
-        if (enabled && !was_hw) {
-            sensors_.registerUse(reg.type, reg.uid);
-            hwRegs_[token] = {reg.type, reg.uid};
-        } else if (!enabled && was_hw) {
-            sensors_.unregisterUse(reg.type, reg.uid);
-            hwRegs_.erase(token);
-        }
-        if (enabled && !reg.enabled) scheduleTick(token, reg.rate);
-        reg.enabled = enabled;
+    common::InlineVec<std::pair<power::SensorType, Uid>, 8> uses;
+    sweepOwners([&](TokenId token, SensorRegistration &reg, bool wasEnabled) {
+        uses.emplace_back(reg.type, reg.uid);
+        if (!wasEnabled) scheduleTick(token, reg.rate);
     });
-    // Drop hardware registrations whose request object died.
-    for (auto it = hwRegs_.begin(); it != hwRegs_.end();) {
-        if (!records_.find(it->first)) {
-            sensors_.unregisterUse(it->second.first, it->second.second);
-            it = hwRegs_.erase(it);
-        } else {
-            ++it;
-        }
-    }
+    sensors_.setUses(uses.span());
 }
 
 void
 SensorManagerService::deliver(SensorRegistration &reg)
 {
-    ++records_.accrue(reg.uid).events;
+    ++totals_[reg.uid].events;
     if (reg.listener) {
         cpu_.runWorkFor(reg.uid, 0.2, sim::Time::fromMillis(1));
         reg.listener->onSensorEvent(reg.type,

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "os/binder.h"
@@ -96,14 +95,14 @@ class SensorManagerService : public ResourceService<SensorRegistration>
     std::uint64_t
     eventCount(Uid uid) const
     {
-        return records_.totals(uid).events;
+        return totals(uid).events;
     }
 
     /** Listener registrations @p uid still has active (not unregistered). */
     std::vector<TokenId>
     activeRegistrations(Uid uid) const
     {
-        return records_.liveTokens(uid);
+        return liveTokens(uid);
     }
 
   private:
@@ -113,9 +112,6 @@ class SensorManagerService : public ResourceService<SensorRegistration>
 
     power::SensorModel &sensors_;
     ReadingFn readingFn_;
-
-    /** Hardware registrations we currently hold, to diff on apply(). */
-    std::map<TokenId, std::pair<power::SensorType, Uid>> hwRegs_;
 };
 
 } // namespace leaseos::os

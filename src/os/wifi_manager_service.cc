@@ -13,10 +13,10 @@ WifiManagerService::WifiManagerService(sim::Simulator &sim,
 void
 WifiManagerService::accrue(double dt)
 {
-    for (const auto *entry : records_.live()) {
-        const WifiLock &lock = entry->second;
-        auto &totals = records_.accrue(lock.uid);
-        if (lock.live) totals.heldSeconds += dt;
+    for (const auto &[token, lock] : records_) {
+        if (!lock.live) continue;
+        auto &totals = totals_[lock.uid];
+        totals.heldSeconds += dt;
         if (lock.enabled) totals.enabledSeconds += dt;
     }
 }

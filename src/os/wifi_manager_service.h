@@ -56,7 +56,7 @@ class WifiManagerService : public ResourceService<WifiLock>
     acquire(TokenId token)
     {
         setLive(token, true, kResourceIpcLatency, [this](WifiLock &lock) {
-            ++records_.accrue(lock.uid).acquires;
+            ++totals_[lock.uid].acquires;
         });
     }
     void
@@ -73,7 +73,7 @@ class WifiManagerService : public ResourceService<WifiLock>
     std::uint64_t
     acquireCount(Uid uid) const
     {
-        return records_.totals(uid).acquires;
+        return totals(uid).acquires;
     }
 
   private:

@@ -62,7 +62,7 @@ SensorModel::updatePower()
         if (users.empty()) continue;
         double each = sensorMw(static_cast<SensorType>(t)) /
             static_cast<double>(users.size());
-        for (const auto &[uid, count] : users) accum(merged, uid) += each;
+        for (Uid uid : users) accum(merged, uid) += each;
     }
     std::sort(merged.begin(), merged.end(),
               [](const auto &a, const auto &b) { return a.first < b.first; });
@@ -70,31 +70,12 @@ SensorModel::updatePower()
 }
 
 void
-SensorModel::registerUse(SensorType type, Uid uid)
+SensorModel::setUses(std::span<const std::pair<SensorType, Uid>> uses)
 {
-    UserList &users = usersFor(type);
-    std::size_t i = 0;
-    while (i < users.size() && users[i].first < uid) ++i;
-    if (i < users.size() && users[i].first == uid) {
-        ++users[i].second;
-    } else {
-        users.emplace_back(uid, 1);
-        for (std::size_t j = users.size() - 1; j > i; --j)
-            std::swap(users[j], users[j - 1]);
-    }
+    for (UserList &users : uses_) users.clear();
+    for (const auto &[type, uid] : uses) usersFor(type).push_back(uid);
+    for (UserList &users : uses_) common::sortUnique(users);
     updatePower();
-}
-
-void
-SensorModel::unregisterUse(SensorType type, Uid uid)
-{
-    UserList &users = usersFor(type);
-    for (std::size_t i = 0; i < users.size(); ++i) {
-        if (users[i].first != uid) continue;
-        if (--users[i].second <= 0) users.erase(i);
-        updatePower();
-        return;
-    }
 }
 
 bool
@@ -103,24 +84,12 @@ SensorModel::active(SensorType type) const
     return !usersFor(type).empty();
 }
 
-std::vector<Uid>
-SensorModel::users(SensorType type) const
-{
-    std::vector<Uid> uids;
-    for (const auto &[uid, count] : usersFor(type)) uids.push_back(uid);
-    return uids;
-}
-
-
 void
 SensorModel::digestState(sim::StateDigest &d) const
 {
     for (const UserList &users : uses_) {
         d.u64(users.size());
-        for (std::size_t i = 0; i < users.size(); ++i) {
-            d.u32(static_cast<std::uint32_t>(users[i].first));
-            d.i64(users[i].second);
-        }
+        for (Uid uid : users) d.u32(static_cast<std::uint32_t>(uid));
     }
 }
 

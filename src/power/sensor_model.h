@@ -7,12 +7,12 @@
  *
  * Sensors draw power while any listener is registered (the TapAndTurn #28
  * bug: "polls sensors even when screen is off"). Each sensor type's draw is
- * split across its registered uids.
+ * split across the distinct uids that hold an enabled registration of it.
  */
 
 #include <array>
+#include <span>
 #include <utility>
-#include <vector>
 
 #include "common/inline_vec.h"
 #include "power/component.h"
@@ -25,7 +25,7 @@ enum class SensorType { Accelerometer, Orientation, Gyroscope, Light };
 const char *sensorTypeName(SensorType t);
 
 /**
- * Registration-count-based sensor power model.
+ * Sensor hub power model with per-uid attribution.
  */
 class SensorModel : public PowerComponent
 {
@@ -33,14 +33,13 @@ class SensorModel : public PowerComponent
     SensorModel(sim::Simulator &sim, EnergyAccountant &accountant,
                 const DeviceProfile &profile);
 
-    /** Register one use of @p type by @p uid (counted; may nest). */
-    void registerUse(SensorType type, Uid uid);
-
-    /** Drop one use; no-op if the uid has no outstanding registration. */
-    void unregisterUse(SensorType type, Uid uid);
+    /**
+     * The enabled registrations as (type, uid) pairs, from the OS service;
+     * a uid that registers one type twice draws one share of it.
+     */
+    void setUses(std::span<const std::pair<SensorType, Uid>> uses);
 
     bool active(SensorType type) const;
-    std::vector<Uid> users(SensorType type) const;
 
     /** Power draw of one sensor type from the device profile. */
     double sensorMw(SensorType type) const;
@@ -49,8 +48,8 @@ class SensorModel : public PowerComponent
     void digestState(sim::StateDigest &d) const;
 
   private:
-    /** Registered (uid, count) pairs kept sorted by uid. */
-    using UserList = common::InlineVec<std::pair<Uid, int>, 4>;
+    /** One type's registered uids, ascending and without repeats. */
+    using UserList = common::InlineVec<Uid, 4>;
 
     void updatePower();
 
@@ -68,7 +67,7 @@ class SensorModel : public PowerComponent
     ChannelId channel_;
     /** Indexed by SensorType; uid-sorted lists keep attribution (and its
         floating-point accumulation order) identical to the old nested
-        std::map while making re-registration allocation-free. */
+        std::map while keeping the handoff allocation-free. */
     std::array<UserList, 4> uses_;
 };
 

@@ -8,10 +8,11 @@
  * any future core change) must reproduce them byte for byte: one full
  * Table-5 mitigation cell and one multi-spec ParallelRunner sweep,
  * serialised at full precision. resource_services.json was captured
- * with the per-service std::map record tables that os::ResourceTable
- * replaced; it covers every resource service with apps that release a
- * kernel object and then request a new one, and pins each service's
- * per-uid totals to the last bit. term_records.json was captured with one
+ * with the per-service std::map record tables that the services keep
+ * again (an index of the live records stood beside them in between); it
+ * covers every resource service with apps that release a kernel object
+ * and then request a new one, and pins each service's per-uid totals to
+ * the last bit. term_records.json was captured with one
  * proxy class per resource type; it pins, per resource type, how many
  * lease terms ended and a digest over every TermRecord the lease manager
  * published, so every field a proxy measures (not only the ones that move

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for os::ResourceTable's live index, through the services that use
- * it: after thousands of release cycles the released locks persist until
- * destroy() and removed requests are gone, and the walks and per-uid
- * queries see only live records.
+ * Tests for the resource services' record maps: after thousands of
+ * release cycles the released locks persist until destroy() and removed
+ * requests are gone, and the walks and per-uid queries count only the
+ * live records.
  */
 
 #include "os_fixture.h"
@@ -42,10 +42,8 @@ TEST_F(ResourceTableTest, QueriesListOnlyLiveTokensAfterRequestChurn)
     }
     EXPECT_EQ(lms.activeRequests(kApp), live);
     EXPECT_TRUE(lms.activeRequests(kApp2).empty());
-    EXPECT_EQ(lms.records().records().size(), live.size());
-    EXPECT_EQ(lms.records().live().size(), live.size());
+    EXPECT_EQ(lms.records().size(), live.size());
     EXPECT_EQ(server.tokens().liveCount(), live.size());
-    EXPECT_TRUE(lms.records().indexMatchesRecords());
     EXPECT_EQ(lms.requestCount(kApp), std::uint64_t(kCycles));
 
     // Only the live requests accrue request time.
@@ -71,16 +69,14 @@ TEST_F(ResourceTableTest, QueriesListOnlyHeldTokensAfterAcquireChurn)
         sim.runFor(kGap);
     }
     EXPECT_EQ(pms.heldTokens(kApp), held);
-    EXPECT_EQ(pms.records().records().size(), std::size_t(kCycles) + 1);
-    EXPECT_EQ(pms.records().live().size(), held.size());
-    EXPECT_TRUE(pms.records().indexMatchesRecords());
+    EXPECT_EQ(pms.records().size(), std::size_t(kCycles) + 1);
     for (TokenId t : held) EXPECT_TRUE(pms.isEnabled(t));
     EXPECT_FALSE(pms.isEnabled(cycled));
     EXPECT_EQ(pms.acquireCount(kApp), 2u * kCycles);
     EXPECT_EQ(pms.releaseCount(kApp), 2u * kCycles - held.size());
 }
 
-TEST_F(ResourceTableTest, SuspendedRecordStaysIndexedButAccruesNoEnabledTime)
+TEST_F(ResourceTableTest, SuspendedRecordAccruesNoEnabledTime)
 {
     for (int i = 0; i < kCycles; ++i) {
         TokenId t = pms.newWakeLock(kApp, WakeLockType::Partial, "churn");
@@ -92,7 +88,6 @@ TEST_F(ResourceTableTest, SuspendedRecordStaysIndexedButAccruesNoEnabledTime)
     pms.acquire(t);
     pms.suspend(t);
     EXPECT_EQ(pms.heldTokens(kApp), std::vector<TokenId>{t});
-    EXPECT_EQ(pms.records().live().size(), 1u);
     EXPECT_FALSE(pms.isEnabled(t));
 
     sim.runFor(10_s);
@@ -129,7 +124,6 @@ TEST_F(ResourceTableTest, RefilterFlipsOnlyLiveRecords)
     wms.refilter();
     for (TokenId t : held) EXPECT_TRUE(wms.isEnabled(t));
     for (TokenId t : released) ASSERT_FALSE(wms.isEnabled(t));
-    EXPECT_TRUE(wms.records().indexMatchesRecords());
 
     double before = wms.enabledSeconds(kApp);
     sim.runFor(10_s);
@@ -148,49 +142,15 @@ TEST_F(ResourceTableTest, DestroyingReleasedRecordsIsSafe)
     TokenId live = lms.requestLocationUpdates(kApp, 10_s, nullptr);
     for (TokenId t : tokens) lms.destroy(t);
     for (TokenId t : tokens) lms.destroy(t); // second destroy: no-op
-    EXPECT_EQ(lms.records().records().size(), 1u);
+    EXPECT_EQ(lms.records().size(), 1u);
     EXPECT_EQ(lms.activeRequests(kApp), std::vector<TokenId>{live});
-    EXPECT_TRUE(lms.records().indexMatchesRecords());
     EXPECT_EQ(server.tokens().liveCount(), 1u);
 
     // Ticks armed for the destroyed requests fire harmlessly.
     sim.runFor(30_s);
     EXPECT_DOUBLE_EQ(lms.requestSeconds(kApp), 30.0);
     lms.destroy(live);
-    EXPECT_TRUE(lms.records().live().empty());
-}
-
-// The audit compares the index with the records' own flags, so a
-// service that writes `live` around the table is caught.
-struct FakeRecord {
-    struct Totals {
-        int count = 0;
-    };
-    Uid uid = kInvalidUid;
-    bool live = false;
-};
-
-TEST(ResourceTableAudit, FlagWrittenAroundTheTableIsCaught)
-{
-    ResourceTable<FakeRecord> table;
-    table.add(1, FakeRecord{kFirstAppUid, true});
-    table.add(2, FakeRecord{kFirstAppUid, false});
-    EXPECT_TRUE(table.indexMatchesRecords());
-
-    table.find(2)->live = true; // bypasses setLive: not indexed
-    EXPECT_FALSE(table.indexMatchesRecords());
-    table.setLive(2, true);
-    EXPECT_TRUE(table.indexMatchesRecords());
-
-    // A release stays indexed until the next sweep.
-    table.setLive(1, false);
-    EXPECT_FALSE(table.indexMatchesRecords());
-    int visited = 0;
-    table.sweep([&visited](TokenId, FakeRecord &) { ++visited; });
-    EXPECT_EQ(visited, 2);
-    EXPECT_TRUE(table.indexMatchesRecords());
-    EXPECT_EQ(table.liveTokens(kFirstAppUid), std::vector<TokenId>{2});
-    EXPECT_EQ(table.totals(kFirstAppUid).count, 0);
+    EXPECT_TRUE(lms.records().empty());
 }
 
 } // namespace

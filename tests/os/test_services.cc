@@ -95,6 +95,38 @@ TEST_F(SensorManagerTest, DestroyReleasesHardware)
     EXPECT_EQ(sms.ownerOf(t), kInvalidUid);
 }
 
+TEST_F(SensorManagerTest, RegistrationsOfOneUidShareOneDraw)
+{
+    // A holds two gyroscope registrations and B one: each uid draws half,
+    // and A keeps its half while either of its registrations is enabled.
+    const auto gyro = power::SensorType::Gyroscope;
+    const power::ChannelId ch = acc.channelByName("sensors");
+    auto expectSplit = [&](double shareA, double shareB) {
+        const double a = acc.uidChannelEnergyMj(kApp, ch);
+        const double b = acc.uidChannelEnergyMj(kApp2, ch);
+        sim.runFor(10_s);
+        const double mj = profile.gyroscopeMw * 10.0;
+        EXPECT_NEAR(acc.uidChannelEnergyMj(kApp, ch) - a, shareA * mj, 1e-6);
+        EXPECT_NEAR(acc.uidChannelEnergyMj(kApp2, ch) - b, shareB * mj,
+                    1e-6);
+    };
+    TokenId a1 = sms.registerListener(kApp, gyro, 1_s, &listener);
+    TokenId a2 = sms.registerListener(kApp, gyro, 1_s, &listener);
+    sms.registerListener(kApp2, gyro, 1_s, &listener);
+    expectSplit(0.5, 0.5);
+
+    sms.suspend(a1);
+    expectSplit(0.5, 0.5);
+    sms.suspend(a2);
+    expectSplit(0.0, 1.0);
+    sms.restore(a1); // A is back in the split
+    expectSplit(0.5, 0.5);
+    sms.unregisterListener(a2);
+    expectSplit(0.5, 0.5);
+    sms.unregisterListener(a1);
+    expectSplit(0.0, 1.0);
+}
+
 // ---- WifiManagerService -----------------------------------------------------
 
 struct WifiManagerTest : OsFixture {

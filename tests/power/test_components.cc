@@ -181,10 +181,12 @@ TEST_F(ComponentFixture, CellTransferBurst)
 TEST_F(ComponentFixture, SensorDrawsWhileRegistered)
 {
     SensorModel sensors(sim, acc, profile);
-    sensors.registerUse(SensorType::Orientation, kApp);
+    const std::pair<SensorType, Uid> uses[] = {
+        {SensorType::Orientation, kApp}};
+    sensors.setUses(uses);
     EXPECT_TRUE(sensors.active(SensorType::Orientation));
     sim.runFor(10_s);
-    sensors.unregisterUse(SensorType::Orientation, kApp);
+    sensors.setUses({});
     EXPECT_FALSE(sensors.active(SensorType::Orientation));
     sim.runFor(10_s);
     EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.orientationMw * 10.0, 1e-6);
@@ -193,23 +195,30 @@ TEST_F(ComponentFixture, SensorDrawsWhileRegistered)
 TEST_F(ComponentFixture, SensorSharedAcrossUids)
 {
     SensorModel sensors(sim, acc, profile);
-    sensors.registerUse(SensorType::Accelerometer, kApp);
-    sensors.registerUse(SensorType::Accelerometer, kApp2);
+    const std::pair<SensorType, Uid> uses[] = {
+        {SensorType::Accelerometer, kApp},
+        {SensorType::Accelerometer, kApp2}};
+    sensors.setUses(uses);
     sim.runFor(10_s);
     EXPECT_NEAR(acc.uidEnergyMj(kApp),
                 profile.accelerometerMw * 10.0 / 2.0, 1e-6);
-    auto users = sensors.users(SensorType::Accelerometer);
-    EXPECT_EQ(users.size(), 2u);
+    EXPECT_NEAR(acc.uidEnergyMj(kApp2),
+                profile.accelerometerMw * 10.0 / 2.0, 1e-6);
 }
 
 TEST_F(ComponentFixture, SensorNestedRegistrationCounts)
 {
+    // A uid listed twice for one type draws one share of it.
     SensorModel sensors(sim, acc, profile);
-    sensors.registerUse(SensorType::Gyroscope, kApp);
-    sensors.registerUse(SensorType::Gyroscope, kApp);
-    sensors.unregisterUse(SensorType::Gyroscope, kApp);
+    const std::pair<SensorType, Uid> uses[] = {
+        {SensorType::Gyroscope, kApp}, {SensorType::Gyroscope, kApp}};
+    sensors.setUses(uses);
+    sim.runFor(10_s);
+    sensors.setUses(std::span(uses).first(1));
     EXPECT_TRUE(sensors.active(SensorType::Gyroscope));
-    sensors.unregisterUse(SensorType::Gyroscope, kApp);
+    sim.runFor(10_s);
+    EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.gyroscopeMw * 20.0, 1e-6);
+    sensors.setUses({});
     EXPECT_FALSE(sensors.active(SensorType::Gyroscope));
 }
 

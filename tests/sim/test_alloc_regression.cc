@@ -4,11 +4,11 @@
  *
  * This binary replaces the global operator new/delete with counting
  * versions, then asserts that steady-state event-queue churn, power
- * re-attribution and resource-service acquire/release cycles perform ZERO
- * heap allocations. The same invariant is enforced at scale by the
- * perf-bench CI gate over bench_eventqueue's allocs_per_op column; this
- * test catches regressions at unit scope with a precise callstack when it
- * fires.
+ * re-attribution, resource-service acquire/release cycles and sensor
+ * suspend/restore cycles perform ZERO heap allocations. The same
+ * invariant is enforced at scale by the perf-bench CI gate over
+ * bench_eventqueue's allocs_per_op column; this test catches regressions
+ * at unit scope with a precise callstack when it fires.
  */
 
 #include <gtest/gtest.h>
@@ -207,9 +207,8 @@ TEST(AllocRegressionTest, PowerReattributionIsAllocationFree)
 namespace leaseos::os {
 namespace {
 
-TEST(AllocRegressionTest, ServiceAcquireReleaseIsAllocationFree)
-{
-    // The hardware models and services of tests/os/os_fixture.h.
+/** The hardware models and services of tests/os/os_fixture.h. */
+struct Phone {
     sim::Simulator sim;
     power::DeviceProfile profile = power::profiles::pixelXl();
     power::EnergyAccountant acc{sim};
@@ -222,8 +221,13 @@ TEST(AllocRegressionTest, ServiceAcquireReleaseIsAllocationFree)
     power::BluetoothModel bluetooth{sim, acc, profile};
     SystemServer server{sim,     cpu,   screen,    gps, radio,
                         sensors, audio, bluetooth, acc};
-    PowerManagerService &pms = server.powerManager();
-    WifiManagerService &wifi = server.wifiManager();
+};
+
+TEST(AllocRegressionTest, ServiceAcquireReleaseIsAllocationFree)
+{
+    Phone phone;
+    PowerManagerService &pms = phone.server.powerManager();
+    WifiManagerService &wifi = phone.server.wifiManager();
 
     const Uid a = kFirstAppUid;
     const Uid b = kFirstAppUid + 1;
@@ -236,12 +240,12 @@ TEST(AllocRegressionTest, ServiceAcquireReleaseIsAllocationFree)
         pms.acquire(lockA);
         pms.acquire(lockB);
         wifi.acquire(wifiLock);
-        radio.transferWifi(b, 4096);
-        sim.runFor(sim::Time::fromMillis(200));
+        phone.radio.transferWifi(b, 4096);
+        phone.sim.runFor(sim::Time::fromMillis(200));
         wifi.release(wifiLock);
         pms.release(lockB);
         pms.release(lockA);
-        sim.runFor(sim::Time::fromMillis(200));
+        phone.sim.runFor(sim::Time::fromMillis(200));
     };
     // Warm-up: the uids are interned and every buffer reaches its size.
     for (int i = 0; i < 10; ++i) cycle();
@@ -252,7 +256,38 @@ TEST(AllocRegressionTest, ServiceAcquireReleaseIsAllocationFree)
         << "wakelock and Wi-Fi lock cycles allocated " << (after - before)
         << " times in 1k cycles";
     EXPECT_EQ(pms.acquireCount(a), 1'010u);
-    EXPECT_GT(radio.wifiActiveSeconds(b), 0.0);
+    EXPECT_GT(phone.radio.wifiActiveSeconds(b), 0.0);
+}
+
+TEST(AllocRegressionTest, SensorSuspendRestoreIsAllocationFree)
+{
+    // The path a deferred or throttled sensor lease takes: every
+    // suspend() and restore() hands the hub its (type, uid) pairs again.
+    Phone phone;
+    SensorManagerService &sms = phone.server.sensorManager();
+    const auto accel = power::SensorType::Accelerometer;
+    const sim::Time rate = sim::Time::fromSeconds(1);
+    const TokenId regs[] = {
+        sms.registerListener(kFirstAppUid, accel, rate, nullptr),
+        sms.registerListener(kFirstAppUid + 1, accel, rate, nullptr)};
+    auto cycle = [&] {
+        for (TokenId reg : regs) {
+            sms.suspend(reg);
+            phone.sim.runFor(sim::Time::fromMillis(100));
+            sms.restore(reg);
+            phone.sim.runFor(sim::Time::fromMillis(100));
+        }
+    };
+    for (int i = 0; i < 10; ++i) cycle();
+    std::uint64_t before = allocCount();
+    for (int i = 0; i < 1'000; ++i) cycle();
+    std::uint64_t after = allocCount();
+    EXPECT_EQ(after, before)
+        << "sensor suspend/restore cycles allocated " << (after - before)
+        << " times in 1k cycles";
+    EXPECT_TRUE(sms.isEnabled(regs[0]));
+    EXPECT_TRUE(sms.isEnabled(regs[1]));
+    EXPECT_GT(sms.eventCount(kFirstAppUid), 0u);
 }
 
 } // namespace

@@ -31,12 +31,11 @@ runScenario(bool user_clicks)
     auto &app = device.install<apps::TapAndTurn>();
     device.start();
 
+    sim::PeriodicHandle clicks;
     if (user_clicks) {
         // The user clicks the rotation icon shortly after each rotation.
-        device.simulator().schedulePeriodic(125_s, [&app] {
-            app.clickIcon();
-            return true;
-        });
+        clicks = device.simulator().schedulePeriodicScoped(
+            125_s, [&app] { app.clickIcon(); });
     }
 
     device.runFor(30_min);

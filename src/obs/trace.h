@@ -113,16 +113,11 @@ class TraceBuffer
     TraceBuffer(const TraceBuffer &) = delete;
     TraceBuffer &operator=(const TraceBuffer &) = delete;
 
-    /** Runtime switch; a disabled buffer drops events at the branch. */
-    void setEnabled(bool on) noexcept { enabled_ = on; }
-    bool enabled() const noexcept { return enabled_; }
-
     /** Record one event (overwrites the oldest when the ring is full). */
     void
     emit(sim::Time t, TraceCategory cat, TraceCode code, Uid uid,
          std::uint64_t leaseId, std::uint64_t payload = 0) noexcept
     {
-        if (!enabled_) return;
         ring_[static_cast<std::size_t>(emitted_) & mask_] =
             TraceEvent{t.nanos(), static_cast<std::uint16_t>(cat),
                        static_cast<std::uint16_t>(code), uid, leaseId,
@@ -140,7 +135,6 @@ class TraceBuffer
                 TraceCode code, Uid uid, std::uint64_t leaseId,
                 std::uint64_t payload = 0) noexcept
     {
-        if (!enabled_) return;
         if ((sampleTick_[static_cast<std::size_t>(cat)]++ & mask) != 0)
             return;
         emit(t, cat, code, uid, leaseId, payload);
@@ -186,7 +180,6 @@ class TraceBuffer
     std::vector<TraceEvent> ring_;
     std::size_t mask_;
     std::uint64_t emitted_ = 0;
-    bool enabled_ = true;
     bool installed_ = false;
     TraceBuffer *previous_ = nullptr;
     std::uint32_t sampleTick_[kTraceCategoryCount] = {};

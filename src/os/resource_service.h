@@ -133,13 +133,6 @@ class ResourceService : public ResourceServiceBase
         return record && record->live;
     }
 
-    bool
-    isSuspended(TokenId token) const
-    {
-        const Record *record = find(token);
-        return record && record->suspended;
-    }
-
     /** Live, not suspended and allowed by the filter (as of apply()). */
     bool
     isEnabled(TokenId token) const
@@ -170,13 +163,6 @@ class ResourceService : public ResourceServiceBase
     {
         advance();
         apply();
-    }
-
-    Uid
-    ownerOf(TokenId token) const
-    {
-        const Record *record = find(token);
-        return record ? record->uid : kInvalidUid;
     }
 
     /** Every record in token order, for the invariant audits. */

@@ -78,12 +78,6 @@ SensorModel::setUses(std::span<const std::pair<SensorType, Uid>> uses)
     updatePower();
 }
 
-bool
-SensorModel::active(SensorType type) const
-{
-    return !usersFor(type).empty();
-}
-
 void
 SensorModel::digestState(sim::StateDigest &d) const
 {

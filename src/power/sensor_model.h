@@ -39,8 +39,6 @@ class SensorModel : public PowerComponent
      */
     void setUses(std::span<const std::pair<SensorType, Uid>> uses);
 
-    bool active(SensorType type) const;
-
     /** Power draw of one sensor type from the device profile. */
     double sensorMw(SensorType type) const;
 
@@ -55,11 +53,6 @@ class SensorModel : public PowerComponent
 
     UserList &
     usersFor(SensorType t)
-    {
-        return uses_[static_cast<std::size_t>(t)];
-    }
-    const UserList &
-    usersFor(SensorType t) const
     {
         return uses_[static_cast<std::size_t>(t)];
     }

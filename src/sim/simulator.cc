@@ -30,37 +30,13 @@ PeriodicHandle::active() const
            state_->sim->pending(state_->current);
 }
 
-void
-Simulator::schedulePeriodic(Time period, std::function<bool()> cb)
-{
-    // The repeating closure owns the user callback and re-schedules itself
-    // while the callback keeps returning true.
-    struct Repeater : std::enable_shared_from_this<Repeater> {
-        Simulator *sim;
-        Time period;
-        std::function<bool()> cb;
-
-        void
-        fire()
-        {
-            if (!cb()) return;
-            auto self = shared_from_this();
-            sim->schedule(period, [self] { self->fire(); });
-        }
-    };
-    auto rep = std::make_shared<Repeater>();
-    rep->sim = this;
-    rep->period = period;
-    rep->cb = std::move(cb);
-    schedule(period, [rep] { rep->fire(); });
-}
-
 PeriodicHandle
 Simulator::schedulePeriodicScoped(Time period, std::function<void()> cb)
 {
-    // Like the legacy repeater, but the shared PeriodicState publishes the
-    // id of the pending occurrence so the handle can cancel the whole
-    // repetition at any point.
+    // The repeating closure owns the user callback and re-schedules
+    // itself; the shared PeriodicState publishes the id of the pending
+    // occurrence so the handle can cancel the whole repetition at any
+    // point.
     struct Repeater : std::enable_shared_from_this<Repeater> {
         std::shared_ptr<detail::PeriodicState> state;
         Time period;

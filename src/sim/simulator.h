@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <type_traits>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
@@ -40,12 +39,11 @@ struct PeriodicState {
 } // namespace detail
 
 /**
- * RAII handle to a repeating event scheduled with schedulePeriodic().
+ * RAII handle to a repeating event scheduled with schedulePeriodicScoped().
  *
  * Destroying (or cancel()ing) the handle stops the repetition, including
- * the occurrence currently pending in the queue — unlike the EventId
- * returned by the legacy bool-callback overload, which only names one
- * occurrence. Default-constructed handles are inert.
+ * the occurrence currently pending in the queue. Default-constructed
+ * handles are inert.
  */
 class PeriodicHandle
 {
@@ -106,35 +104,10 @@ class Simulator
     }
 
     /**
-     * Schedule a repeating callback with fixed period. The callback
-     * returns false to stop the repetition (cooperative shutdown is the
-     * *only* stop channel of this overload).
-     *
-     * Deliberately returns nothing: the EventId this overload used to
-     * return named only the first occurrence, so cancelling it after the
-     * first fire silently failed. Callers that need to stop a repetition
-     * from outside use the void-callback overload below, whose
-     * PeriodicHandle cancels the whole repetition at any point.
+     * Schedule a repeating callback with fixed period, owned by the
+     * returned RAII handle: the repetition stops when the handle is
+     * cancelled or destroyed.
      */
-    void schedulePeriodic(Time period, std::function<bool()> cb);
-
-    /**
-     * Schedule a repeating callback owned by the returned RAII handle:
-     * the repetition stops when the handle is cancelled or destroyed.
-     * Selected for callables returning void (no cooperative-stop channel
-     * needed — the handle is the stop channel).
-     */
-    template <typename F,
-              std::enable_if_t<
-                  std::is_void_v<std::invoke_result_t<F &>>, int> = 0>
-    [[nodiscard]] PeriodicHandle
-    schedulePeriodic(Time period, F cb)
-    {
-        return schedulePeriodicScoped(period,
-                                      std::function<void()>(std::move(cb)));
-    }
-
-    /** Non-template form of the RAII overload. */
     [[nodiscard]] PeriodicHandle
     schedulePeriodicScoped(Time period, std::function<void()> cb);
 

@@ -62,9 +62,8 @@ TEST(MetricsSamplerTest, GaugesAndDeltas)
     sampler.addGauge("g", [&] { return gauge; });
     sampler.addDeltaGauge("d", [&] { return counter; });
     sampler.start();
-    sim.schedulePeriodic(1_s, [&] {
+    sim::PeriodicHandle load = sim.schedulePeriodicScoped(1_s, [&] {
         counter += 0.5;
-        return true;
     });
     sim.run(5_min);
     EXPECT_EQ(sampler.series("g").size(), 5u);

@@ -24,9 +24,8 @@ TEST_F(LeaseManagerTest, AdaptiveTermGrowsAfterNormalStreak)
     os::TokenId t = pms.newWakeLock(kApp, os::WakeLockType::Partial, "x");
     pms.acquire(t);
     // Healthy workload: good utilisation, no exceptions.
-    sim.schedulePeriodic(1_s, [&] {
+    sim::PeriodicHandle load = sim.schedulePeriodicScoped(1_s, [&] {
         cpu.runWorkFor(kApp, 1.0, 500_ms);
-        return true;
     });
     LeaseId id = mgr.leaseIdForToken(t);
     // 12 normal 5 s terms = 60 s, after which terms grow to 1 min.
@@ -40,9 +39,8 @@ TEST_F(LeaseManagerTest, MisbehaviourResetsTermToInitial)
     os::TokenId t = pms.newWakeLock(kApp, os::WakeLockType::Partial, "x");
     pms.acquire(t);
     bool busy = true;
-    sim.schedulePeriodic(1_s, [&] {
+    sim::PeriodicHandle load = sim.schedulePeriodicScoped(1_s, [&] {
         if (busy) cpu.runWorkFor(kApp, 1.0, 500_ms);
-        return true;
     });
     LeaseId id = mgr.leaseIdForToken(t);
     sim.runFor(70_s);
@@ -258,9 +256,8 @@ TEST_F(ProxyTest, WifiLockWithTrafficStaysActive)
     os::TokenId t = wms.createWifiLock(kApp, "hiperf");
     wms.acquire(t);
     // Stream: a transfer burst most of every second.
-    sim.schedulePeriodic(1_s, [&] {
+    sim::PeriodicHandle load = sim.schedulePeriodicScoped(1_s, [&] {
         radio.transferWifi(kApp, 1500000);
-        return true;
     });
     LeaseId id = mgr.leaseIdForToken(t);
     sim.runFor(30_s);

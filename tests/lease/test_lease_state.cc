@@ -122,9 +122,8 @@ TEST_F(LeaseStateTest, NormalBehaviourRenewsImmediately)
     os::TokenId t = makeHeldLock(kApp);
     LeaseId id = mgr.leaseIdForToken(t);
     // Keep the CPU well used: ~60 % utilisation, no exceptions.
-    sim.schedulePeriodic(1_s, [&] {
+    sim::PeriodicHandle load = sim.schedulePeriodicScoped(1_s, [&] {
         cpu.runWorkFor(kApp, 1.0, 600_ms);
-        return true;
     });
     sim.runFor(30_s);
     EXPECT_EQ(mgr.lease(id)->state, LeaseState::Active);
@@ -171,9 +170,8 @@ TEST_F(LeaseStateTest, EachAppLeaseIndependent)
     os::TokenId bad = makeHeldLock(kApp);
     os::TokenId good = makeHeldLock(kApp2);
     // kApp2 uses its lock well.
-    sim.schedulePeriodic(1_s, [&] {
+    sim::PeriodicHandle load = sim.schedulePeriodicScoped(1_s, [&] {
         cpu.runWorkFor(kApp2, 1.0, 600_ms);
-        return true;
     });
     // Probe mid-deferral: the bad lease defers at 5 s for 25 s.
     sim.runFor(20_s);

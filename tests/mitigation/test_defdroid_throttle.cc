@@ -37,7 +37,7 @@ TEST_F(DefDroidTest, ThrottlesLongHeldWakelock)
         pms.newWakeLock(kApp, os::WakeLockType::Partial, "leak");
     pms.acquire(t);
     device.runFor(2_min); // past the 60 s hold limit
-    EXPECT_TRUE(pms.isSuspended(t));
+    EXPECT_TRUE(pms.records().at(t).suspended);
     EXPECT_GT(device.defdroid()->throttleCount(), 0u);
 }
 
@@ -50,11 +50,11 @@ TEST_F(DefDroidTest, RestoresAfterBackoff)
         pms.newWakeLock(kApp, os::WakeLockType::Partial, "leak");
     pms.acquire(t);
     device.runFor(2_min);
-    ASSERT_TRUE(pms.isSuspended(t));
+    ASSERT_TRUE(pms.records().at(t).suspended);
     // Throttled at ~70 s; the 180 s backoff ends at ~250 s. Probe inside
     // the restored window before the next 60 s hold limit re-trips.
     device.runFor(135_s);
-    EXPECT_FALSE(pms.isSuspended(t));
+    EXPECT_FALSE(pms.records().at(t).suspended);
 }
 
 TEST_F(DefDroidTest, SparesForegroundApps)
@@ -68,7 +68,7 @@ TEST_F(DefDroidTest, SparesForegroundApps)
         pms.newWakeLock(kApp, os::WakeLockType::Partial, "fg-work");
     pms.acquire(t);
     device.runFor(5_min);
-    EXPECT_FALSE(pms.isSuspended(t));
+    EXPECT_FALSE(pms.records().at(t).suspended);
 }
 
 TEST_F(DefDroidTest, ReleaseBeforeLimitEscapesThrottle)
@@ -123,11 +123,11 @@ TEST_F(ThrottleTest, RevokesOnceAfterHoldLimit)
         pms.newWakeLock(kApp, os::WakeLockType::Partial, "x");
     pms.acquire(t);
     device.runFor(2_min);
-    EXPECT_TRUE(pms.isSuspended(t));
+    EXPECT_TRUE(pms.records().at(t).suspended);
     EXPECT_EQ(device.throttler()->revocations(), 1u);
     // One-shot: never restored.
     device.runFor(30_min);
-    EXPECT_TRUE(pms.isSuspended(t));
+    EXPECT_TRUE(pms.records().at(t).suspended);
 }
 
 TEST_F(ThrottleTest, ReleaseBeforeLimitIsSafe)

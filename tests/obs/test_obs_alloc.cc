@@ -114,18 +114,6 @@ TEST(ObsAllocTest, TraceEmitIsAllocationFree)
         << " times in 10k iterations";
 }
 
-TEST(ObsAllocTest, DisabledTraceBufferIsAllocationFree)
-{
-    TraceBuffer buf(1u << 10);
-    buf.setEnabled(false);
-    std::uint64_t before = allocCount();
-    for (int i = 0; i < 10'000; ++i)
-        buf.emit(Time::zero(), TraceCategory::Proxy, TraceCode::ProxyGrant,
-                 kFirstAppUid, 1);
-    EXPECT_EQ(allocCount(), before);
-    EXPECT_EQ(buf.emitted(), 0u);
-}
-
 TEST(ObsAllocTest, MetricUpdatesAreAllocationFree)
 {
     // Registration may allocate (name interning, slot growth); updates

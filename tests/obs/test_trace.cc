@@ -62,21 +62,6 @@ TEST(TraceBufferTest, OverwritesOldestWhenFull)
         EXPECT_EQ(nth(buf, i).leaseId, 6 + i);
 }
 
-TEST(TraceBufferTest, DisabledBufferDropsAtTheBranch)
-{
-    TraceBuffer buf(8);
-    buf.setEnabled(false);
-    buf.emit(Time::zero(), TraceCategory::Lease, TraceCode::LeaseToDead,
-             kSystemUid, 1);
-    buf.emitSampled(0, Time::zero(), TraceCategory::Queue,
-                    TraceCode::QueueFire, kSystemUid, 2);
-    EXPECT_EQ(buf.emitted(), 0u);
-    buf.setEnabled(true);
-    buf.emit(Time::zero(), TraceCategory::Lease, TraceCode::LeaseToDead,
-             kSystemUid, 1);
-    EXPECT_EQ(buf.emitted(), 1u);
-}
-
 TEST(TraceBufferTest, SamplingDecimatesPerCategory)
 {
     TraceBuffer buf(256);

@@ -77,7 +77,7 @@ TEST_F(LocationManagerTest, SuspendWithholdsCallbacksAndPower)
     sim.runFor(60_s);
     int fixes = listener.fixes;
     lms.suspend(t);
-    EXPECT_TRUE(lms.isSuspended(t));
+    EXPECT_TRUE(lms.records().at(t).suspended);
     EXPECT_EQ(gps.state(), power::GpsModel::State::Off);
     sim.runFor(60_s);
     EXPECT_EQ(listener.fixes, fixes); // callbacks withheld (§4.6)
@@ -138,7 +138,7 @@ TEST_F(LocationManagerTest, DestroyCleansUp)
     lms.destroy(t);
     EXPECT_FALSE(lms.isActive(t));
     EXPECT_EQ(gps.state(), power::GpsModel::State::Off);
-    EXPECT_EQ(lms.ownerOf(t), kInvalidUid);
+    EXPECT_FALSE(lms.records().contains(t));
 }
 
 TEST_F(LocationManagerTest, RequestCountTracksCalls)

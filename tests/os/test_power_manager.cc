@@ -49,7 +49,7 @@ TEST_F(PowerManagerTest, SuspendRevokesWithoutAppVisibility)
     pms.suspend(t);
     // The app still "holds" the lock, but the CPU may sleep.
     EXPECT_TRUE(pms.isHeld(t));
-    EXPECT_TRUE(pms.isSuspended(t));
+    EXPECT_TRUE(pms.records().at(t).suspended);
     EXPECT_FALSE(pms.isEnabled(t));
     sim.runFor(10_s);
     EXPECT_FALSE(cpu.isAwake());
@@ -152,13 +152,13 @@ TEST_F(PowerManagerTest, UnknownTokenOperationsAreSafe)
     pms.restore(999);
     pms.destroy(999);
     EXPECT_FALSE(pms.isHeld(999));
-    EXPECT_EQ(pms.ownerOf(999), kInvalidUid);
+    EXPECT_FALSE(pms.records().contains(999));
 }
 
 TEST_F(PowerManagerTest, OwnerAndTagLookup)
 {
     TokenId t = pms.newWakeLock(kApp, WakeLockType::Partial, "sync_lock");
-    EXPECT_EQ(pms.ownerOf(t), kApp);
+    EXPECT_EQ(pms.records().at(t).uid, kApp);
     EXPECT_EQ(pms.tagOf(t), "sync_lock");
 }
 

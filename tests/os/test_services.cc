@@ -36,6 +36,16 @@ struct CountingSensorListener : SensorEventListener {
 struct SensorManagerTest : OsFixture {
     SensorManagerService &sms = server.sensorManager();
     CountingSensorListener listener;
+    const power::ChannelId sensorsCh = acc.channelByName("sensors");
+
+    /** Energy the sensor hub draws over the next @p span, in mJ. */
+    double
+    sensorMjOver(sim::Time span)
+    {
+        const double before = acc.channelEnergyMj(sensorsCh);
+        sim.runFor(span);
+        return acc.channelEnergyMj(sensorsCh) - before;
+    }
 };
 
 TEST_F(SensorManagerTest, RegistrationActivatesSensorAndDelivers)
@@ -43,12 +53,11 @@ TEST_F(SensorManagerTest, RegistrationActivatesSensorAndDelivers)
     TokenId t = sms.registerListener(kApp, power::SensorType::Orientation,
                                      1_s, &listener);
     EXPECT_TRUE(sms.isActive(t));
-    EXPECT_TRUE(sensors.active(power::SensorType::Orientation));
-    sim.runFor(10_s);
+    EXPECT_NEAR(sensorMjOver(10_s), profile.orientationMw * 10.0, 1e-6);
     EXPECT_EQ(listener.events, 10);
     EXPECT_EQ(sms.eventCount(kApp), 10u);
     sms.unregisterListener(t);
-    EXPECT_FALSE(sensors.active(power::SensorType::Orientation));
+    EXPECT_DOUBLE_EQ(sensorMjOver(10_s), 0.0);
 }
 
 TEST_F(SensorManagerTest, SuspendSilencesCallbacksAndPower)
@@ -57,12 +66,11 @@ TEST_F(SensorManagerTest, SuspendSilencesCallbacksAndPower)
                                      1_s, &listener);
     sim.runFor(5_s);
     sms.suspend(t);
-    EXPECT_FALSE(sensors.active(power::SensorType::Orientation));
     int events = listener.events;
-    sim.runFor(10_s);
+    EXPECT_DOUBLE_EQ(sensorMjOver(10_s), 0.0);
     EXPECT_EQ(listener.events, events);
     sms.restore(t);
-    sim.runFor(5_s);
+    EXPECT_NEAR(sensorMjOver(5_s), profile.orientationMw * 5.0, 1e-6);
     EXPECT_GT(listener.events, events);
 }
 
@@ -91,8 +99,8 @@ TEST_F(SensorManagerTest, DestroyReleasesHardware)
     TokenId t = sms.registerListener(kApp, power::SensorType::Light, 1_s,
                                      &listener);
     sms.destroy(t);
-    EXPECT_FALSE(sensors.active(power::SensorType::Light));
-    EXPECT_EQ(sms.ownerOf(t), kInvalidUid);
+    EXPECT_FALSE(sms.records().contains(t));
+    EXPECT_DOUBLE_EQ(sensorMjOver(10_s), 0.0);
 }
 
 TEST_F(SensorManagerTest, RegistrationsOfOneUidShareOneDraw)

@@ -184,10 +184,10 @@ TEST_F(ComponentFixture, SensorDrawsWhileRegistered)
     const std::pair<SensorType, Uid> uses[] = {
         {SensorType::Orientation, kApp}};
     sensors.setUses(uses);
-    EXPECT_TRUE(sensors.active(SensorType::Orientation));
+    EXPECT_DOUBLE_EQ(acc.totalPowerMw(), profile.orientationMw);
     sim.runFor(10_s);
     sensors.setUses({});
-    EXPECT_FALSE(sensors.active(SensorType::Orientation));
+    EXPECT_DOUBLE_EQ(acc.totalPowerMw(), 0.0);
     sim.runFor(10_s);
     EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.orientationMw * 10.0, 1e-6);
 }
@@ -215,11 +215,11 @@ TEST_F(ComponentFixture, SensorNestedRegistrationCounts)
     sensors.setUses(uses);
     sim.runFor(10_s);
     sensors.setUses(std::span(uses).first(1));
-    EXPECT_TRUE(sensors.active(SensorType::Gyroscope));
+    EXPECT_DOUBLE_EQ(acc.totalPowerMw(), profile.gyroscopeMw);
     sim.runFor(10_s);
     EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.gyroscopeMw * 20.0, 1e-6);
     sensors.setUses({});
-    EXPECT_FALSE(sensors.active(SensorType::Gyroscope));
+    EXPECT_DOUBLE_EQ(acc.totalPowerMw(), 0.0);
 }
 
 TEST_F(ComponentFixture, SensorTypeNames)

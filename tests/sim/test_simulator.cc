@@ -95,27 +95,11 @@ TEST(SimulatorTest, CancelPreventsExecution)
     EXPECT_FALSE(fired);
 }
 
-TEST(SimulatorTest, PeriodicRepeatsUntilFalse)
-{
-    Simulator sim;
-    int count = 0;
-    sim.schedulePeriodic(1_s, [&] {
-        ++count;
-        return count < 5;
-    });
-    sim.run();
-    EXPECT_EQ(count, 5);
-    EXPECT_EQ(sim.now(), 5_s);
-}
-
 TEST(SimulatorTest, PeriodicHonoursHorizon)
 {
     Simulator sim;
     int count = 0;
-    sim.schedulePeriodic(1_s, [&] {
-        ++count;
-        return true;
-    });
+    PeriodicHandle handle = sim.schedulePeriodicScoped(1_s, [&] { ++count; });
     sim.run(10_s);
     EXPECT_EQ(count, 10);
 }
@@ -125,7 +109,7 @@ TEST(PeriodicHandleTest, CancelStopsTheWholeRepetition)
     Simulator sim;
     int count = 0;
     PeriodicHandle handle =
-        sim.schedulePeriodic(1_s, [&] { ++count; });
+        sim.schedulePeriodicScoped(1_s, [&] { ++count; });
     EXPECT_TRUE(handle.active());
     sim.run(3_s);
     EXPECT_EQ(count, 3);
@@ -141,7 +125,7 @@ TEST(PeriodicHandleTest, DestructionCancelsRaiiStyle)
     int count = 0;
     {
         PeriodicHandle handle =
-            sim.schedulePeriodic(1_s, [&] { ++count; });
+            sim.schedulePeriodicScoped(1_s, [&] { ++count; });
         sim.run(2_s);
     }
     sim.run(10_s);
@@ -152,7 +136,7 @@ TEST(PeriodicHandleTest, MoveTransfersOwnership)
 {
     Simulator sim;
     int count = 0;
-    PeriodicHandle a = sim.schedulePeriodic(1_s, [&] { ++count; });
+    PeriodicHandle a = sim.schedulePeriodicScoped(1_s, [&] { ++count; });
     PeriodicHandle b = std::move(a);
     EXPECT_TRUE(b.active());
     sim.run(2_s);
@@ -167,31 +151,12 @@ TEST(PeriodicHandleTest, CallbackMayCancelItsOwnHandle)
     Simulator sim;
     int count = 0;
     PeriodicHandle handle;
-    handle = sim.schedulePeriodic(1_s, [&] {
+    handle = sim.schedulePeriodicScoped(1_s, [&] {
         if (++count == 3) handle.cancel();
     });
     sim.run();
     EXPECT_EQ(count, 3);
     EXPECT_FALSE(handle.active());
-}
-
-TEST(PeriodicHandleTest, BoolCallbackOverloadHasNoStaleIdChannel)
-{
-    Simulator sim;
-    int count = 0;
-    // A bool-returning callback selects the legacy cooperative overload,
-    // which deliberately returns nothing: the EventId it used to return
-    // went stale after the first fire, so cancelling it silently failed.
-    static_assert(
-        std::is_void_v<decltype(sim.schedulePeriodic(
-            1_s, std::function<bool()>([] { return false; })))>,
-        "legacy overload must not hand out a first-occurrence EventId");
-    sim.schedulePeriodic(1_s, [&] {
-        ++count;
-        return count < 2;
-    });
-    sim.run();
-    EXPECT_EQ(count, 2);
 }
 
 TEST(PeriodicHandleTest, HandleCancelWorksAfterManyFires)
@@ -200,7 +165,7 @@ TEST(PeriodicHandleTest, HandleCancelWorksAfterManyFires)
     // first occurrence fired (the stale-EventId failure mode).
     Simulator sim;
     int count = 0;
-    PeriodicHandle handle = sim.schedulePeriodic(1_s, [&] { ++count; });
+    PeriodicHandle handle = sim.schedulePeriodicScoped(1_s, [&] { ++count; });
     sim.run(50_s);
     EXPECT_EQ(count, 50);
     EXPECT_TRUE(handle.active());
@@ -223,9 +188,9 @@ TEST(SimulatorTest, DestroysPendingClosuresThatOwnHandles)
     auto sim = std::make_unique<Simulator>();
     int fires = 0;
     auto self = std::make_shared<PeriodicHandle>();
-    *self = sim->schedulePeriodic(1_s, [self, &fires] { ++fires; });
+    *self = sim->schedulePeriodicScoped(1_s, [self, &fires] { ++fires; });
     auto other = std::make_shared<PeriodicHandle>();
-    *other = sim->schedulePeriodic(1_s, [&fires] { ++fires; });
+    *other = sim->schedulePeriodicScoped(1_s, [&fires] { ++fires; });
     sim->schedule(60_min, [other] {});
     self.reset();
     other.reset();

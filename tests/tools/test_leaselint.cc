@@ -4,12 +4,12 @@
  * (tools/leaselint).
  *
  * Covers: the SourceFile primitives (code view, suppression map, CRLF
- * normalization), the per-file index extractor and its cache
- * serialization, the call-graph linker and its resolution policy, every
- * rule (positive / negative / suppression), the incremental cache
- * (warm hit, edit invalidation), baseline diffing, SARIF export with
- * fix-it hints, and the whole-repo gates (the shipped tree must lint
- * clean under every rule, with justified suppressions only).
+ * normalization), the per-file index extractor, the call-graph linker
+ * and its resolution policy, every rule (positive / negative /
+ * suppression), on-disk runs (an edit shows in the next run),
+ * SARIF export with fix-it hints, and the whole-repo gates (the shipped
+ * tree must lint clean under every rule, with justified suppressions
+ * only).
  *
  * Multi-file rule corpora live in tests/tools/fixtures/ and are loaded
  * with src/-style display paths so directory-scoped rules see them.
@@ -24,7 +24,6 @@
 #include <sstream>
 #include <unistd.h>
 
-#include "leaselint/baseline.h"
 #include "leaselint/callgraph.h"
 #include "leaselint/driver.h"
 #include "leaselint/index.h"
@@ -172,16 +171,6 @@ TEST(SourceFile, MalformedAllowIsRecorded)
     EXPECT_FALSE(f.allowed("determinism", 2));
 }
 
-TEST(SourceFile, ContentHashTracksBytes)
-{
-    SourceFile a = SourceFile::fromString("a.cc", "int x;\n");
-    SourceFile b = SourceFile::fromString("a.cc", "int y;\n");
-    SourceFile c = SourceFile::fromString("b.cc", "int x;\n");
-    EXPECT_NE(a.contentHash(), b.contentHash());
-    EXPECT_EQ(a.contentHash(), c.contentHash()); // path not hashed
-    EXPECT_EQ(a.contentHash(), hashContent("int x;\n"));
-}
-
 // ---- index extractor ----------------------------------------------------
 
 TEST(Index, ExtractsQualifiedFunctionsAndCalls)
@@ -266,7 +255,7 @@ TEST(Index, PreprocessorLinesDoNotProduceStructure)
     EXPECT_EQ(index.funcs[0].name, "f");
 }
 
-TEST(Index, SerializeParseRoundTrips)
+TEST(Index, CollectsEnumsSwitchesFindingsAndAllows)
 {
     SourceFile f = SourceFile::fromString(
         "src/sim/bad.cc",
@@ -284,28 +273,7 @@ TEST(Index, SerializeParseRoundTrips)
     EXPECT_FALSE(index.switches.empty());
     EXPECT_FALSE(index.resources.empty());
     EXPECT_FALSE(index.findings.empty());
-
-    std::string text = serializeIndex(index);
-    auto parsed = parseIndex(text, index.hash);
-    ASSERT_TRUE(parsed.has_value());
-    // Strongest equality: re-serialization is byte-identical.
-    EXPECT_EQ(serializeIndex(*parsed), text);
-    EXPECT_TRUE(parsed->allowed("determinism", 3));
-}
-
-TEST(Index, ParseRejectsWrongHashAndVersion)
-{
-    SourceFile f = SourceFile::fromString("src/a.cc", "int x;\n");
-    FileIndex index = buildIndex(f);
-    std::string text = serializeIndex(index);
-
-    EXPECT_FALSE(parseIndex(text, index.hash + 1).has_value());
-    EXPECT_FALSE(parseIndex("garbage\n", index.hash).has_value());
-
-    std::string versioned = text;
-    std::size_t tab = versioned.find('\t');
-    versioned.replace(tab + 1, 1, "999"); // bump the format version
-    EXPECT_FALSE(parseIndex(versioned, index.hash).has_value());
+    EXPECT_TRUE(index.allowed("determinism", 3));
 }
 
 // ---- call graph ---------------------------------------------------------
@@ -930,7 +898,7 @@ TEST(Driver, FindingsAreSortedAndFormatted)
     EXPECT_EQ(line.rfind("src/a.cc:1: [determinism]", 0), 0u);
 }
 
-TEST(Driver, WarmRunServesFromCacheAndEditInvalidates)
+TEST(Driver, OnDiskRunSeesEachEdit)
 {
     TempTree tree;
     tree.write("src/sim/a.cc", "int r = rand();\n");
@@ -939,43 +907,17 @@ TEST(Driver, WarmRunServesFromCacheAndEditInvalidates)
     LintOptions options;
     options.root = tree.root.string();
     options.paths = {"src"};
-    options.cacheDir = (tree.root / "cache").string();
-    options.jobs = 2;
 
-    LintReport cold = runLint(options);
-    EXPECT_EQ(cold.cacheHits, 0u);
-    ASSERT_EQ(cold.findings.size(), 1u);
+    LintReport before = runLint(options);
+    EXPECT_EQ(before.filesScanned, 2u);
+    ASSERT_EQ(before.findings.size(), 1u);
+    EXPECT_EQ(before.findings[0].path, "src/sim/a.cc");
 
-    // Untouched rerun: everything from cache, identical findings.
-    LintReport warm = runLint(options);
-    EXPECT_EQ(warm.cacheHits, 2u);
-    ASSERT_EQ(warm.findings.size(), 1u);
-    EXPECT_EQ(formatFinding(warm.findings[0]),
-              formatFinding(cold.findings[0]));
-
-    // Edit one file: only that file re-indexes, findings update.
+    // Every run reads the tree afresh: the fix shows at once.
     tree.write("src/sim/a.cc", "int r = seeded();\n");
-    LintReport edited = runLint(options);
-    EXPECT_EQ(edited.cacheHits, 1u);
-    EXPECT_TRUE(edited.findings.empty());
-}
-
-TEST(Driver, JobCountDoesNotChangeOutput)
-{
-    LintOptions one;
-    one.root = LEASELINT_TEST_REPO_ROOT;
-    one.jobs = 1;
-    LintOptions many = one;
-    many.jobs = 4;
-
-    LintReport a = runLint(one);
-    LintReport b = runLint(many);
-    EXPECT_EQ(a.filesScanned, b.filesScanned);
-    EXPECT_EQ(a.suppressed, b.suppressed);
-    ASSERT_EQ(a.findings.size(), b.findings.size());
-    for (std::size_t i = 0; i < a.findings.size(); ++i)
-        EXPECT_EQ(formatFinding(a.findings[i]),
-                  formatFinding(b.findings[i]));
+    LintReport after = runLint(options);
+    EXPECT_EQ(after.filesScanned, 2u);
+    EXPECT_TRUE(after.findings.empty());
 }
 
 TEST(Driver, RuleFilterRunsOnlySelectedRules)
@@ -992,72 +934,6 @@ TEST(Driver, RuleFilterRunsOnlySelectedRules)
     LintReport both =
         runLint(files, {"determinism", "ptr-ordered-iteration"});
     EXPECT_EQ(both.findings.size(), 2u);
-}
-
-// ---- baseline diffing ---------------------------------------------------
-
-TEST(Baseline, ParseSkipsCommentsBlanksAndCrlf)
-{
-    std::vector<std::string> keys = parseBaseline(
-        "# comment\n"
-        "\n"
-        "determinism\tsrc/a.cc\tmsg\r\n"
-        "  # indented comment\n"
-        "rule\tpath\tm2\n");
-    ASSERT_EQ(keys.size(), 2u);
-    EXPECT_EQ(keys[0], "determinism\tsrc/a.cc\tmsg");
-}
-
-TEST(Baseline, EachEntryAbsorbsExactlyOneFinding)
-{
-    Finding f;
-    f.rule = "determinism";
-    f.path = "src/a.cc";
-    f.line = 1;
-    f.message = "msg";
-    std::vector<Finding> findings{f, f}; // two identical findings
-    std::size_t matched = applyBaseline(findings, {baselineKey(f)});
-    EXPECT_EQ(matched, 1u);
-    ASSERT_EQ(findings.size(), 1u); // the second instance still fails
-}
-
-TEST(Baseline, KeysIgnoreLineNumbersSoDriftSurvives)
-{
-    Finding a, b;
-    a.rule = b.rule = "determinism";
-    a.path = b.path = "src/a.cc";
-    a.message = b.message = "msg";
-    a.line = 10;
-    b.line = 99; // same finding, shifted by an unrelated edit
-    EXPECT_EQ(baselineKey(a), baselineKey(b));
-}
-
-TEST(Baseline, DiffBaselineEndToEnd)
-{
-    TempTree tree;
-    tree.write("src/sim/a.cc", "int r = rand();\n");
-
-    LintOptions options;
-    options.root = tree.root.string();
-    options.paths = {"src"};
-
-    LintReport full = runLint(options);
-    ASSERT_EQ(full.findings.size(), 1u);
-
-    tree.write("baseline.lint", renderBaseline(full.findings));
-    options.baselinePath = (tree.root / "baseline.lint").string();
-    options.diffBaseline = true;
-
-    LintReport diffed = runLint(options);
-    EXPECT_TRUE(diffed.findings.empty());
-    EXPECT_EQ(diffed.baselineMatched, 1u);
-
-    // A NEW finding still fails the gate.
-    tree.write("src/sim/b.cc", "int s = srand(7);\n");
-    LintReport withNew = runLint(options);
-    ASSERT_EQ(withNew.findings.size(), 1u);
-    EXPECT_EQ(withNew.findings[0].path, "src/sim/b.cc");
-    EXPECT_EQ(withNew.baselineMatched, 1u);
 }
 
 // ---- SARIF export -------------------------------------------------------

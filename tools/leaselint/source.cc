@@ -51,17 +51,6 @@ parseAllows(const std::string &comment, std::vector<std::string> &rules)
     return sawMarker;
 }
 
-std::uint64_t
-fnv1a64(const std::string &bytes)
-{
-    std::uint64_t h = 14695981039346656037ull;
-    for (char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 } // namespace
 
 SourceFile
@@ -69,7 +58,6 @@ SourceFile::fromString(std::string path, const std::string &text)
 {
     SourceFile f;
     f.path_ = std::move(path);
-    f.contentHash_ = fnv1a64(text);
 
     // Split into lines (tolerate missing trailing newline). A trailing
     // '\r' is stripped so CRLF files parse — and suppress findings —

@@ -23,7 +23,6 @@
  */
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -90,9 +89,6 @@ class SourceFile
         return malformedAllows_;
     }
 
-    /** FNV-1a 64-bit hash of the raw bytes this file was parsed from. */
-    std::uint64_t contentHash() const { return contentHash_; }
-
   private:
     std::string path_;
     std::vector<std::string> lines_;
@@ -104,7 +100,6 @@ class SourceFile
     std::vector<std::vector<std::string>> allows_;
     std::vector<std::vector<std::string>> ownAllows_;
     std::vector<std::size_t> malformedAllows_;
-    std::uint64_t contentHash_ = 0;
 };
 
 /**

@@ -32,54 +32,20 @@ NetworkEnvironment::setServerFailProbability(const std::string &server,
 }
 
 void
-NetworkEnvironment::setConnected(bool connected)
-{
-    if (connected == connected_) return;
-    connected_ = connected;
-    for (const auto &fn : listeners_) fn(connected_);
-}
-
-void
-NetworkEnvironment::setServerHealthy(const std::string &server,
-                                     bool healthy)
-{
-    serverHealth_[server] = healthy;
-}
-
-bool
-NetworkEnvironment::serverHealthy(const std::string &server) const
-{
-    auto it = serverHealth_.find(server);
-    return it == serverHealth_.end() || it->second;
-}
-
-void
-NetworkEnvironment::addConnectivityListener(std::function<void(bool)> fn)
-{
-    listeners_.push_back(std::move(fn));
-}
-
-void
 NetworkEnvironment::httpRequest(Uid uid, const std::string &server,
                                 std::uint64_t bytes,
                                 std::function<void(NetResult)> cb)
 {
-    ++requestCount_[uid];
     if (!connected_) {
-        ++failureCount_[uid];
         sim_.schedule(kFastFail,
                       [cb = std::move(cb)] { cb(NetResult::Disconnected); });
         return;
     }
-    bool flaky_failure = false;
     auto flaky = serverFlaky_.find(server);
-    if (flaky != serverFlaky_.end())
-        flaky_failure = rng_.chance(flaky->second);
-    if (!serverHealthy(server) || flaky_failure) {
+    if (flaky != serverFlaky_.end() && rng_.chance(flaky->second)) {
         // The radio carries the request out, then the app waits for the
         // server until the socket timeout fires.
         radio_.transferWifi(uid, bytes / 10 + 1);
-        ++failureCount_[uid];
         sim_.schedule(kServerTimeout,
                       [cb = std::move(cb)] { cb(NetResult::Timeout); });
         return;
@@ -87,20 +53,6 @@ NetworkEnvironment::httpRequest(Uid uid, const std::string &server,
     sim::Time transfer = radio_.transferWifi(uid, bytes);
     sim_.schedule(transfer + kServerLatency,
                   [cb = std::move(cb)] { cb(NetResult::Ok); });
-}
-
-std::uint64_t
-NetworkEnvironment::requestCount(Uid uid) const
-{
-    auto it = requestCount_.find(uid);
-    return it == requestCount_.end() ? 0 : it->second;
-}
-
-std::uint64_t
-NetworkEnvironment::failureCount(Uid uid) const
-{
-    auto it = failureCount_.find(uid);
-    return it == failureCount_.end() ? 0 : it->second;
 }
 
 } // namespace leaseos::env

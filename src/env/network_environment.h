@@ -7,19 +7,19 @@
  *
  * Two of the paper's trigger conditions live here: "the network is
  * disconnected" (K-9's LUB spin) and "the mail server fails" (K-9's LHB
- * wait). Requests behave accordingly:
+ * wait, Fig. 2: a server that fails each request with some probability).
+ * Requests behave accordingly:
  *  - disconnected: fail fast with Disconnected (cheap, so a buggy retry
  *    loop burns CPU, not radio);
- *  - unhealthy server: time out after a long server timeout (the app waits
- *    holding its wakelock, CPU mostly idle);
- *  - healthy: transfer over the radio model and complete with Ok.
+ *  - failed by the server: time out after a long server timeout (the app
+ *    waits holding its wakelock, CPU mostly idle);
+ *  - otherwise: transfer over the radio model and complete with Ok.
  */
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/ids.h"
 #include "power/radio_model.h"
@@ -34,12 +34,12 @@ enum class NetResult { Ok, Timeout, IoError, Disconnected };
 const char *netResultName(NetResult r);
 
 /**
- * Scriptable connectivity + per-server health model.
+ * Scriptable connectivity + per-server failure model.
  */
 class NetworkEnvironment
 {
   public:
-    /** How long an unhealthy server stalls a request before timeout. */
+    /** How long a failing server stalls a request before timeout. */
     static constexpr sim::Time kServerTimeout = sim::Time::fromSeconds(25.0);
 
     /** Round-trip latency of a healthy request (before transfer time). */
@@ -54,11 +54,8 @@ class NetworkEnvironment
 
     // ---- Environment scripting ------------------------------------------
 
-    void setConnected(bool connected);
+    void setConnected(bool connected) { connected_ = connected; }
     bool connected() const { return connected_; }
-
-    void setServerHealthy(const std::string &server, bool healthy);
-    bool serverHealthy(const std::string &server) const;
 
     /**
      * Make a server *flaky*: each request independently times out with
@@ -68,9 +65,6 @@ class NetworkEnvironment
      */
     void setServerFailProbability(const std::string &server,
                                   double failProbability);
-
-    /** Notified on connectivity flips (apps re-sync on reconnect). */
-    void addConnectivityListener(std::function<void(bool)> fn);
 
     // ---- App-facing request API -----------------------------------------
 
@@ -84,21 +78,12 @@ class NetworkEnvironment
                      std::uint64_t bytes,
                      std::function<void(NetResult)> cb);
 
-    // ---- Stats -----------------------------------------------------------
-
-    std::uint64_t requestCount(Uid uid) const;
-    std::uint64_t failureCount(Uid uid) const;
-
   private:
     sim::Simulator &sim_;
     power::RadioModel &radio_;
     sim::RandomSource &rng_;
     bool connected_ = true;
-    std::map<std::string, bool> serverHealth_;
     std::map<std::string, double> serverFlaky_;
-    std::vector<std::function<void(bool)>> listeners_;
-    std::map<Uid, std::uint64_t> requestCount_;
-    std::map<Uid, std::uint64_t> failureCount_;
 };
 
 } // namespace leaseos::env

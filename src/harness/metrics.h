@@ -17,8 +17,8 @@
  *  - addDeltaGauge: a registry *bound counter*; the increase over each
  *    interval is recorded (how the paper reports "wakelock time per 60 s").
  *
- * Push metrics registered elsewhere (e.g. the lease manager's counters in
- * an externally supplied registry) can be pumped too via watch().
+ * Metrics registered elsewhere (e.g. the lease manager's counters in an
+ * externally supplied registry) can be pumped too via watch().
  */
 
 #include <functional>

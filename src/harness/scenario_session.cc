@@ -91,7 +91,8 @@ ScenarioSession::finish()
     result.checkpoints = std::move(checkpoints_);
     checkpoints_.clear();
 
-    // Before the device goes: its bound gauges (channel energy) read it.
+    // Before the device goes: its bound metrics (channel energy, lease
+    // totals) read it.
     telemetry_->finish(spec, result);
 
     // Tear down eagerly, before the caller's own bookkeeping: a dead

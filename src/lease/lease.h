@@ -71,7 +71,6 @@ struct Lease {
     int consecutiveNormal = 0;
     int consecutiveMisbehaved = 0;
 
-    std::uint64_t renewals = 0;
     std::uint64_t deferrals = 0;
     /** When the current deferral began (valid while state == Deferred). */
     sim::Time deferredAt;

@@ -5,15 +5,6 @@
 #include "analysis/invariants.h"
 #include "lease/utility/generic_utility.h"
 #include "obs/trace.h"
-#include "sim/logging.h"
-
-namespace {
-
-/** Decision-trace line (enable via Logger::setLevel(LogLevel::Info)). */
-#define LEASE_LOG(sim_ref)                                               \
-    sim::LogLine(sim::LogLevel::Info, (sim_ref).now(), "lease")
-
-} // namespace
 
 namespace leaseos::lease {
 
@@ -63,10 +54,18 @@ void
 LeaseManagerService::initMetrics()
 {
     obs::MetricRegistry &r = *metrics_;
-    m_.created = r.counter("lease.created");
-    m_.renewals = r.counter("lease.renewals");
-    m_.deferrals = r.counter("lease.deferrals");
-    m_.termChecks = r.counter("lease.term_checks");
+    r.boundCounter("lease.created", [this] {
+        return static_cast<double>(totalCreated());
+    });
+    r.boundCounter("lease.renewals", [this] {
+        return static_cast<double>(totalRenewals_);
+    });
+    r.boundCounter("lease.deferrals", [this] {
+        return static_cast<double>(totalDeferrals_);
+    });
+    r.boundCounter("lease.term_checks", [this] {
+        return static_cast<double>(termChecks_);
+    });
     m_.toActive = r.counter("lease.transitions.to_active");
     m_.toInactive = r.counter("lease.transitions.to_inactive");
     m_.toDeferred = r.counter("lease.transitions.to_deferred");
@@ -83,8 +82,10 @@ LeaseManagerService::initMetrics()
         BehaviorType::LongHolding, BehaviorType::LowUtility,
         BehaviorType::ExcessiveUse};
     for (BehaviorType b : kinds)
-        m_.behavior[static_cast<std::size_t>(b)] =
-            r.counter(std::string("behavior.") + behaviorName(b));
+        r.boundCounter(std::string("behavior.") + behaviorName(b),
+                       [this, b] {
+                           return static_cast<double>(behaviorCount(b));
+                       });
 }
 
 void
@@ -112,24 +113,17 @@ LeaseManagerService::renewTerm(Lease &lease, sim::Time length)
 {
     ++lease.termIndex;
     ++totalRenewals_;
-    if (metrics_) metrics_->add(m_.renewals);
     startTerm(lease, length);
 }
 
-bool
-LeaseManagerService::registerProxy(LeaseProxy *proxy)
+void
+LeaseManagerService::addProxy(ResourceType rtype,
+                              os::ResourceServiceBase &service,
+                              LeaseProxy::CounterReader read,
+                              LeaseProxy::TokenFilter mine)
 {
-    if (!proxy || proxies_.count(proxy->rtype())) return false;
-    proxies_[proxy->rtype()] = proxy;
-    proxy->attach(this);
-    return true;
-}
-
-LeaseProxy *
-LeaseManagerService::proxyFor(ResourceType rtype) const
-{
-    auto it = proxies_.find(rtype);
-    return it == proxies_.end() ? nullptr : it->second;
+    proxies_.try_emplace(rtype, *this, rtype, service, std::move(read),
+                         std::move(mine));
 }
 
 IUtilityCounter *
@@ -169,7 +163,6 @@ LeaseManagerService::create(ResourceType rtype, os::TokenId token, Uid uid)
             }
         }
     }
-    if (metrics_) metrics_->add(m_.created);
     LEASEOS_TRACE(emit(sim_.now(), obs::TraceCategory::Lease,
                        obs::TraceCode::LeaseCreated, lease.uid, lease.id,
                        static_cast<std::uint64_t>(lease.rtype)));
@@ -274,8 +267,7 @@ LeaseManagerService::startTerm(Lease &lease, sim::Time length)
 {
     lease.termStart = sim_.now();
     lease.termLength = length;
-    LeaseProxy *proxy = proxyFor(lease.rtype);
-    if (proxy) proxy->beginTerm(lease);
+    proxyFor(lease.rtype).beginTerm(lease);
     LeaseId id = lease.id;
     lease.pendingEvent =
         sim_.schedule(length, [this, id] { onTermEnd(id); });
@@ -289,26 +281,18 @@ LeaseManagerService::onTermEnd(LeaseId id)
     lease->pendingEvent = sim::kInvalidEventId;
     ++termChecks_;
     chargeAccounting(kUpdateLatency);
-    if (metrics_) {
-        metrics_->add(m_.termChecks);
+    if (metrics_)
         metrics_->observe(m_.termSeconds,
                           (sim_.now() - lease->termStart).seconds());
-    }
 
-    LeaseProxy *proxy = proxyFor(lease->rtype);
-    if (!proxy) {
-        // No proxy (unregistered mid-flight): degrade to plain renewal.
-        startTerm(*lease, lease->termLength);
-        return;
-    }
-
-    if (!proxy->resourceHeld(*lease)) {
+    LeaseProxy &proxy = proxyFor(lease->rtype);
+    if (!proxy.resourceHeld(*lease)) {
         transition(*lease, LeaseState::Inactive);
         return;
     }
 
     // Collect the term's stats and apply the custom utility hint.
-    LeaseStat stat = proxy->collectStat(*lease);
+    LeaseStat stat = proxy.collectStat(*lease);
     stat.utilityScore = utility::combine(
         stat.utilityScore, utilityFor(lease->uid, lease->rtype));
     if (metrics_) {
@@ -322,17 +306,7 @@ LeaseManagerService::onTermEnd(LeaseId id)
     TermRecord record;
     record.stat = stat;
     record.behavior = classifier_.classify(lease->rtype, stat);
-    LEASE_LOG(sim_) << "lease " << lease->id << " ("
-                    << resourceTypeName(lease->rtype) << ", uid "
-                    << lease->uid << ") term " << lease->termIndex
-                    << ": " << behaviorName(record.behavior)
-                    << " hold=" << record.stat.holdingSeconds
-                    << "s use=" << record.stat.usageSeconds
-                    << "s utility=" << record.stat.utilityScore;
     ++behaviorCounts_[record.behavior];
-    if (metrics_)
-        metrics_->add(
-            m_.behavior[static_cast<std::size_t>(record.behavior)]);
     LEASEOS_TRACE(emit(sim_.now(), obs::TraceCategory::Classifier,
                        classifyCode(record.behavior), lease->uid, lease->id,
                        static_cast<std::uint64_t>(lease->termIndex)));
@@ -369,15 +343,11 @@ LeaseManagerService::onTermEnd(LeaseId id)
                 Reputation{lease->consecutiveMisbehaved, sim_.now()};
         }
         sim::Time tau = policy_.deferralFor(lease->consecutiveMisbehaved);
-        LEASE_LOG(sim_) << "lease " << lease->id << " DEFERRED for "
-                        << tau.toString() << " (offence #"
-                        << lease->consecutiveMisbehaved << ")";
         transition(*lease, LeaseState::Deferred);
         lease->deferredAt = sim_.now();
         ++lease->deferrals;
         ++totalDeferrals_;
-        if (metrics_) metrics_->add(m_.deferrals);
-        proxy->onExpire(*lease);
+        proxy.onExpire(*lease);
         lease->pendingEvent =
             sim_.schedule(tau, [this, id] { onDeferralEnd(id); });
         return;
@@ -398,12 +368,10 @@ LeaseManagerService::onDeferralEnd(LeaseId id)
     lease->pendingEvent = sim::kInvalidEventId;
     settleDeferral(*lease);
 
-    LeaseProxy *proxy = proxyFor(lease->rtype);
-    if (proxy) proxy->onRenew(*lease); // restore the kernel object
+    LeaseProxy &proxy = proxyFor(lease->rtype);
+    proxy.onRenew(*lease); // restore the kernel object
 
-    if (proxy && proxy->resourceHeld(*lease)) {
-        LEASE_LOG(sim_) << "lease " << lease->id
-                        << " restored to ACTIVE after deferral";
+    if (proxy.resourceHeld(*lease)) {
         transition(*lease, LeaseState::Active);
         // Back to the short initial term: the lease just misbehaved.
         renewTerm(*lease, policy_.initialTerm);

@@ -57,10 +57,17 @@ class LeaseManagerService
     LeaseManagerService(const LeaseManagerService &) = delete;
     LeaseManagerService &operator=(const LeaseManagerService &) = delete;
 
-    // ---- Table 3 interface ------------------------------------------------
+    /**
+     * Build and keep the proxy for @p rtype: it watches @p service's
+     * kernel objects (all of them, or those @p mine accepts) and measures
+     * their terms with @p read. Add every type before its service holds
+     * any object.
+     */
+    void addProxy(ResourceType rtype, os::ResourceServiceBase &service,
+                  LeaseProxy::CounterReader read,
+                  LeaseProxy::TokenFilter mine = nullptr);
 
-    /** Register @p proxy for its resource type. */
-    bool registerProxy(LeaseProxy *proxy);
+    // ---- Table 3 interface ------------------------------------------------
 
     /** Create a lease for a kernel object; returns its descriptor. */
     LeaseId create(ResourceType rtype, os::TokenId token, Uid uid);
@@ -132,7 +139,7 @@ class LeaseManagerService
     void digestState(sim::StateDigest &d) const;
 
   private:
-    LeaseProxy *proxyFor(ResourceType rtype) const;
+    LeaseProxy &proxyFor(ResourceType rtype) { return proxies_.at(rtype); }
     IUtilityCounter *utilityFor(Uid uid, ResourceType rtype) const;
 
     /** Start a fresh term on an active lease and arm its expiry check. */
@@ -150,7 +157,12 @@ class LeaseManagerService
     /** Credit realized deferral wall time as a lease leaves DEFERRED. */
     void settleDeferral(Lease &lease);
 
-    /** Intern this service's metrics in the run's registry (DESIGN §9). */
+    /**
+     * Intern this service's metrics in the run's registry (DESIGN §9):
+     * its totals, verdict counts included, as bound counters; its
+     * transitions, proxy decisions, utility charges and histograms as
+     * push metrics.
+     */
     void initMetrics();
     /**
      * Move @p lease to @p to, one Fig. 5 edge: the oracle checks it, then
@@ -170,7 +182,8 @@ class LeaseManagerService
     BehaviorClassifier classifier_;
     LeaseTable table_;
     std::map<std::pair<Uid, ResourceType>, Reputation> reputations_;
-    std::map<ResourceType, LeaseProxy *> proxies_;
+    /** One proxy per resource type; map nodes keep their addresses. */
+    std::map<ResourceType, LeaseProxy> proxies_;
     std::map<std::pair<Uid, ResourceType>, IUtilityCounter *> utilities_;
     std::function<void(const Lease &, const TermRecord &)> termObserver_;
 
@@ -182,10 +195,6 @@ class LeaseManagerService
     /** Telemetry (nullptr unless a registry was installed for the run). */
     obs::MetricRegistry *metrics_ = nullptr;
     struct Metrics {
-        obs::MetricId created = obs::kInvalidMetricId;
-        obs::MetricId renewals = obs::kInvalidMetricId;
-        obs::MetricId deferrals = obs::kInvalidMetricId;
-        obs::MetricId termChecks = obs::kInvalidMetricId;
         obs::MetricId toActive = obs::kInvalidMetricId;
         obs::MetricId toInactive = obs::kInvalidMetricId;
         obs::MetricId toDeferred = obs::kInvalidMetricId;
@@ -197,10 +206,6 @@ class LeaseManagerService
         obs::MetricId utilityScore = obs::kInvalidMetricId; // histogram
         obs::MetricId termSeconds = obs::kInvalidMetricId;  // histogram
         obs::MetricId deferralSeconds = obs::kInvalidMetricId; // histogram
-        obs::MetricId behavior[5] = {
-            obs::kInvalidMetricId, obs::kInvalidMetricId,
-            obs::kInvalidMetricId, obs::kInvalidMetricId,
-            obs::kInvalidMetricId};
     } m_;
     std::map<BehaviorType, std::uint64_t> behaviorCounts_;
     sim::Accumulator lifespans_;

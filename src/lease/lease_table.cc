@@ -102,7 +102,6 @@ LeaseTable::digestState(sim::StateDigest &d) const
         d.i64(lease.termIndex);
         d.i64(lease.consecutiveNormal);
         d.i64(lease.consecutiveMisbehaved);
-        d.u64(lease.renewals);
         d.u64(lease.deferrals);
         d.time(lease.deferredAt);
         d.f64(lease.totalDeferralSeconds);

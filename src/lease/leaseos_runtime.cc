@@ -1,13 +1,11 @@
 #include "lease/leaseos_runtime.h"
 
-#include <utility>
-
 namespace leaseos::lease {
 
 LeaseOsRuntime::LeaseOsRuntime(sim::Simulator &sim, power::CpuModel &cpu,
                                power::RadioModel &radio,
                                os::SystemServer &server, LeasePolicy policy)
-    : manager_(std::make_unique<LeaseManagerService>(sim, cpu, policy))
+    : manager_(sim, cpu, policy)
 {
     os::PowerManagerService &pms = server.powerManager();
     os::LocationManagerService &lms = server.locationManager();
@@ -18,14 +16,6 @@ LeaseOsRuntime::LeaseOsRuntime(sim::Simulator &sim, power::CpuModel &cpu,
     os::ExceptionNoteHandler &exceptions = server.exceptionHandler();
     os::ActivityManagerService &am = server.activityManager();
 
-    auto add = [this](ResourceType rtype, os::ResourceServiceBase &service,
-                      LeaseProxy::CounterReader read,
-                      LeaseProxy::TokenFilter mine = nullptr) {
-        proxies_.push_back(std::make_unique<LeaseProxy>(
-            rtype, service, std::move(read), std::move(mine)));
-        manager_->registerProxy(proxies_.back().get());
-    };
-
     // Each reader calls its getters in a fixed order: some integrate time
     // up to now before answering.
 
@@ -33,7 +23,7 @@ LeaseOsRuntime::LeaseOsRuntime(sim::Simulator &sim, power::CpuModel &cpu,
     // the holder's CPU seconds, utility from severe exceptions and UI.
     // §8: under DVFS, utilisation is frequency-normalised busy time, which
     // measures work done rather than occupancy at a crawling clock.
-    add(
+    manager_.addProxy(
         ResourceType::Wakelock, pms,
         [&pms, &cpu, &exceptions, &am](const Lease &l) {
             TermCounters c;
@@ -54,7 +44,7 @@ LeaseOsRuntime::LeaseOsRuntime(sim::Simulator &sim, power::CpuModel &cpu,
     // Full wakelocks keep the panel lit. Usage is the holder's live
     // Activity time: only a visible Activity benefits from a lit screen,
     // which flags background screen-holds as Long-Holding.
-    add(
+    manager_.addProxy(
         ResourceType::Screen, pms,
         [&pms, &am](const Lease &l) {
             TermCounters c;
@@ -73,63 +63,68 @@ LeaseOsRuntime::LeaseOsRuntime(sim::Simulator &sim, power::CpuModel &cpu,
     // time feed the FAB metric (Fig. 1). Holding is the outstanding
     // request; usage is §3.3's listener-bound-Activity time; distance
     // moved feeds the utility.
-    add(ResourceType::Gps, lms, [&lms, &am](const Lease &l) {
-        TermCounters c;
-        c.requestSeconds = lms.requestSeconds(l.uid);
-        c.holdingSeconds = c.requestSeconds;
-        c.failedRequestSeconds = lms.noFixSeconds(l.uid);
-        c.usageSeconds = am.activityAliveSeconds(l.uid);
-        c.distanceMeters = lms.distanceMeters(l.uid);
-        c.uiUpdates = am.uiUpdateCount(l.uid);
-        c.interactions = am.userInteractionCount(l.uid);
-        c.acquires = lms.requestCount(l.uid);
-        return c;
-    });
+    manager_.addProxy(
+        ResourceType::Gps, lms, [&lms, &am](const Lease &l) {
+            TermCounters c;
+            c.requestSeconds = lms.requestSeconds(l.uid);
+            c.holdingSeconds = c.requestSeconds;
+            c.failedRequestSeconds = lms.noFixSeconds(l.uid);
+            c.usageSeconds = am.activityAliveSeconds(l.uid);
+            c.distanceMeters = lms.distanceMeters(l.uid);
+            c.uiUpdates = am.uiUpdateCount(l.uid);
+            c.interactions = am.userInteractionCount(l.uid);
+            c.acquires = lms.requestCount(l.uid);
+            return c;
+        });
 
     // Sensor listeners: usage is the bound-Activity time, utility comes
     // from UI evidence (where custom counters, Fig. 6, matter most).
-    add(ResourceType::Sensor, sms, [&sms, &am](const Lease &l) {
-        TermCounters c;
-        c.holdingSeconds = sms.registeredSeconds(l.uid);
-        c.usageSeconds = am.activityAliveSeconds(l.uid);
-        c.uiUpdates = am.uiUpdateCount(l.uid);
-        c.interactions = am.userInteractionCount(l.uid);
-        return c;
-    });
+    manager_.addProxy(
+        ResourceType::Sensor, sms, [&sms, &am](const Lease &l) {
+            TermCounters c;
+            c.holdingSeconds = sms.registeredSeconds(l.uid);
+            c.usageSeconds = am.activityAliveSeconds(l.uid);
+            c.uiUpdates = am.uiUpdateCount(l.uid);
+            c.interactions = am.userInteractionCount(l.uid);
+            return c;
+        });
 
     // Wi-Fi locks: usage is actual transfer time, so a lock held over an
     // idle radio (ConnectBot) is Long-Holding.
-    add(ResourceType::Wifi, wms, [&wms, &radio, &am](const Lease &l) {
-        TermCounters c;
-        c.holdingSeconds = wms.enabledSeconds(l.uid);
-        c.usageSeconds = radio.wifiActiveSeconds(l.uid);
-        c.uiUpdates = am.uiUpdateCount(l.uid);
-        c.interactions = am.userInteractionCount(l.uid);
-        c.acquires = wms.acquireCount(l.uid);
-        return c;
-    });
+    manager_.addProxy(
+        ResourceType::Wifi, wms, [&wms, &radio, &am](const Lease &l) {
+            TermCounters c;
+            c.holdingSeconds = wms.enabledSeconds(l.uid);
+            c.usageSeconds = radio.wifiActiveSeconds(l.uid);
+            c.uiUpdates = am.uiUpdateCount(l.uid);
+            c.interactions = am.userInteractionCount(l.uid);
+            c.acquires = wms.acquireCount(l.uid);
+            return c;
+        });
 
     // Audio sessions: usage is audible playback, so a session left open
     // in silence (the §1 Facebook bug) is Long-Holding.
-    add(ResourceType::Audio, audio, [&audio, &am](const Lease &l) {
-        TermCounters c;
-        c.holdingSeconds = audio.openSeconds(l.uid);
-        c.usageSeconds = audio.playingSeconds(l.uid);
-        c.uiUpdates = am.uiUpdateCount(l.uid);
-        c.interactions = am.userInteractionCount(l.uid);
-        return c;
-    });
+    manager_.addProxy(
+        ResourceType::Audio, audio, [&audio, &am](const Lease &l) {
+            TermCounters c;
+            c.holdingSeconds = audio.openSeconds(l.uid);
+            c.usageSeconds = audio.playingSeconds(l.uid);
+            c.uiUpdates = am.uiUpdateCount(l.uid);
+            c.interactions = am.userInteractionCount(l.uid);
+            return c;
+        });
 
     // Bluetooth scans are judged like sensors (Table 1): bound-Activity
     // usage, UI evidence as utility.
-    add(ResourceType::Bluetooth, bt, [&bt, &am](const Lease &l) {
-        TermCounters c;
-        c.holdingSeconds = bt.scanSeconds(l.uid);
-        c.usageSeconds = am.activityAliveSeconds(l.uid);
-        c.uiUpdates = am.uiUpdateCount(l.uid);
-        c.interactions = am.userInteractionCount(l.uid);
-        return c;
-    });
+    manager_.addProxy(
+        ResourceType::Bluetooth, bt, [&bt, &am](const Lease &l) {
+            TermCounters c;
+            c.holdingSeconds = bt.scanSeconds(l.uid);
+            c.usageSeconds = am.activityAliveSeconds(l.uid);
+            c.uiUpdates = am.uiUpdateCount(l.uid);
+            c.interactions = am.userInteractionCount(l.uid);
+            return c;
+        });
 }
 
 } // namespace leaseos::lease

@@ -3,7 +3,8 @@
 
 /**
  * @file
- * The LeaseOS runtime: manager + all proxies, wired over a SystemServer.
+ * The LeaseOS runtime: the lease manager, with one proxy per resource
+ * type that the manager builds and owns, wired over a SystemServer.
  *
  * This is the top-level public API for enabling lease-based resource
  * management on a simulated device:
@@ -16,12 +17,8 @@
  * service" used to get a vanilla-Android baseline.
  */
 
-#include <memory>
-#include <vector>
-
 #include "lease/lease_manager.h"
 #include "lease/lease_policy.h"
-#include "lease/proxies/lease_proxy.h"
 #include "os/system_server.h"
 
 namespace leaseos::lease {
@@ -36,13 +33,11 @@ class LeaseOsRuntime
                    power::RadioModel &radio, os::SystemServer &server,
                    LeasePolicy policy = {});
 
-    LeaseManagerService &manager() { return *manager_; }
-    const LeaseManagerService &manager() const { return *manager_; }
+    LeaseManagerService &manager() { return manager_; }
+    const LeaseManagerService &manager() const { return manager_; }
 
   private:
-    std::unique_ptr<LeaseManagerService> manager_;
-    /** One proxy per resource type; the manager finds them by type. */
-    std::vector<std::unique_ptr<LeaseProxy>> proxies_;
+    LeaseManagerService manager_;
 };
 
 } // namespace leaseos::lease

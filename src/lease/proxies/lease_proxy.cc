@@ -7,10 +7,11 @@
 
 namespace leaseos::lease {
 
-LeaseProxy::LeaseProxy(ResourceType rtype, os::ResourceServiceBase &service,
-                       CounterReader read, TokenFilter mine)
-    : rtype_(rtype), service_(service), read_(std::move(read)),
-      mine_(std::move(mine))
+LeaseProxy::LeaseProxy(LeaseManagerService &manager, ResourceType rtype,
+                       os::ResourceServiceBase &service, CounterReader read,
+                       TokenFilter mine)
+    : manager_(manager), rtype_(rtype), service_(service),
+      read_(std::move(read)), mine_(std::move(mine))
 {
     service_.addListener(this);
 }
@@ -42,36 +43,32 @@ LeaseProxy::collectStat(const Lease &lease)
 const Lease *
 LeaseProxy::leaseOf(os::TokenId token) const
 {
-    const Lease *lease = manager_->table().findByToken(token);
+    const Lease *lease = manager_.table().findByToken(token);
     return lease && lease->rtype == rtype_ ? lease : nullptr;
 }
 
 void
 LeaseProxy::onCreated(os::TokenId token, Uid uid)
 {
-    if (!manager_ || (mine_ && !mine_(token))) return;
-    manager_->create(rtype_, token, uid);
+    if (mine_ && !mine_(token)) return;
+    manager_.create(rtype_, token, uid);
 }
 
 void
 LeaseProxy::onAcquired(os::TokenId token, Uid uid)
 {
-    if (!manager_ || (mine_ && !mine_(token))) return;
-    const Lease *lease = leaseOf(token);
-    // Acquire on an object we never saw created (possible if the proxy
-    // registered late): adopt it now.
-    manager_->noteAcquire(lease ? lease->id
-                                : manager_->create(rtype_, token, uid));
+    (void)uid;
+    if (mine_ && !mine_(token)) return;
+    if (const Lease *lease = leaseOf(token)) manager_.noteAcquire(lease->id);
 }
 
 void
 LeaseProxy::onDestroyed(os::TokenId token, Uid uid)
 {
     (void)uid;
-    if (!manager_) return;
     // The service has already erased the object, so mine_ cannot tell
     // whose it was; the lease's resource type does.
-    if (const Lease *lease = leaseOf(token)) manager_->remove(lease->id);
+    if (const Lease *lease = leaseOf(token)) manager_.remove(lease->id);
 }
 
 } // namespace leaseos::lease

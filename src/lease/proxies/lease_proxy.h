@@ -9,7 +9,8 @@
  * OS subsystem's address space. It watches that subsystem's kernel-object
  * lifecycle, forwards lease operations (create / noteEvent / remove) to
  * the manager, and applies the manager's decisions to the kernel objects
- * directly via onExpire/onRenew.
+ * directly via onExpire/onRenew. The manager builds and owns its proxies
+ * (LeaseManagerService::addProxy), one per resource type.
  *
  * §6: "Much of the logic for different lease proxies is the same... This
  * common logic is provided via a generic lease proxy class." Here it is
@@ -44,18 +45,14 @@ class LeaseProxy : public os::ResourceListener
 
     /**
      * Watch @p service's kernel objects (all of them, or those @p mine
-     * accepts) as leases of @p rtype measured by @p read.
+     * accepts) as @p manager's leases of @p rtype measured by @p read.
      */
-    LeaseProxy(ResourceType rtype, os::ResourceServiceBase &service,
-               CounterReader read, TokenFilter mine = nullptr);
+    LeaseProxy(LeaseManagerService &manager, ResourceType rtype,
+               os::ResourceServiceBase &service, CounterReader read,
+               TokenFilter mine);
     /** The service holds this proxy's address as a listener. */
     LeaseProxy(const LeaseProxy &) = delete;
     LeaseProxy &operator=(const LeaseProxy &) = delete;
-
-    ResourceType rtype() const { return rtype_; }
-
-    /** Wired by LeaseManagerService::registerProxy. */
-    void attach(LeaseManagerService *manager) { manager_ = manager; }
 
     // ---- Manager-facing callbacks (invoked on lease decisions) ---------
 
@@ -88,11 +85,11 @@ class LeaseProxy : public os::ResourceListener
     /** The lease of this proxy's type backing @p token, or null. */
     const Lease *leaseOf(os::TokenId token) const;
 
+    LeaseManagerService &manager_;
     ResourceType rtype_;
     os::ResourceServiceBase &service_;
     CounterReader read_;
     TokenFilter mine_;
-    LeaseManagerService *manager_ = nullptr;
 };
 
 } // namespace leaseos::lease

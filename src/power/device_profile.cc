@@ -32,7 +32,6 @@ base()
     p.wifiActiveMw = 240.0;
     p.wifiThroughputBps = 20e6 / 8.0;
     p.cellIdleMw = 8.0;
-    p.cellActiveMw = 700.0;
     p.accelerometerMw = 18.0;
     p.orientationMw = 11.0;
     p.gyroscopeMw = 25.0;

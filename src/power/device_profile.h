@@ -59,7 +59,6 @@ struct DeviceProfile {
     double wifiActiveMw;      ///< during a transfer burst
     double wifiThroughputBps; ///< used to size transfer bursts
     double cellIdleMw;
-    double cellActiveMw;
 
     // Sensors
     double accelerometerMw;

@@ -12,11 +12,11 @@ RadioModel::RadioModel(sim::Simulator &sim, EnergyAccountant &accountant,
                        const DeviceProfile &profile)
     : PowerComponent(sim, accountant, profile, "radio"),
       wifiChannel_(accountant.makeChannel("wifi")),
-      cellChannel_(accountant.makeChannel("cell")),
       lastAdvance_(sim.now())
 {
+    const ChannelId cell = accountant.makeChannel("cell");
     updateWifiPower();
-    accountant_.setPower(cellChannel_, profile_.cellIdleMw, {kSystemUid});
+    accountant_.setPower(cell, profile_.cellIdleMw, {kSystemUid});
 }
 
 void
@@ -87,36 +87,6 @@ RadioModel::transferWifi(Uid uid, std::uint64_t bytes)
     return dur;
 }
 
-sim::Time
-RadioModel::transferCell(Uid uid, std::uint64_t bytes)
-{
-    advance();
-    // Cellular throughput modelled at 1/4 of Wi-Fi.
-    double seconds = static_cast<double>(bytes) /
-        (profile_.wifiThroughputBps / 4.0);
-    seconds = std::max(seconds, 0.1);
-    ++cellActive_;
-    cellActiveUids_.push_back(uid);
-    accountant_.setPower(cellChannel_, profile_.cellActiveMw,
-                         cellActiveUids_);
-    sim::Time dur = sim::Time::fromSeconds(seconds);
-    sim_.schedule(dur, [this, uid] {
-        advance();
-        --cellActive_;
-        auto it = std::find(cellActiveUids_.begin(), cellActiveUids_.end(),
-                            uid);
-        if (it != cellActiveUids_.end()) cellActiveUids_.erase(it);
-        if (cellActive_ > 0) {
-            accountant_.setPower(cellChannel_, profile_.cellActiveMw,
-                                 cellActiveUids_);
-        } else {
-            accountant_.setPower(cellChannel_, profile_.cellIdleMw,
-                                 {kSystemUid});
-        }
-    });
-    return dur;
-}
-
 std::size_t
 RadioModel::inFlightIndex(Uid uid) const
 {
@@ -138,8 +108,6 @@ RadioModel::digestState(sim::StateDigest &d) const
 {
     d.u32s(wifiLockOwners_);
     d.u32s(wifiActiveUids_);
-    d.i64(cellActive_);
-    d.u32s(cellActiveUids_);
     d.time(lastAdvance_);
     d.u64(wifiInFlight_.size());
     for (const InFlight &f : wifiInFlight_) {

@@ -8,7 +8,8 @@
  * Wi-Fi has three interesting levels: idle, high-performance lock held
  * (WifiLock — the ConnectBot b7cc89c bug holds one when the active network
  * is not even Wi-Fi), and active transfer bursts. Transfers are sized from
- * bytes / throughput. Cellular is modelled the same way minus locks.
+ * bytes / throughput. No app transfers over cellular: the cell channel
+ * draws its idle power for the whole run.
  */
 
 #include <cstdint>
@@ -49,10 +50,6 @@ class RadioModel : public PowerComponent
     /** Seconds @p uid spent actively transferring over Wi-Fi. */
     double wifiActiveSeconds(Uid uid);
 
-    // ---- Cellular --------------------------------------------------------
-
-    sim::Time transferCell(Uid uid, std::uint64_t bytes);
-
     /** Hash the radio state (DESIGN.md §11). */
     void digestState(sim::StateDigest &d) const;
 
@@ -64,13 +61,10 @@ class RadioModel : public PowerComponent
     std::size_t inFlightIndex(Uid uid) const;
 
     ChannelId wifiChannel_;
-    ChannelId cellChannel_;
 
     std::vector<Uid> wifiLockOwners_;
     /** One entry per Wi-Fi transfer in flight: empty when not busy. */
     std::vector<Uid> wifiActiveUids_;
-    int cellActive_ = 0;
-    std::vector<Uid> cellActiveUids_;
 
     /** A uid with Wi-Fi transfers in flight. */
     struct InFlight {

@@ -51,9 +51,10 @@ TEST(DeviceDigestTest, EqualStateGivesEqualDigest)
 
 /**
  * The torch LeaseOS cell's per-minute digests over three minutes. With
- * @p mutate, one lease's renewal count is raised by one from the first
- * boundary to the second: no code reads that field, so the run itself
- * is unchanged and only the digest at the second boundary sees it.
+ * @p mutate, one lease's deferral count is raised by one from the first
+ * boundary to the second: no simulation logic reads that field, so the
+ * run itself is unchanged and only the digest at the second boundary
+ * sees it.
  */
 std::vector<RunResult::Checkpoint>
 torchDigests(bool mutate)
@@ -75,13 +76,13 @@ torchDigests(bool mutate)
     }
     lease::Lease &lease = *table.all().front();
     const lease::LeaseId id = lease.id;
-    if (mutate) lease.renewals += 1;
+    if (mutate) lease.deferrals += 1;
     session.advanceTo(2_min);
     if (table.find(id) != &lease) {
         ADD_FAILURE() << "lease " << id << " did not outlive minute 2";
         return {};
     }
-    if (mutate) lease.renewals -= 1;
+    if (mutate) lease.deferrals -= 1;
     session.advanceTo(3_min);
     return session.finish().checkpoints;
 }

@@ -131,6 +131,48 @@ TEST(RunScenarioTest, ChannelEnergyGaugesReadAsOfTheEnd)
     EXPECT_EQ(gauge->second, r.probe("steady"));
 }
 
+TEST(RunScenarioTest, LeaseMetricsEqualTheManagersTotals)
+{
+    // The Table-5 torch cell under LeaseOS: the registry's lease totals
+    // and verdict counts must read exactly what the run reports.
+    RunSpec spec = mitigationCellSpec(apps::buggySpec("torch"),
+                                      MitigationMode::LeaseOS,
+                                      MitigationRunOptions{});
+    spec.collectMetrics = true;
+    spec.withProbe("renewals", [](Device &d) {
+        return static_cast<double>(d.leaseos()->manager().totalRenewals());
+    });
+    RunResult r = runScenario(spec);
+    ASSERT_GT(r.deferrals, 0u);
+    ASSERT_GT(r.termChecks, 0u);
+
+    auto metric = [&r](const std::string &name) {
+        auto it = std::find_if(r.metrics.begin(), r.metrics.end(),
+                               [&name](const auto &m) {
+                                   return m.first == name;
+                               });
+        EXPECT_NE(it, r.metrics.end()) << "no metric " << name;
+        return it == r.metrics.end() ? -1.0 : it->second;
+    };
+    EXPECT_EQ(metric("lease.created"),
+              static_cast<double>(r.leasesCreated));
+    EXPECT_EQ(metric("lease.term_checks"),
+              static_cast<double>(r.termChecks));
+    EXPECT_EQ(metric("lease.deferrals"), static_cast<double>(r.deferrals));
+    EXPECT_EQ(metric("lease.renewals"), r.probe("renewals"));
+    for (lease::BehaviorType b :
+         {lease::BehaviorType::Normal, lease::BehaviorType::FrequentAsk,
+          lease::BehaviorType::LongHolding, lease::BehaviorType::LowUtility,
+          lease::BehaviorType::ExcessiveUse}) {
+        auto it = r.behaviorCounts.find(b);
+        const double want = it == r.behaviorCounts.end()
+            ? 0.0
+            : static_cast<double>(it->second);
+        EXPECT_EQ(metric(std::string("behavior.") + lease::behaviorName(b)),
+                  want);
+    }
+}
+
 TEST(RunScenarioTest, MitigationCellSpecDescribesTheStandardCell)
 {
     const auto &spec = apps::buggySpec("torch");

@@ -172,15 +172,6 @@ TEST_F(LeaseManagerTest, SetUtilityNullClears)
     EXPECT_GT(mgr.totalDeferrals(), 0u);
 }
 
-TEST_F(LeaseManagerTest, ProxyRegistrationRules)
-{
-    LeaseProxy extra(ResourceType::Wakelock, pms,
-                     [](const Lease &) { return TermCounters{}; });
-    // Type already registered by the runtime.
-    EXPECT_FALSE(mgr.registerProxy(&extra));
-    EXPECT_FALSE(mgr.registerProxy(nullptr));
-}
-
 // ---- Per-resource proxy behaviour -------------------------------------------
 
 struct ProxyTest : LeaseFixture {

@@ -168,14 +168,6 @@ TEST_F(ComponentFixture, WifiTransferBurst)
     EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.wifiActiveMw * 1.0, 1e-6);
 }
 
-TEST_F(ComponentFixture, CellTransferBurst)
-{
-    RadioModel radio(sim, acc, profile);
-    radio.transferCell(kApp, 625000); // 625 KB at 625 KB/s = 1 s
-    sim.runFor(2_s);
-    EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.cellActiveMw * 1.0, 1e-6);
-}
-
 // ---- Sensors -------------------------------------------------------------
 
 TEST_F(ComponentFixture, SensorDrawsWhileRegistered)

@@ -5,8 +5,9 @@
  * @file
  * The built-in rules, split by engine phase.
  *
- * Per-file rules run at index time (pass 1) and are memoized in the
- * on-disk cache; link rules run once over the linked repo (pass 2).
+ * Per-file rules run as each file is indexed (pass 1); link rules run
+ * once over the linked repo (pass 2). A lint runs both passes serially
+ * over the sources and caches nothing between lints.
  *
  * Rule inventory:
  *  - determinism:          wall-clock / rand() / unordered containers in
@@ -68,7 +69,7 @@ bool isKnownRule(const std::string &name);
  */
 std::string renderRulesMarkdown();
 
-// ---- per-file rules (pass 1; findings are cached) -----------------------
+// ---- per-file rules (pass 1; run as each file is indexed) ---------------
 
 void checkDeterminism(const SourceFile &file, std::vector<Finding> &out);
 void checkPtrOrderedIteration(const SourceFile &file,

@@ -28,7 +28,6 @@ class App
         : ctx_(ctx), process_(ctx.sim, ctx.cpu, uid, name),
           name_(std::move(name))
     {
-        ctx_.activityManager().registerApp(uid, name_);
     }
 
     virtual ~App() = default;

@@ -48,18 +48,14 @@ class BeaconScanner : public app::App, private os::ScanListener
         App::stop();
     }
 
-    std::uint64_t sightings() const { return sightings_; }
-
   private:
     void
     onDeviceFound(std::uint64_t) override
     {
-        ++sightings_;
         process_.computeScaled(0.2, sim::Time::fromMillis(5));
     }
 
     os::TokenId scan_ = os::kInvalidToken;
-    std::uint64_t sightings_ = 0;
 };
 
 } // namespace leaseos::apps

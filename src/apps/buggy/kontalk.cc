@@ -20,10 +20,7 @@ Kontalk::start()
     // ...authenticate with the server (quick), then never release.
     ctx_.network.httpRequest(uid(), kServer, 8000,
                              [this](env::NetResult) {
-                                 process_.postNow([this] {
-                                     authenticated_ = true;
-                                     keepalive();
-                                 });
+                                 process_.postNow([this] { keepalive(); });
                              });
 }
 

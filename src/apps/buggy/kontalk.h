@@ -29,13 +29,10 @@ class Kontalk : public app::App
     void start() override;
     void stop() override;
 
-    bool authenticated() const { return authenticated_; }
-
   private:
     void keepalive();
 
     os::TokenId wakeLock_ = os::kInvalidToken;
-    bool authenticated_ = false;
     bool stopped_ = false;
 };
 

@@ -107,7 +107,6 @@ void
 GenericInteractiveApp::onInteraction()
 {
     if (stopped_) return;
-    ++bursts_;
     // The canonical short-held wakelock: a fresh kernel object per burst,
     // released and destroyed when the burst's work completes.
     os::TokenId lock = ctx_.powerManager().newWakeLock(

@@ -47,7 +47,6 @@ class GenericInteractiveApp : public app::App
     void stop() override;
 
     GenericKind kind() const { return kind_; }
-    std::uint64_t interactionBursts() const { return bursts_; }
 
   private:
     void onInteraction();
@@ -61,7 +60,6 @@ class GenericInteractiveApp : public app::App
     bool stopped_ = false;
     os::TokenId sensor_ = os::kInvalidToken;
     os::TokenId playbackLock_ = os::kInvalidToken;
-    std::uint64_t bursts_ = 0;
 };
 
 } // namespace leaseos::apps

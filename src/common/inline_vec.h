@@ -78,8 +78,6 @@ class InlineVec
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
     std::size_t capacity() const { return cap_; }
-    /** True while no element has ever spilled to the heap. */
-    bool isInline() const { return data_ == inlinePtr(); }
 
     T *begin() { return data_; }
     T *end() { return data_ + size_; }

@@ -30,10 +30,7 @@ class GpsEnvironment
     setSignalGood(bool good)
     {
         gps_.setSignalGood(good);
-        signalGood_ = good;
     }
-
-    bool signalGood() const { return signalGood_; }
 
     /** Change the device velocity (m/s east, m/s north) from now on. */
     void
@@ -56,7 +53,6 @@ class GpsEnvironment
   private:
     sim::Simulator &sim_;
     power::GpsModel &gps_;
-    bool signalGood_ = true;
     GeoPoint anchor_;
     sim::Time anchorTime_;
     double vx_ = 0.0;

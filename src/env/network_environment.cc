@@ -4,18 +4,6 @@
 
 namespace leaseos::env {
 
-const char *
-netResultName(NetResult r)
-{
-    switch (r) {
-      case NetResult::Ok: return "ok";
-      case NetResult::Timeout: return "timeout";
-      case NetResult::IoError: return "io_error";
-      case NetResult::Disconnected: return "disconnected";
-    }
-    return "unknown";
-}
-
 NetworkEnvironment::NetworkEnvironment(sim::Simulator &sim,
                                        power::RadioModel &radio,
                                        sim::RandomSource &rng)

@@ -31,8 +31,6 @@ namespace leaseos::env {
 /** Completion status of a network request. */
 enum class NetResult { Ok, Timeout, IoError, Disconnected };
 
-const char *netResultName(NetResult r);
-
 /**
  * Scriptable connectivity + per-server failure model.
  */

@@ -54,7 +54,6 @@ class UserModel
      */
     void setInteractionHandler(Uid uid, std::function<void()> fn);
 
-    bool sessionActive() const { return active_; }
     std::uint64_t interactionCount() const { return interactions_; }
 
   private:

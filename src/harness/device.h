@@ -116,12 +116,6 @@ struct DeviceConfig {
         dvfsEnabled = enabled;
         return *this;
     }
-    DeviceConfig &
-    withCheckedOracle(bool enabled)
-    {
-        checkedOracle = enabled;
-        return *this;
-    }
 };
 
 /**
@@ -144,10 +138,6 @@ class Device
     power::Battery &battery() { return *battery_; }
     power::PowerProfiler &profiler() { return *profiler_; }
     power::CpuModel &cpu() { return *cpu_; }
-    power::GpsModel &gpsHardware() { return *gps_; }
-    power::RadioModel &radio() { return *radio_; }
-    power::ScreenModel &screenHardware() { return *screen_; }
-    power::BluetoothModel &bluetoothHardware() { return *bluetooth_; }
     os::SystemServer &server() { return *server_; }
     env::NetworkEnvironment &network() { return *network_; }
     env::GpsEnvironment &gpsEnv() { return *gpsEnv_; }

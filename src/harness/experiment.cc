@@ -4,14 +4,6 @@
 
 namespace leaseos::harness {
 
-sim::PeriodicHandle
-installGlanceScript(Device &device, const MitigationRunOptions &opt)
-{
-    if (!opt.userGlances) return {};
-    return installGlanceScript(device, opt.glanceInterval,
-                               opt.glanceLength);
-}
-
 RunSpec
 mitigationCellSpec(const apps::BuggyAppSpec &spec, MitigationMode mode,
                    const MitigationRunOptions &opt)

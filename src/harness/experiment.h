@@ -38,14 +38,6 @@ struct MitigationRunOptions {
 };
 
 /**
- * Install the glance script on a device (screen on briefly + motion blip
- * every glanceInterval). Inert handle when opt.userGlances is off; the
- * script stops when the returned handle is cancelled or destroyed.
- */
-[[nodiscard]] sim::PeriodicHandle
-installGlanceScript(Device &device, const MitigationRunOptions &opt);
-
-/**
  * Build the RunSpec for one buggy-app × mitigation-mode Table 5 cell;
  * execute with runScenario() or feed lists of them to a ParallelRunner.
  */

@@ -165,15 +165,6 @@ struct RunSpec {
         return *this;
     }
     RunSpec &
-    withGlances(sim::Time interval = sim::Time::fromMinutes(10.0),
-                sim::Time length = sim::Time::fromSeconds(20.0))
-    {
-        userGlances = true;
-        glanceInterval = interval;
-        glanceLength = length;
-        return *this;
-    }
-    RunSpec &
     withProbe(std::string probeName, std::function<double(Device &)> fn)
     {
         probes.emplace_back(std::move(probeName), std::move(fn));

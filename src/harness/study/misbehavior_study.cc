@@ -15,18 +15,6 @@ caseTypeName(CaseType t)
     return "?";
 }
 
-const char *
-rootCauseName(RootCause c)
-{
-    switch (c) {
-      case RootCause::Bug: return "Bug";
-      case RootCause::Configuration: return "Config.";
-      case RootCause::Enhancement: return "Enhance.";
-      case RootCause::Unknown: return "N/A";
-    }
-    return "?";
-}
-
 namespace {
 
 /** (type, cause, count) cells of Table 2, as published. */

@@ -26,7 +26,6 @@ enum class CaseType { FAB, LHB, LUB, EUB, Unknown };
 enum class RootCause { Bug, Configuration, Enhancement, Unknown };
 
 const char *caseTypeName(CaseType t);
-const char *rootCauseName(RootCause c);
 
 /** One studied issue. */
 struct StudyCase {

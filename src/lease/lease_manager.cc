@@ -255,13 +255,6 @@ LeaseManagerService::setUtility(Uid uid, ResourceType rtype,
     }
 }
 
-LeaseId
-LeaseManagerService::leaseIdForToken(os::TokenId token)
-{
-    Lease *lease = table_.findByToken(token);
-    return lease ? lease->id : kInvalidLeaseId;
-}
-
 void
 LeaseManagerService::startTerm(Lease &lease, sim::Time length)
 {
@@ -386,7 +379,6 @@ LeaseManagerService::settleDeferral(Lease &lease)
 {
     const double realized = (sim_.now() - lease.deferredAt).seconds();
     lease.totalDeferralSeconds += realized;
-    totalDeferralSeconds_ += realized;
     if (metrics_) metrics_->observe(m_.deferralSeconds, realized);
     LEASEOS_ORACLE(noteDeferralSettled(sim_.now(), lease.id,
                                        lease.deferredAt, realized));
@@ -410,13 +402,6 @@ LeaseManagerService::behaviorCount(BehaviorType b) const
     return it == behaviorCounts_.end() ? 0 : it->second;
 }
 
-BehaviorType
-LeaseManagerService::lastBehavior(LeaseId id) const
-{
-    const Lease *lease = table_.find(id);
-    return lease ? lease->lastBehavior : BehaviorType::Normal;
-}
-
 
 void
 LeaseManagerService::digestState(sim::StateDigest &d) const
@@ -432,7 +417,6 @@ LeaseManagerService::digestState(sim::StateDigest &d) const
     d.u64(totalDeferrals_);
     d.u64(totalRenewals_);
     d.u64(termChecks_);
-    d.f64(totalDeferralSeconds_);
     d.u64(behaviorCounts_.size());
     for (const auto &[behavior, count] : behaviorCounts_) {
         d.u8(static_cast<std::uint8_t>(behavior));

@@ -90,7 +90,6 @@ class LeaseManagerService
     // ---- Queries ---------------------------------------------------------
 
     const Lease *lease(LeaseId id) const { return table_.find(id); }
-    LeaseId leaseIdForToken(os::TokenId token);
     const LeaseTable &table() const { return table_; }
     LeaseTable &table() { return table_; }
     const LeasePolicy &policy() const { return policy_; }
@@ -99,19 +98,10 @@ class LeaseManagerService
     {
         return table_.countInState(LeaseState::Active);
     }
-    std::size_t deferredLeases() const
-    {
-        return table_.countInState(LeaseState::Deferred);
-    }
     std::uint64_t totalCreated() const { return table_.totalCreated(); }
     std::uint64_t totalDeferrals() const { return totalDeferrals_; }
     std::uint64_t totalRenewals() const { return totalRenewals_; }
     std::uint64_t termChecks() const { return termChecks_; }
-    /**
-     * Wall seconds of deferral realized across all leases (settled when
-     * each lease leaves DEFERRED; per-lease figures die with the reap).
-     */
-    double totalDeferralSeconds() const { return totalDeferralSeconds_; }
 
     /** Lifespans (seconds) of leases that have died, for Fig. 11 stats. */
     const sim::Accumulator &lifespanStats() const { return lifespans_; }
@@ -120,9 +110,6 @@ class LeaseManagerService
 
     /** Behaviour classifications observed, by type (diagnostics). */
     std::uint64_t behaviorCount(BehaviorType b) const;
-
-    /** Most recent classification for a lease (Normal if no history). */
-    BehaviorType lastBehavior(LeaseId id) const;
 
     /** Invoked after every term classification (benches subscribe). */
     void
@@ -190,7 +177,6 @@ class LeaseManagerService
     std::uint64_t totalDeferrals_ = 0;
     std::uint64_t totalRenewals_ = 0;
     std::uint64_t termChecks_ = 0;
-    double totalDeferralSeconds_ = 0.0;
 
     /** Telemetry (nullptr unless a registry was installed for the run). */
     obs::MetricRegistry *metrics_ = nullptr;

@@ -52,7 +52,6 @@ DefDroidController::noteAcquired(os::TokenId token, Uid uid, Kind kind,
             // Still backing off this uid's GPS: new requests are
             // immediately suppressed.
             tracked_[token].throttled = true;
-            ++throttles_;
             service.suspend(token);
             sim::Time remaining = pressure.backoffUntil - sim_.now();
             sim_.schedule(remaining, [this, token, &service] {
@@ -142,7 +141,6 @@ void
 DefDroidController::throttle(os::TokenId token, Tracked &tracked)
 {
     tracked.throttled = true;
-    ++throttles_;
     tracked.service->suspend(token);
     Kind kind = tracked.kind;
     os::ResourceServiceBase *service = tracked.service;

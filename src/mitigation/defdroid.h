@@ -13,7 +13,6 @@
  * LeaseOS in Table 5 and disrupts legitimate background apps in §7.4.
  */
 
-#include <cstdint>
 #include <map>
 
 #include "os/resource_listener.h"
@@ -64,8 +63,6 @@ class DefDroidController
     ~DefDroidController();
 
     void start();
-
-    std::uint64_t throttleCount() const { return throttles_; }
 
   private:
     /** Which service a tracked token belongs to. */
@@ -139,7 +136,6 @@ class DefDroidController
     Watcher wifiWatcher_{*this, server_.wifiManager(), Kind::Wifi};
 
     std::map<os::TokenId, Tracked> tracked_;
-    std::uint64_t throttles_ = 0;
 
     /** Per-uid continuous GPS pressure tracking (request churn). */
     struct GpsPressure {

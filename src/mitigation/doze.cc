@@ -103,7 +103,6 @@ DozeController::enter()
 {
     dozing_ = true;
     maintenance_ = false;
-    ++enters_;
     applyFilters();
     sim_.schedule(config_.maintenanceInterval,
                   [this] { openMaintenanceWindow(); });
@@ -115,7 +114,6 @@ DozeController::exit()
     if (!dozing_) return;
     dozing_ = false;
     maintenance_ = false;
-    ++exits_;
     clearFilters();
 }
 

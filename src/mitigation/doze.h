@@ -14,8 +14,6 @@
  * reproduces the paper's adb-forced variant.
  */
 
-#include <cstdint>
-
 #include "env/motion_model.h"
 #include "os/system_server.h"
 #include "sim/simulator.h"
@@ -58,13 +56,9 @@ class DozeController
     void start();
 
     bool dozing() const { return dozing_; }
-    bool inMaintenanceWindow() const { return maintenance_; }
 
     /** Force doze on right now (the adb command of §7.3). */
     void forceEnter();
-
-    std::uint64_t enterCount() const { return enters_; }
-    std::uint64_t exitCount() const { return exits_; }
 
   private:
     void enter();
@@ -89,8 +83,6 @@ class DozeController
     bool maintenance_ = false;
     sim::Time screenOffSince_;
     bool screenOn_ = false;
-    std::uint64_t enters_ = 0;
-    std::uint64_t exits_ = 0;
 };
 
 } // namespace leaseos::mitigation

@@ -27,7 +27,6 @@ OneShotThrottler::noteAcquired(os::TokenId token,
     if (!tracked_.insert(token).second) return;
     sim_.schedule(holdLimit_, [this, token, &service] {
         if (!tracked_.count(token)) return;
-        ++revocations_;
         service.suspend(token);
     });
 }

@@ -10,7 +10,6 @@
  * tell fitness tracking from a leaked wakelock, so it breaks both.
  */
 
-#include <cstdint>
 #include <set>
 
 #include "os/resource_listener.h"
@@ -30,8 +29,6 @@ class OneShotThrottler
                      sim::Time holdLimit = sim::Time::fromMinutes(5.0));
 
     void start();
-
-    std::uint64_t revocations() const { return revocations_; }
 
   private:
     /** Listener adapter: one per service, so a token knows its service. */
@@ -84,7 +81,6 @@ class OneShotThrottler
 
     /** Tokens held since their last acquire. */
     std::set<os::TokenId> tracked_;
-    std::uint64_t revocations_ = 0;
 };
 
 } // namespace leaseos::mitigation

@@ -163,7 +163,6 @@ FlightRecorder::dump(const FlightRecordContext &ctx)
     out.flush();
     if (!out.good()) return {};
     ++dumps_;
-    lastPath_ = path;
     return path;
 }
 

@@ -72,10 +72,6 @@ class FlightRecorder
      *  abort (or re-dump) while the record is being written. */
     static bool inDump() noexcept;
 
-    const std::string &directory() const noexcept { return dir_; }
-    const std::string &label() const noexcept { return label_; }
-    /** Path of the most recent successful dump ("" if none). */
-    const std::string &lastPath() const noexcept { return lastPath_; }
     /** Successful dumps so far. */
     std::uint64_t dumps() const noexcept { return dumps_; }
 
@@ -88,7 +84,6 @@ class FlightRecorder
   private:
     std::string dir_;
     std::string label_;
-    std::string lastPath_;
     std::uint64_t dumps_ = 0;
     bool installed_ = false;
     FlightRecorder *previous_ = nullptr;

@@ -56,12 +56,6 @@ MetricRegistry::counter(std::string_view name)
 }
 
 MetricId
-MetricRegistry::gauge(std::string_view name)
-{
-    return intern(name, MetricKind::Gauge, 1, nullptr);
-}
-
-MetricId
 MetricRegistry::histogram(std::string_view name)
 {
     return intern(name, MetricKind::Histogram,
@@ -86,7 +80,6 @@ MetricRegistry::value(MetricId id) const
     const Slot &slot = slots_[id];
     switch (slot.kind) {
     case MetricKind::Counter:
-    case MetricKind::Gauge:
         return cells_[slot.cell].load();
     case MetricKind::Histogram:
         return cells_[slot.cell].load(); // observation count

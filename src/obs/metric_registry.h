@@ -7,19 +7,21 @@
  * telemetry layer (DESIGN.md §9).
  *
  * Names are interned once at registration (cold path: a sorted index,
- * binary-searched); every hot operation — add / set / observe — is a
+ * binary-searched); every hot operation — add / observe — is a
  * single relaxed atomic on a dense slot addressed by `MetricId`. No node
  * maps, no hashing, no allocation after registration, so instrumented
  * code keeps the §8 zero-steady-state-allocation discipline.
  *
- * Two metric flavours exist per kind:
- *  - *push* metrics: instrumented code calls add()/set()/observe();
- *  - *bound* metrics: a callback registered once is pulled at read time
- *    (snapshot() / value()). These are what MetricsSampler's gauges and
- *    delta-gauges compile down to.
+ * Two metric flavours exist:
+ *  - *push* metrics (counters and histograms): instrumented code calls
+ *    add()/observe();
+ *  - *bound* metrics (counters and gauges): a callback registered once is
+ *    pulled at read time (snapshot() / value()). These are what
+ *    MetricsSampler's gauges and delta-gauges compile down to. Every gauge
+ *    is bound: a level is read from the state that holds it.
  *
  * Threading: registration is NOT thread-safe (do it before workers
- * start); add/set/observe are thread-safe relaxed atomics so concurrent
+ * start); add/observe are thread-safe relaxed atomics so concurrent
  * writers never race (registry concurrent-writer test runs under TSan).
  *
  * A registry is made visible to instrumented components through the same
@@ -49,7 +51,6 @@ constexpr MetricId kInvalidMetricId = 0xffffffffu;
 
 enum class MetricKind : std::uint8_t {
     Counter,      ///< monotonically increasing sum (add)
-    Gauge,        ///< last-written value (set)
     Histogram,    ///< count/sum + log2 buckets (observe)
     BoundCounter, ///< pulled from a callback; sampled as a delta
     BoundGauge,   ///< pulled from a callback; sampled as a level
@@ -68,8 +69,6 @@ class MetricRegistry
 
     /** Register (or look up) a push counter named @p name. */
     MetricId counter(std::string_view name);
-    /** Register (or look up) a push gauge named @p name. */
-    MetricId gauge(std::string_view name);
     /** Register (or look up) a histogram named @p name. */
     MetricId histogram(std::string_view name);
     /** Register a pull counter backed by @p fn (e.g. a delta-gauge). */
@@ -86,13 +85,6 @@ class MetricRegistry
         cells_[slots_[id].cell].fetchAdd(delta);
     }
 
-    /** Overwrite a push gauge's value. */
-    void
-    set(MetricId id, double value) noexcept
-    {
-        cells_[slots_[id].cell].store(value);
-    }
-
     /** Record one observation into a histogram. */
     void
     observe(MetricId id, double value) noexcept
@@ -107,7 +99,7 @@ class MetricRegistry
     // ---- reads ----------------------------------------------------------
 
     /**
-     * Current value: counter/gauge cell, bound callback result, or — for
+     * Current value: counter cell, bound callback result, or — for
      * histograms — the observation count.
      */
     double value(MetricId id) const;
@@ -179,7 +171,6 @@ class MetricRegistry
         {
             v.fetch_add(d, std::memory_order_relaxed);
         }
-        void store(double d) noexcept { v.store(d, std::memory_order_relaxed); }
         double load() const noexcept
         {
             return v.load(std::memory_order_relaxed);

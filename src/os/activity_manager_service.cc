@@ -25,34 +25,6 @@ ActivityManagerService::advance()
 }
 
 void
-ActivityManagerService::registerApp(Uid uid, std::string name)
-{
-    apps_[uid].name = std::move(name);
-}
-
-std::vector<Uid>
-ActivityManagerService::apps() const
-{
-    std::vector<Uid> uids;
-    for (const auto &[uid, rec] : apps_) uids.push_back(uid);
-    return uids;
-}
-
-const std::string &
-ActivityManagerService::appName(Uid uid) const
-{
-    static const std::string unknown = "<unknown>";
-    auto it = apps_.find(uid);
-    return it == apps_.end() ? unknown : it->second.name;
-}
-
-bool
-ActivityManagerService::isRegistered(Uid uid) const
-{
-    return apps_.count(uid) != 0;
-}
-
-void
 ActivityManagerService::setForeground(Uid uid)
 {
     if (uid == foreground_) return;

@@ -3,10 +3,11 @@
 
 /**
  * @file
- * App/process registry (android ActivityManagerService analog).
+ * Foreground, Activity and UI bookkeeping (android ActivityManagerService
+ * analog).
  *
- * Tracks which apps exist, which one is foreground, Activity lifetimes,
- * and UI activity counters. Three lease inputs live here:
+ * Tracks which app is foreground, Activity lifetimes, and UI activity
+ * counters. Three lease inputs live here:
  *  - Activity-alive time: the GPS/sensor Long-Holding metric is the ratio
  *    of the bound Activity's lifetime to the listener's lifetime (§3.3);
  *  - UI updates and user interactions: generic high-utility signals;
@@ -17,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "common/ids.h"
@@ -33,14 +33,7 @@ class ActivityManagerService : public Service
   public:
     ActivityManagerService(sim::Simulator &sim, power::CpuModel &cpu);
 
-    // ---- Process registry -------------------------------------------------
-
-    /** Register an installed app. */
-    void registerApp(Uid uid, std::string name);
-
-    std::vector<Uid> apps() const;
-    const std::string &appName(Uid uid) const;
-    bool isRegistered(Uid uid) const;
+    // ---- Foreground -------------------------------------------------------
 
     /** Bring @p uid to the foreground (kInvalidUid = home screen). */
     void setForeground(Uid uid);
@@ -71,7 +64,6 @@ class ActivityManagerService : public Service
     void advance();
 
     struct AppRecord {
-        std::string name;
         int liveActivities = 0;
         double activitySeconds = 0.0;
     };

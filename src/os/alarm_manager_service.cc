@@ -11,7 +11,7 @@ AlarmManagerService::AlarmManagerService(sim::Simulator &sim,
 {
 }
 
-TokenId
+void
 AlarmManagerService::setAlarm(Uid uid, sim::Time delay, bool wakeup,
                               std::function<void()> callback)
 {
@@ -21,19 +21,8 @@ AlarmManagerService::setAlarm(Uid uid, sim::Time delay, bool wakeup,
     alarm.uid = uid;
     alarm.wakeup = wakeup;
     alarm.callback = std::move(callback);
-    alarm.event = sim_.schedule(delay, [this, token] { fire(token); });
+    sim_.schedule(delay, [this, token] { fire(token); });
     alarms_.emplace(token, std::move(alarm));
-    return token;
-}
-
-void
-AlarmManagerService::cancelAlarm(TokenId token)
-{
-    auto it = alarms_.find(token);
-    if (it == alarms_.end()) return;
-    sim_.cancel(it->second.event);
-    alarms_.erase(it);
-    tokens_.retire(token);
 }
 
 void
@@ -51,13 +40,10 @@ AlarmManagerService::fire(TokenId token)
 
     if (gate_ && !gate_(alarm.uid)) {
         // Doze deferral: postpone and re-check.
-        ++deferred_;
-        alarm.event =
-            sim_.schedule(kDeferRetry, [this, token] { fire(token); });
+        sim_.schedule(kDeferRetry, [this, token] { fire(token); });
         return;
     }
 
-    ++fired_;
     if (alarm.wakeup) {
         cpu_.addWakeWindow(kWakeWindow);
         auto cb = std::move(alarm.callback);

@@ -10,7 +10,6 @@
  * background alarms; the gate hook implements that.
  */
 
-#include <cstdint>
 #include <functional>
 #include <map>
 
@@ -38,11 +37,10 @@ class AlarmManagerService : public Service
      * Schedule @p callback after @p delay. A wakeup alarm opens a CPU wake
      * window before running the callback; a non-wakeup alarm fires only
      * while the CPU happens to be awake (it waits for wake otherwise).
+     * The alarm holds a binder token until it fires.
      */
-    TokenId setAlarm(Uid uid, sim::Time delay, bool wakeup,
-                     std::function<void()> callback);
-
-    void cancelAlarm(TokenId token);
+    void setAlarm(Uid uid, sim::Time delay, bool wakeup,
+                  std::function<void()> callback);
 
     /**
      * Doze gate: alarms whose uid the gate rejects are postponed and
@@ -50,16 +48,11 @@ class AlarmManagerService : public Service
      */
     void setGate(std::function<bool(Uid)> gate);
 
-    std::uint64_t firedCount() const { return fired_; }
-    std::uint64_t deferredCount() const { return deferred_; }
-    std::size_t pendingCount() const { return alarms_.size(); }
-
   private:
     struct Alarm {
         Uid uid;
         bool wakeup;
         std::function<void()> callback;
-        sim::EventId event = sim::kInvalidEventId;
     };
 
     void fire(TokenId token);
@@ -67,8 +60,6 @@ class AlarmManagerService : public Service
     TokenAllocator &tokens_;
     std::map<TokenId, Alarm> alarms_;
     std::function<bool(Uid)> gate_;
-    std::uint64_t fired_ = 0;
-    std::uint64_t deferred_ = 0;
 };
 
 } // namespace leaseos::os

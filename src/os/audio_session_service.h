@@ -73,14 +73,6 @@ class AudioSessionService : public ResourceService<AudioSession>
         destroy(token);
     }
 
-    bool isOpen(TokenId token) const { return isLive(token); }
-    bool
-    isPlaying(TokenId token) const
-    {
-        const AudioSession *session = find(token);
-        return session && session->playing;
-    }
-
     // ---- Metrics --------------------------------------------------------
 
     /** Time @p uid has had an enabled session open. */

@@ -23,12 +23,10 @@ BluetoothService::apply()
 void
 BluetoothService::deliver(BluetoothScan &scan)
 {
-    if (nearbyDevices_ <= 0) return;
     ++totals_[scan.uid].discoveries;
     if (scan.listener) {
         cpu_.runWorkFor(scan.uid, 0.3, sim::Time::fromMillis(3));
-        scan.listener->onDeviceFound(
-            nextDeviceId_++ % static_cast<std::uint64_t>(nearbyDevices_));
+        scan.listener->onDeviceFound(nextDeviceId_++ % kNearbyDevices);
     }
 }
 

@@ -50,13 +50,12 @@ class BluetoothService : public ResourceService<BluetoothScan>
     /** Cadence of discovery callbacks while scanning near devices. */
     static constexpr sim::Time kDiscoveryInterval =
         sim::Time::fromSeconds(12.0);
+    /** Distinct devices in radio range; discoveries cycle through them. */
+    static constexpr std::uint64_t kNearbyDevices = 3;
 
     BluetoothService(sim::Simulator &sim, power::CpuModel &cpu,
                      power::BluetoothModel &bluetooth,
                      TokenAllocator &tokens);
-
-    /** How many distinct devices are in radio range (env knob). */
-    void setNearbyDevices(int count) { nearbyDevices_ = count; }
 
     // ---- App-facing API ------------------------------------------------
 
@@ -73,7 +72,6 @@ class BluetoothService : public ResourceService<BluetoothScan>
         setLive(token, false, kBinderIpcLatency);
         destroy(token);
     }
-    bool isActive(TokenId token) const { return isLive(token); }
 
     // ---- Metrics --------------------------------------------------------
 
@@ -89,7 +87,6 @@ class BluetoothService : public ResourceService<BluetoothScan>
     void deliver(BluetoothScan &scan) override;
 
     power::BluetoothModel &bluetooth_;
-    int nearbyDevices_ = 3;
     std::uint64_t nextDeviceId_ = 1;
 };
 

@@ -7,22 +7,8 @@ namespace leaseos::os {
 DisplayManagerService::DisplayManagerService(sim::Simulator &sim,
                                              power::CpuModel &cpu,
                                              power::ScreenModel &screen)
-    : Service(sim, cpu, "display"), screen_(screen), lastAdvance_(sim.now())
+    : Service(sim, cpu, "display"), screen_(screen)
 {
-}
-
-void
-DisplayManagerService::advance()
-{
-    sim::Time now = sim_.now();
-    if (now <= lastAdvance_) {
-        lastAdvance_ = now;
-        return;
-    }
-    double dt = (now - lastAdvance_).seconds();
-    if (screen_.isOn() && !userOn_ && !forcedOwners_.empty())
-        forcedOnSeconds_ += dt;
-    lastAdvance_ = now;
 }
 
 void
@@ -44,7 +30,6 @@ DisplayManagerService::apply()
 void
 DisplayManagerService::userSetScreen(bool on)
 {
-    advance();
     userOn_ = on;
     apply();
 }
@@ -52,16 +37,8 @@ DisplayManagerService::userSetScreen(bool on)
 void
 DisplayManagerService::setForcedOwners(std::vector<Uid> owners)
 {
-    advance();
     forcedOwners_ = std::move(owners);
     apply();
-}
-
-double
-DisplayManagerService::forcedOnSeconds()
-{
-    advance();
-    return forcedOnSeconds_;
 }
 
 void

@@ -34,19 +34,12 @@ class DisplayManagerService : public Service
     /** Enabled full-wakelock owners (wired from PowerManagerService). */
     void setForcedOwners(std::vector<Uid> owners);
 
-    void setBrightness(double b) { screen_.setBrightness(b); }
-
     bool screenOn() const { return screen_.isOn(); }
-    bool userWantsOn() const { return userOn_; }
-
-    /** Seconds the panel was on solely because apps forced it. */
-    double forcedOnSeconds();
 
     /** Screen state change notification (doze idle detection). */
     void addStateListener(std::function<void(bool on)> fn);
 
   private:
-    void advance();
     void apply();
 
     power::ScreenModel &screen_;
@@ -54,9 +47,6 @@ class DisplayManagerService : public Service
     std::vector<Uid> forcedOwners_;
     std::vector<std::function<void(bool)>> stateListeners_;
     bool lastOn_ = false;
-
-    sim::Time lastAdvance_;
-    double forcedOnSeconds_ = 0.0;
 };
 
 } // namespace leaseos::os

@@ -35,7 +35,6 @@ class ExceptionNoteHandler
     void
     noteException(Uid uid, ExceptionSeverity severity)
     {
-        ++total_[uid];
         if (severity == ExceptionSeverity::Severe) ++severe_[uid];
     }
 
@@ -46,17 +45,9 @@ class ExceptionNoteHandler
         return it == severe_.end() ? 0 : it->second;
     }
 
-    std::uint64_t
-    totalCount(Uid uid) const
-    {
-        auto it = total_.find(uid);
-        return it == total_.end() ? 0 : it->second;
-    }
-
   private:
     sim::Simulator &sim_;
     std::map<Uid, std::uint64_t> severe_;
-    std::map<Uid, std::uint64_t> total_;
 };
 
 } // namespace leaseos::os

@@ -95,8 +95,6 @@ class LocationManagerService : public ResourceService<LocationRequest>
         destroy(token);
     }
 
-    bool isActive(TokenId token) const { return isLive(token); }
-
     // ---- Metrics --------------------------------------------------------
 
     /** Time an enabled request has been outstanding. */
@@ -122,8 +120,6 @@ class LocationManagerService : public ResourceService<LocationRequest>
     {
         return totals(uid).distanceMeters;
     }
-
-    bool hasFix() const { return gps_.hasFix(); }
 
     /** Update requests @p uid still has outstanding (not removed). */
     std::vector<TokenId>

@@ -18,7 +18,6 @@ PowerManagerService::accrue(double dt)
     for (auto &[token, lock] : records_) {
         if (!lock.live) continue;
         auto &totals = totals_[lock.uid];
-        lock.heldSeconds += dt;
         totals.heldSeconds += dt;
         if (lock.enabled) {
             lock.enabledSeconds += dt;
@@ -55,14 +54,6 @@ PowerManagerService::setGlobalFilter(
     setFilter([filter = std::move(filter)](const WakeLock &lock) {
         return filter(lock.uid, lock.type);
     });
-}
-
-double
-PowerManagerService::heldSecondsForToken(TokenId token)
-{
-    advance();
-    const WakeLock *lock = find(token);
-    return lock ? lock->heldSeconds : 0.0;
 }
 
 double

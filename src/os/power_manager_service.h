@@ -51,7 +51,6 @@ struct WakeLock {
     bool live = false; ///< held (acquired, not released)
     bool suspended = false;
     bool enabled = false;
-    double heldSeconds = 0.0;
     double enabledSeconds = 0.0;
 };
 
@@ -92,8 +91,6 @@ class PowerManagerService : public ResourceService<WakeLock>
         });
     }
 
-    bool isHeld(TokenId token) const { return isLive(token); }
-
     // ---- Interposition (see ResourceService) --------------------------
 
     using ResourceService::setGlobalFilter;
@@ -112,7 +109,6 @@ class PowerManagerService : public ResourceService<WakeLock>
 
     /** App-perspective holding time (held, regardless of suspension). */
     double heldSeconds(Uid uid) { return totalsNow(uid).heldSeconds; }
-    double heldSecondsForToken(TokenId token);
 
     /** Effective time the token kept hardware awake. */
     double enabledSeconds(Uid uid) { return totalsNow(uid).enabledSeconds; }

@@ -133,14 +133,6 @@ class ResourceService : public ResourceServiceBase
         return record && record->live;
     }
 
-    /** Live, not suspended and allowed by the filter (as of apply()). */
-    bool
-    isEnabled(TokenId token) const
-    {
-        const Record *record = find(token);
-        return record && record->enabled;
-    }
-
     /**
      * Doze-style global gate; nullptr clears it. The filter is evaluated
      * now and on every later state change.

@@ -82,7 +82,6 @@ class SensorManagerService : public ResourceService<SensorRegistration>
         setLive(token, false, kBinderIpcLatency);
         destroy(token);
     }
-    bool isActive(TokenId token) const { return isLive(token); }
 
     // ---- Metrics --------------------------------------------------------
 

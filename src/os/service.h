@@ -34,9 +34,6 @@ class Service
 
     const std::string &name() const { return name_; }
 
-    /** Number of inbound IPCs this service has handled. */
-    std::uint64_t ipcCount() const { return ipcCount_; }
-
   protected:
     /**
      * Account for one inbound binder transaction of @p duration: a short
@@ -45,7 +42,6 @@ class Service
     void
     chargeIpc(Uid uid, sim::Time duration)
     {
-        ++ipcCount_;
         cpu_.runWorkFor(uid, 1.0, duration);
     }
 
@@ -54,7 +50,6 @@ class Service
 
   private:
     std::string name_;
-    std::uint64_t ipcCount_ = 0;
 };
 
 } // namespace leaseos::os

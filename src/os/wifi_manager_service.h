@@ -64,7 +64,6 @@ class WifiManagerService : public ResourceService<WifiLock>
     {
         setLive(token, false, kBinderIpcLatency);
     }
-    bool isHeld(TokenId token) const { return isLive(token); }
 
     // ---- Metrics --------------------------------------------------------
 

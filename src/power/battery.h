@@ -25,8 +25,6 @@ class Battery
         : accountant_(accountant),
           capacityMj_(profile.batteryEnergyMj()) {}
 
-    double capacityMj() const { return capacityMj_; }
-
     /** Energy drained so far (mJ). */
     double
     drainedMj() const
@@ -34,28 +32,7 @@ class Battery
         return accountant_.totalEnergyMj() - baseMj_;
     }
 
-    /** Remaining charge fraction in [0, 1]. */
-    double
-    remainingFraction() const
-    {
-        double frac = 1.0 - drainedMj() / capacityMj_;
-        return frac < 0.0 ? 0.0 : frac;
-    }
-
     bool empty() const { return drainedMj() >= capacityMj_; }
-
-    /**
-     * Estimated time to empty at the current instantaneous draw;
-     * Time::max() when the device draws nothing.
-     */
-    sim::Time
-    projectedLife() const
-    {
-        double mw = accountant_.totalPowerMw();
-        if (mw <= 0.0) return sim::Time::max();
-        double seconds = (capacityMj_ - drainedMj()) / mw;
-        return sim::Time::fromSeconds(seconds < 0.0 ? 0.0 : seconds);
-    }
 
     /** Treat the current accountant total as "fully charged". */
     void

@@ -36,13 +36,6 @@ CpuModel::advance()
             normalizedCpuSeconds_[totalIndex(normalizedCpuSeconds_, task.uid)]
                 .second += task.load * dt * freq;
         }
-        if (dvfsEnabled_) {
-            if (levelSeconds_.size() < profile_.dvfsLevels.size())
-                levelSeconds_.resize(profile_.dvfsLevels.size(), 0.0);
-            levelSeconds_[dvfsLevel_] += dt;
-        }
-    } else {
-        asleepSeconds_ += dt;
     }
     lastAdvance_ = now;
 }
@@ -264,13 +257,6 @@ CpuModel::updateGovernor()
 }
 
 double
-CpuModel::levelSeconds(std::size_t level)
-{
-    advance();
-    return level < levelSeconds_.size() ? levelSeconds_[level] : 0.0;
-}
-
-double
 CpuModel::normalizedCpuSeconds(Uid uid)
 {
     advance();
@@ -291,14 +277,6 @@ CpuModel::awakeSeconds()
     return awakeSeconds_;
 }
 
-double
-CpuModel::asleepSeconds()
-{
-    advance();
-    return asleepSeconds_;
-}
-
-
 void
 CpuModel::digestState(sim::StateDigest &d) const
 {
@@ -317,13 +295,10 @@ CpuModel::digestState(sim::StateDigest &d) const
     d.u64(wakeWaiters_.size()); // diagnostics; closures, not capturable
     d.u8(dvfsEnabled_ ? 1 : 0);
     d.u64(dvfsLevel_);
-    d.u64(levelSeconds_.size());
-    for (double s : levelSeconds_) d.f64(s);
     d.time(lastAdvance_);
     digestTotals(d, cpuSeconds_);
     digestTotals(d, normalizedCpuSeconds_);
     d.f64(awakeSeconds_);
-    d.f64(asleepSeconds_);
 }
 
 } // namespace leaseos::power

@@ -100,12 +100,6 @@ class CpuModel : public PowerComponent
     void setDvfsEnabled(bool enabled);
     bool dvfsEnabled() const { return dvfsEnabled_; }
 
-    /** Current operating-point index into profile().dvfsLevels. */
-    std::size_t dvfsLevel() const { return dvfsLevel_; }
-
-    /** Seconds spent at each operating point while awake. */
-    double levelSeconds(std::size_t level);
-
     /**
      * Frequency-normalised busy seconds: cpuSeconds weighted by the
      * relative frequency they ran at — the "device state factor"
@@ -132,9 +126,6 @@ class CpuModel : public PowerComponent
 
     /** Total time the CPU has spent awake, in seconds. */
     double awakeSeconds();
-
-    /** Total time asleep, in seconds. */
-    double asleepSeconds();
 
     /**
      * Hash wake sources, tasks, DVFS, and the per-uid integrals
@@ -193,15 +184,14 @@ class CpuModel : public PowerComponent
     double currentPowerFactor() const;
 
     bool dvfsEnabled_ = false;
+    /** Current operating-point index into profile().dvfsLevels. */
     std::size_t dvfsLevel_ = 0;
-    std::vector<double> levelSeconds_;
 
     sim::Time lastAdvance_;
     /** Per-uid accumulators, first-seen order, looked up by linear scan. */
     UidTotals cpuSeconds_;
     UidTotals normalizedCpuSeconds_;
     double awakeSeconds_ = 0.0;
-    double asleepSeconds_ = 0.0;
 };
 
 } // namespace leaseos::power

@@ -181,25 +181,6 @@ EnergyAccountant::uidChannelEnergyMj(Uid uid, ChannelId ch) const
     return slot < c.uidMj.size() ? addPending(c.uidMj[slot], c, slot) : 0.0;
 }
 
-double
-EnergyAccountant::totalPowerMw() const
-{
-    double mw = 0.0;
-    for (const auto &ch : channels_)
-        for (const Share &s : ch.shares) mw += s.mw;
-    return mw;
-}
-
-double
-EnergyAccountant::uidPowerMw(Uid uid) const
-{
-    double mw = 0.0;
-    for (const auto &ch : channels_)
-        for (const Share &s : ch.shares)
-            if (s.uid == uid) mw += s.mw;
-    return mw;
-}
-
 const std::string &
 EnergyAccountant::channelName(ChannelId ch) const
 {

@@ -113,12 +113,6 @@ class EnergyAccountant
     /** Energy for one uid on one channel, in millijoules. */
     double uidChannelEnergyMj(Uid uid, ChannelId ch) const;
 
-    /** Instantaneous total draw in mW. */
-    double totalPowerMw() const;
-
-    /** Instantaneous draw attributed to @p uid in mW. */
-    double uidPowerMw(Uid uid) const;
-
     const std::string &channelName(ChannelId ch) const;
     std::size_t channelCount() const { return channels_.size(); }
 

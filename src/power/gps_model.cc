@@ -2,8 +2,6 @@
 
 #include "sim/state_digest.h"
 
-#include <utility>
-
 namespace leaseos::power {
 
 GpsModel::GpsModel(sim::Simulator &sim, EnergyAccountant &accountant,
@@ -18,12 +16,8 @@ void
 GpsModel::setState(State s)
 {
     if (s == state_) return;
-    bool had_fix = hasFix();
     state_ = s;
     updatePower();
-    bool has_fix = hasFix();
-    if (had_fix != has_fix)
-        for (const auto &fn : fixListeners_) fn(has_fix);
 }
 
 void
@@ -54,7 +48,7 @@ GpsModel::reevaluate()
     // acquire after the TTFF delay.
     setState(State::Searching);
     if (fixEvent_ == sim::kInvalidEventId) {
-        fixEvent_ = sim_.schedule(fixAcquireDelay_, [this] {
+        fixEvent_ = sim_.schedule(kFixAcquireDelay, [this] {
             fixEvent_ = sim::kInvalidEventId;
             if (!owners_.empty() && signalGood_) setState(State::Tracking);
         });
@@ -87,12 +81,6 @@ GpsModel::setSignalGood(bool good)
 }
 
 void
-GpsModel::addFixListener(std::function<void(bool)> fn)
-{
-    fixListeners_.push_back(std::move(fn));
-}
-
-void
 GpsModel::digestState(sim::StateDigest &d) const
 {
     d.u8(static_cast<std::uint8_t>(state_));
@@ -101,7 +89,6 @@ GpsModel::digestState(sim::StateDigest &d) const
         fixEvent_ != sim::kInvalidEventId && sim_.pending(fixEvent_);
     d.u8(fixPending ? 1 : 0);
     d.u32s(owners_);
-    d.time(fixAcquireDelay_);
 }
 
 } // namespace leaseos::power

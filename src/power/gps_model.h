@@ -12,7 +12,6 @@
  * the Frequent-Ask misbehaviour of Fig. 1 burns power right here.
  */
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -29,6 +28,9 @@ class GpsModel : public PowerComponent
   public:
     enum class State { Off, Searching, Tracking };
 
+    /** Time needed from search start to fix under good signal. */
+    static constexpr sim::Time kFixAcquireDelay = sim::Time::fromSeconds(8.0);
+
     GpsModel(sim::Simulator &sim, EnergyAccountant &accountant,
              const DeviceProfile &profile);
 
@@ -44,12 +46,6 @@ class GpsModel : public PowerComponent
     State state() const { return state_; }
     bool hasFix() const { return state_ == State::Tracking; }
 
-    /** Invoked with true when a fix is acquired, false when lost. */
-    void addFixListener(std::function<void(bool)> fn);
-
-    /** Time needed from search start to fix under good signal. */
-    sim::Time fixAcquireDelay() const { return fixAcquireDelay_; }
-
     /** Hash the receiver state (DESIGN.md §11). */
     void digestState(sim::StateDigest &d) const;
 
@@ -62,9 +58,7 @@ class GpsModel : public PowerComponent
     State state_ = State::Off;
     bool signalGood_ = true;
     std::vector<Uid> owners_;
-    sim::Time fixAcquireDelay_ = sim::Time::fromSeconds(8.0);
     sim::EventId fixEvent_ = sim::kInvalidEventId;
-    std::vector<std::function<void(bool)>> fixListeners_;
 };
 
 } // namespace leaseos::power

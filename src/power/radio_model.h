@@ -45,8 +45,6 @@ class RadioModel : public PowerComponent
      */
     sim::Time transferWifi(Uid uid, std::uint64_t bytes);
 
-    bool wifiBusy() const { return !wifiActiveUids_.empty(); }
-
     /** Seconds @p uid spent actively transferring over Wi-Fi. */
     double wifiActiveSeconds(Uid uid);
 

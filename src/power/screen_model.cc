@@ -8,7 +8,6 @@ void
 ScreenModel::digestState(sim::StateDigest &d) const
 {
     d.u8(on_ ? 1 : 0);
-    d.f64(brightness_);
     d.u32s(owners_);
 }
 

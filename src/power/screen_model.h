@@ -19,11 +19,14 @@
 namespace leaseos::power {
 
 /**
- * Screen on/off + brightness with owner attribution.
+ * Screen on/off with owner attribution, at a fixed brightness.
  */
 class ScreenModel : public PowerComponent
 {
   public:
+    /** Panel brightness in [0, 1]; the draw adds this share of full. */
+    static constexpr double kBrightness = 0.5;
+
     ScreenModel(sim::Simulator &sim, EnergyAccountant &accountant,
                 const DeviceProfile &profile)
         : PowerComponent(sim, accountant, profile, "screen"),
@@ -46,15 +49,7 @@ class ScreenModel : public PowerComponent
         update();
     }
 
-    void
-    setBrightness(double b)
-    {
-        brightness_ = b < 0.0 ? 0.0 : (b > 1.0 ? 1.0 : b);
-        update();
-    }
-
     bool isOn() const { return on_; }
-    double brightness() const { return brightness_; }
 
     /** Hash the panel state (DESIGN.md §11). */
     void digestState(sim::StateDigest &d) const;
@@ -64,14 +59,13 @@ class ScreenModel : public PowerComponent
     update()
     {
         double mw = on_
-            ? profile_.screenBaseMw + brightness_ * profile_.screenFullMw
+            ? profile_.screenBaseMw + kBrightness * profile_.screenFullMw
             : 0.0;
         accountant_.setPower(channel_, mw, owners_);
     }
 
     ChannelId channel_;
     bool on_ = false;
-    double brightness_ = 0.5;
     std::vector<Uid> owners_;
 };
 

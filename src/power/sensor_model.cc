@@ -18,18 +18,6 @@ accum(common::InlineVec<std::pair<Uid, double>, 8> &table, Uid uid)
 
 } // namespace
 
-const char *
-sensorTypeName(SensorType t)
-{
-    switch (t) {
-      case SensorType::Accelerometer: return "accelerometer";
-      case SensorType::Orientation: return "orientation";
-      case SensorType::Gyroscope: return "gyroscope";
-      case SensorType::Light: return "light";
-    }
-    return "unknown";
-}
-
 SensorModel::SensorModel(sim::Simulator &sim, EnergyAccountant &accountant,
                          const DeviceProfile &profile)
     : PowerComponent(sim, accountant, profile, "sensors"),

@@ -22,8 +22,6 @@ namespace leaseos::power {
 /** Sensor types the simulator models. */
 enum class SensorType { Accelerometer, Orientation, Gyroscope, Light };
 
-const char *sensorTypeName(SensorType t);
-
 /**
  * Sensor hub power model with per-uid attribution.
  */

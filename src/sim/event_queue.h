@@ -96,9 +96,6 @@ class EventQueue
      */
     std::pair<Time, Callback> pop();
 
-    /** Total number of events ever scheduled (for stats/debug). */
-    std::uint64_t scheduledCount() const { return nextSeq_; }
-
   private:
     /** Free-list terminator / "no slot" marker. */
     static constexpr std::uint32_t kNoSlot = 0xffffffffu;

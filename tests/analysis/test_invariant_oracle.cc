@@ -204,7 +204,8 @@ TEST(InvariantOracle, Table5CellAuditsCleanUnderLeaseOS)
                                .withSeed(opt.seed));
     spec.install(device);
     spec.trigger(device);
-    sim::PeriodicHandle glances = harness::installGlanceScript(device, opt);
+    sim::PeriodicHandle glances = harness::installGlanceScript(
+        device, opt.glanceInterval, opt.glanceLength);
     device.start();
     device.runFor(10_min);
 
@@ -220,9 +221,10 @@ TEST(InvariantOracle, LeaseOverRetiredTokenIsReported)
     const apps::BuggyAppSpec &spec = apps::buggySpec("torch");
     // The token stays retired through device destruction, so keep the
     // device's own checked-build oracle out of the way.
-    harness::Device device(harness::DeviceConfig{}
-                               .withMode(harness::MitigationMode::LeaseOS)
-                               .withCheckedOracle(false));
+    harness::DeviceConfig config;
+    config.mode = harness::MitigationMode::LeaseOS;
+    config.checkedOracle = false;
+    harness::Device device(config);
     spec.install(device);
     spec.trigger(device);
     device.start();
@@ -246,8 +248,9 @@ TEST(InvariantOracle, ServiceRecordOverRetiredTokenIsReported)
 {
     // The mirror of LeaseOverRetiredTokenIsReported: a service keeps the
     // record of a kernel object that died.
-    harness::Device device(
-        harness::DeviceConfig{}.withCheckedOracle(false));
+    harness::DeviceConfig config;
+    config.checkedOracle = false;
+    harness::Device device(config);
     os::SystemServer &server = device.server();
     os::TokenId token = server.locationManager().requestLocationUpdates(
         kFirstAppUid, 10_s, nullptr);
@@ -269,9 +272,10 @@ TEST(InvariantOracle, ServiceRecordOverRetiredTokenIsReported)
 TEST(InvariantOracle, DanglingTimerOnInactiveLeaseIsReported)
 {
     const apps::BuggyAppSpec &spec = apps::buggySpec("torch");
-    harness::Device device(harness::DeviceConfig{}
-                               .withMode(harness::MitigationMode::LeaseOS)
-                               .withCheckedOracle(false));
+    harness::DeviceConfig config;
+    config.mode = harness::MitigationMode::LeaseOS;
+    config.checkedOracle = false;
+    harness::Device device(config);
     spec.install(device);
     spec.trigger(device);
     device.start();
@@ -368,9 +372,10 @@ TEST(InvariantOracle, ChurningGpsAppAuditsCleanWithBoundedSnapshots)
     // records, tokens and leases all stay at the one live request however
     // many the app has made.
     const apps::BuggyAppSpec &spec = apps::buggySpec("betterweather");
-    harness::Device device(harness::DeviceConfig{}
-                               .withMode(harness::MitigationMode::LeaseOS)
-                               .withCheckedOracle(false));
+    harness::DeviceConfig config;
+    config.mode = harness::MitigationMode::LeaseOS;
+    config.checkedOracle = false;
+    harness::Device device(config);
     spec.install(device);
     spec.trigger(device);
     device.start();

@@ -130,7 +130,6 @@ TEST_F(DeviceTest, BatteryDrainsOverTime)
     device.start();
     device.runFor(sim::Time::fromMinutes(10));
     EXPECT_GT(device.battery().drainedMj(), 0.0);
-    EXPECT_LT(device.battery().remainingFraction(), 1.0);
 }
 
 } // namespace

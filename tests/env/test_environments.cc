@@ -107,15 +107,12 @@ TEST_F(EnvFixture, MotionReadingsDifferByState)
 TEST_F(EnvFixture, UserSessionDrivesScreenAndForeground)
 {
     auto &am = device.server().activityManager();
-    am.registerApp(kApp, "app");
     device.user().scheduleSession(1_min, 5_min, {kApp});
     device.runFor(2_min);
-    EXPECT_TRUE(device.user().sessionActive());
     EXPECT_TRUE(device.server().displayManager().screenOn());
     EXPECT_EQ(am.foreground(), kApp);
     EXPECT_FALSE(device.motion().stationary());
     device.runFor(5_min);
-    EXPECT_FALSE(device.user().sessionActive());
     EXPECT_FALSE(device.server().displayManager().screenOn());
     EXPECT_EQ(am.foreground(), kInvalidUid);
     EXPECT_GT(device.user().interactionCount(), 10u);

@@ -133,7 +133,8 @@ TEST(ExperimentTest, GlanceScriptWakesDeviceBriefly)
     MitigationRunOptions opt;
     opt.glanceInterval = 2_min;
     opt.glanceLength = 10_s;
-    sim::PeriodicHandle glances = installGlanceScript(device, opt);
+    sim::PeriodicHandle glances =
+        installGlanceScript(device, opt.glanceInterval, opt.glanceLength);
     device.start();
     device.runFor(10_min);
     // ~5 glances x 10 s of screen-on.

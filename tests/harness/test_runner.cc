@@ -47,16 +47,19 @@ sampleSpecs()
                             return static_cast<double>(
                                 d.simulator().executedEvents());
                         }));
-    specs.push_back(RunSpec{}
-                        .withName("k9 disconnected doze")
-                        .withConfig(DeviceConfig{}.withMode(
-                            MitigationMode::DozeAggressive))
-                        .withDuration(5_min)
-                        .withSetup([](Device &d) {
-                            d.network().setConnected(false);
-                        })
-                        .withApp<apps::K9Mail>()
-                        .withGlances(1_min, 5_s));
+    RunSpec glanced = RunSpec{}
+                          .withName("k9 disconnected doze")
+                          .withConfig(DeviceConfig{}.withMode(
+                              MitigationMode::DozeAggressive))
+                          .withDuration(5_min)
+                          .withSetup([](Device &d) {
+                              d.network().setConnected(false);
+                          })
+                          .withApp<apps::K9Mail>();
+    glanced.userGlances = true;
+    glanced.glanceInterval = 1_min;
+    glanced.glanceLength = 5_s;
+    specs.push_back(std::move(glanced));
     specs.push_back(RunSpec{}
                         .withName("k9 disconnected leased")
                         .withConfig(DeviceConfig{}
@@ -367,7 +370,7 @@ TEST(GlanceScriptTest, OverlappingGlancesKeepScreenOn)
     // on the screen must never be user-off again. Glance 1's off event
     // (t=150) lands inside glance 2 and must be ignored.
     device.runFor(155_s);
-    EXPECT_TRUE(device.server().displayManager().userWantsOn())
+    EXPECT_TRUE(device.server().displayManager().screenOn())
         << "a stale screen-off event blanked the screen mid-glance";
     EXPECT_FALSE(device.motion().stationary())
         << "a stale off event parked the user mid-glance";
@@ -382,7 +385,7 @@ TEST(GlanceScriptTest, NonOverlappingGlancesStillEnd)
         installGlanceScript(device, /*interval=*/60_s, /*length=*/10_s);
     device.start();
     device.runFor(95_s); // glance 1 span is [60, 70); probe at 95.
-    EXPECT_FALSE(device.server().displayManager().userWantsOn());
+    EXPECT_FALSE(device.server().displayManager().screenOn());
     EXPECT_TRUE(device.motion().stationary());
 }
 
@@ -392,11 +395,11 @@ TEST(GlanceScriptTest, HandleStopsTheScript)
     sim::PeriodicHandle glances = installGlanceScript(device, 60_s, 10_s);
     device.start();
     device.runFor(65_s);
-    EXPECT_TRUE(device.server().displayManager().userWantsOn());
+    EXPECT_TRUE(device.server().displayManager().screenOn());
     glances.cancel();
     device.runFor(300_s);
     // No further glances: the screen stays off after glance 1 ended.
-    EXPECT_FALSE(device.server().displayManager().userWantsOn());
+    EXPECT_FALSE(device.server().displayManager().screenOn());
 }
 
 } // namespace

@@ -361,8 +361,8 @@ TEST(DeterminismGoldenTest, ResourceServicesByteIdentical)
             .withConfig(DeviceConfig{}.withMode(mode))
             .withDuration(sixHours)
             .withApp<apps::FacebookAudio>()
-            .withApp<apps::BeaconScanner>()
-            .withGlances();
+            .withApp<apps::BeaconScanner>();
+        spec.userGlances = true;
         addServiceProbes(spec, 0);
         addServiceProbes(spec, 1);
         spec.withProbe("liveTokens", liveTokens);
@@ -419,13 +419,14 @@ TEST(DeterminismGoldenTest, TermRecordsByteIdentical)
             spec.config.withDvfs(dvfs);
             specs.push_back(std::move(spec));
         }
-        specs.push_back(RunSpec{}
-                            .withName("Facebook(audio)+BeaconScanner")
-                            .withConfig(config)
-                            .withDuration(twoHours)
-                            .withApp<apps::FacebookAudio>()
-                            .withApp<apps::BeaconScanner>()
-                            .withGlances());
+        RunSpec glanced = RunSpec{}
+                              .withName("Facebook(audio)+BeaconScanner")
+                              .withConfig(config)
+                              .withDuration(twoHours)
+                              .withApp<apps::FacebookAudio>()
+                              .withApp<apps::BeaconScanner>();
+        glanced.userGlances = true;
+        specs.push_back(std::move(glanced));
         specs.push_back(RunSpec{}
                             .withName("RunKeeper+Spotify+Haven")
                             .withConfig(config)

@@ -26,7 +26,7 @@ TEST_F(DecisionLogTest, TracesClassificationAndDeferral)
     auto &pms = server.powerManager();
     os::TokenId t = pms.newWakeLock(kApp, os::WakeLockType::Partial, "x");
     pms.acquire(t);
-    const LeaseId id = mgr.leaseIdForToken(t);
+    const LeaseId id = mgr.table().findByToken(t)->id;
     const sim::Time term = mgr.policy().initialTerm;
 
     // The idle holder's first term is Long-Holding, and the lease defers.

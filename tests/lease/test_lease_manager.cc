@@ -5,6 +5,7 @@
  */
 
 #include "lease_fixture.h"
+#include "obs/metric_registry.h"
 
 namespace leaseos::lease {
 namespace {
@@ -27,7 +28,7 @@ TEST_F(LeaseManagerTest, AdaptiveTermGrowsAfterNormalStreak)
     sim::PeriodicHandle load = sim.schedulePeriodicScoped(1_s, [&] {
         cpu.runWorkFor(kApp, 1.0, 500_ms);
     });
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     // 12 normal 5 s terms = 60 s, after which terms grow to 1 min.
     sim.runFor(70_s);
     EXPECT_EQ(mgr.lease(id)->termLength, mgr.policy().mediumTerm);
@@ -42,7 +43,7 @@ TEST_F(LeaseManagerTest, MisbehaviourResetsTermToInitial)
     sim::PeriodicHandle load = sim.schedulePeriodicScoped(1_s, [&] {
         if (busy) cpu.runWorkFor(kApp, 1.0, 500_ms);
     });
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     sim.runFor(70_s);
     ASSERT_EQ(mgr.lease(id)->termLength, mgr.policy().mediumTerm);
     busy = false; // app goes idle while holding: LHB next term
@@ -56,7 +57,7 @@ TEST_F(LeaseManagerTest, DeferralEscalatesForPersistentMisbehaviour)
 {
     os::TokenId t = pms.newWakeLock(kApp, os::WakeLockType::Partial, "x");
     pms.acquire(t);
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     // Two full defer cycles: 5+25, then 5+50.
     sim.runFor(6_s);
     ASSERT_EQ(mgr.lease(id)->state, LeaseState::Deferred);
@@ -81,32 +82,44 @@ TEST_F(LeaseManagerTest, DeferralSecondsSettleOnResume)
     // only because the deferral ran to completion.
     os::TokenId t = pms.newWakeLock(kApp, os::WakeLockType::Partial, "x");
     pms.acquire(t);
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     sim.runFor(15_s);
     ASSERT_EQ(mgr.lease(id)->state, LeaseState::Deferred);
     // Mid-deferral nothing is credited yet — crediting the scheduled τ
     // up-front was the double-accounting bug.
     EXPECT_DOUBLE_EQ(mgr.lease(id)->totalDeferralSeconds, 0.0);
-    EXPECT_DOUBLE_EQ(mgr.totalDeferralSeconds(), 0.0);
     sim.runFor(16_s); // past the t=30 s resume
     ASSERT_EQ(mgr.lease(id)->state, LeaseState::Active);
     EXPECT_DOUBLE_EQ(mgr.lease(id)->totalDeferralSeconds, 25.0);
-    EXPECT_DOUBLE_EQ(mgr.totalDeferralSeconds(), 25.0);
 }
 
-TEST_F(LeaseManagerTest, MidDeferralDeathCreditsRealizedTimeOnly)
+/** Builds its runtime in the test, after installing a metric registry. */
+struct LeaseMetricsTest : LeaseFixtureBase {
+};
+
+TEST_F(LeaseMetricsTest, MidDeferralDeathCreditsRealizedTimeOnly)
 {
     // The regression the deferral-accounting invariant guards: a lease
     // killed 10 s into a 25 s deferral must be charged the 10 s that
-    // actually elapsed, not the τ that was scheduled.
+    // actually elapsed, not the τ that was scheduled. The reaped lease
+    // takes its own figure with it; the run's histogram keeps it.
+    obs::MetricRegistry registry;
+    registry.install();
+    LeaseOsRuntime leaseos(sim, cpu, radio, server, defaultPolicy());
+    LeaseManagerService &mgr = leaseos.manager();
+    const obs::MetricId deferral = registry.find("lease.deferral_seconds");
+    ASSERT_NE(deferral, obs::kInvalidMetricId);
+    auto &pms = server.powerManager();
     os::TokenId t = pms.newWakeLock(kApp, os::WakeLockType::Partial, "x");
     pms.acquire(t);
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     sim.runFor(15_s); // deferred at t=5 s; 10 s into the 25 s τ
     ASSERT_EQ(mgr.lease(id)->state, LeaseState::Deferred);
+    EXPECT_EQ(registry.histCount(deferral), 0u);
     pms.destroy(t); // app releases+destroys the token mid-deferral
     EXPECT_EQ(mgr.lease(id), nullptr);
-    EXPECT_DOUBLE_EQ(mgr.totalDeferralSeconds(), 10.0);
+    EXPECT_EQ(registry.histCount(deferral), 1u);
+    EXPECT_DOUBLE_EQ(registry.histSum(deferral), 10.0);
 }
 
 TEST_F(LeaseManagerTest, TotalsTrackActivity)
@@ -151,7 +164,7 @@ TEST_F(LeaseManagerTest, CustomUtilityKeepsLeaseAlive)
                          nullptr);
     sim.runFor(30_s);
     // High custom score: the sensor lease stays active.
-    EXPECT_EQ(mgr.deferredLeases(), 0u);
+    EXPECT_EQ(mgr.table().countInState(LeaseState::Deferred), 0u);
 
     counter.score = 0.0; // now the app admits the data is worthless
     sim.runFor(30_s);
@@ -182,12 +195,13 @@ TEST_F(ProxyTest, GpsFrequentAskDeferred)
     gps.setSignalGood(false); // indoors
     auto &lms = server.locationManager();
     os::TokenId t = lms.requestLocationUpdates(kApp, 10_s, nullptr);
-    LeaseId id = mgr.leaseIdForToken(t);
-    ASSERT_NE(id, kInvalidLeaseId);
+    const Lease *lease = mgr.table().findByToken(t);
+    ASSERT_NE(lease, nullptr);
+    const LeaseId id = lease->id;
     // FAB needs two consecutive confirming terms (cold-start grace).
     sim.runFor(12_s);
     EXPECT_EQ(mgr.lease(id)->state, LeaseState::Deferred);
-    EXPECT_EQ(mgr.lastBehavior(id), BehaviorType::FrequentAsk);
+    EXPECT_EQ(mgr.lease(id)->lastBehavior, BehaviorType::FrequentAsk);
     EXPECT_EQ(gps.state(), power::GpsModel::State::Off); // revoked
 }
 
@@ -197,10 +211,10 @@ TEST_F(ProxyTest, GpsBackgroundHoldIsLongHolding)
     // never moves: the MozStumbler pattern.
     auto &lms = server.locationManager();
     os::TokenId t = lms.requestLocationUpdates(kApp, 5_s, nullptr);
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     sim.runFor(30_s);
     EXPECT_GT(mgr.lease(id)->deferrals, 0u);
-    EXPECT_EQ(mgr.lastBehavior(id), BehaviorType::LongHolding);
+    EXPECT_EQ(mgr.lease(id)->lastBehavior, BehaviorType::LongHolding);
 }
 
 TEST_F(ProxyTest, GpsNavigationWithMovementStaysActive)
@@ -211,7 +225,7 @@ TEST_F(ProxyTest, GpsNavigationWithMovementStaysActive)
     lms.setPositionFn(
         [](sim::Time t) { return GeoPoint{12.0 * t.seconds(), 0.0}; });
     os::TokenId t = lms.requestLocationUpdates(kApp, 2_s, nullptr);
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     sim.runFor(2_min);
     EXPECT_EQ(mgr.lease(id)->deferrals, 0u);
     EXPECT_EQ(mgr.lease(id)->state, LeaseState::Active);
@@ -222,11 +236,12 @@ TEST_F(ProxyTest, ScreenLockWithoutViewerIsLongHolding)
     auto &pms = server.powerManager();
     os::TokenId t = pms.newWakeLock(kApp, os::WakeLockType::Full, "s");
     pms.acquire(t);
-    LeaseId id = mgr.leaseIdForToken(t);
-    ASSERT_NE(id, kInvalidLeaseId);
+    const Lease *lease = mgr.table().findByToken(t);
+    ASSERT_NE(lease, nullptr);
+    const LeaseId id = lease->id;
     sim.runFor(6_s);
     EXPECT_EQ(mgr.lease(id)->state, LeaseState::Deferred);
-    EXPECT_EQ(mgr.lastBehavior(id), BehaviorType::LongHolding);
+    EXPECT_EQ(mgr.lease(id)->lastBehavior, BehaviorType::LongHolding);
     EXPECT_FALSE(screen.isOn()); // panel actually went dark
 }
 
@@ -235,10 +250,10 @@ TEST_F(ProxyTest, WifiLockWithoutTrafficIsLongHolding)
     auto &wms = server.wifiManager();
     os::TokenId t = wms.createWifiLock(kApp, "hiperf");
     wms.acquire(t);
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     sim.runFor(6_s);
     EXPECT_EQ(mgr.lease(id)->state, LeaseState::Deferred);
-    EXPECT_EQ(mgr.lastBehavior(id), BehaviorType::LongHolding);
+    EXPECT_EQ(mgr.lease(id)->lastBehavior, BehaviorType::LongHolding);
 }
 
 TEST_F(ProxyTest, WifiLockWithTrafficStaysActive)
@@ -250,7 +265,7 @@ TEST_F(ProxyTest, WifiLockWithTrafficStaysActive)
     sim::PeriodicHandle load = sim.schedulePeriodicScoped(1_s, [&] {
         radio.transferWifi(kApp, 1500000);
     });
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     sim.runFor(30_s);
     EXPECT_EQ(mgr.lease(id)->deferrals, 0u);
 }
@@ -265,12 +280,11 @@ TEST_F(ProxyTest, SeparateLeasesPerResourceType)
     pms.acquire(wl);
     pms.acquire(full);
     wms.acquire(wifi);
-    LeaseId wl_lease = mgr.leaseIdForToken(wl);
-    LeaseId screen_lease = mgr.leaseIdForToken(full);
-    LeaseId wifi_lease = mgr.leaseIdForToken(wifi);
-    EXPECT_NE(wl_lease, kInvalidLeaseId);
-    EXPECT_NE(screen_lease, kInvalidLeaseId);
-    EXPECT_NE(wifi_lease, kInvalidLeaseId);
+    for (os::TokenId t : {wl, full, wifi})
+        ASSERT_NE(mgr.table().findByToken(t), nullptr);
+    LeaseId wl_lease = mgr.table().findByToken(wl)->id;
+    LeaseId screen_lease = mgr.table().findByToken(full)->id;
+    LeaseId wifi_lease = mgr.table().findByToken(wifi)->id;
     EXPECT_NE(wl_lease, wifi_lease);
     EXPECT_NE(wl_lease, screen_lease);
     EXPECT_EQ(mgr.lease(wl_lease)->rtype, ResourceType::Wakelock);
@@ -302,7 +316,7 @@ TEST_F(VanillaTest, WithoutRuntimeNothingIsRevoked)
     pms.acquire(t);
     sim.runFor(10_min);
     // Vanilla ask-use-release: held forever, CPU awake the whole time.
-    EXPECT_TRUE(pms.isEnabled(t));
+    EXPECT_TRUE(pms.records().at(t).enabled);
     EXPECT_NEAR(cpu.awakeSeconds(), 600.0, 1.0);
 }
 

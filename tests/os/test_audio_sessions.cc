@@ -24,7 +24,7 @@ struct AudioSessionTest : OsFixture {
 TEST_F(AudioSessionTest, OpenSessionKeepsCpuAwake)
 {
     TokenId t = svc.openSession(kApp);
-    EXPECT_TRUE(svc.isOpen(t));
+    EXPECT_TRUE(svc.isLive(t));
     EXPECT_TRUE(cpu.isAwake());
     svc.closeSession(t);
     sim.runFor(1_s);
@@ -35,7 +35,7 @@ TEST_F(AudioSessionTest, PlaybackDrawsAudioPower)
 {
     TokenId t = svc.openSession(kApp);
     svc.startPlayback(t);
-    EXPECT_TRUE(svc.isPlaying(t));
+    EXPECT_TRUE(svc.records().at(t).playing);
     EXPECT_TRUE(audio.playing(kApp));
     sim.runFor(10_s);
     svc.stopPlayback(t);
@@ -62,12 +62,12 @@ TEST_F(AudioSessionTest, SuspendSilencesAndSleeps)
     TokenId t = svc.openSession(kApp);
     svc.startPlayback(t);
     svc.suspend(t);
-    EXPECT_FALSE(svc.isEnabled(t));
+    EXPECT_FALSE(svc.records().at(t).enabled);
     EXPECT_FALSE(audio.playing(kApp));
     sim.runFor(1_s);
     EXPECT_FALSE(cpu.isAwake());
     svc.restore(t);
-    EXPECT_TRUE(svc.isEnabled(t));
+    EXPECT_TRUE(svc.records().at(t).enabled);
     EXPECT_TRUE(audio.playing(kApp));
     EXPECT_TRUE(cpu.isAwake());
 }
@@ -76,16 +76,16 @@ TEST_F(AudioSessionTest, FilterGatesByUid)
 {
     TokenId t = svc.openSession(kApp);
     svc.setGlobalFilter([this](Uid u) { return u != kApp; });
-    EXPECT_FALSE(svc.isEnabled(t));
+    EXPECT_FALSE(svc.records().at(t).enabled);
     svc.setGlobalFilter(nullptr);
-    EXPECT_TRUE(svc.isEnabled(t));
+    EXPECT_TRUE(svc.records().at(t).enabled);
 }
 
 TEST_F(AudioSessionTest, DestroyCleansUp)
 {
     TokenId t = svc.openSession(kApp);
     svc.destroy(t);
-    EXPECT_FALSE(svc.isOpen(t));
+    EXPECT_FALSE(svc.isLive(t));
     EXPECT_FALSE(svc.records().contains(t));
     sim.runFor(1_s);
     EXPECT_FALSE(cpu.isAwake());
@@ -105,10 +105,10 @@ TEST_F(AudioLeakTest, LeakedSessionIsLongHoldingUnderLeaseOS)
     device.start();
     device.runFor(10_min);
     auto &mgr = device.leaseos()->manager();
-    lease::LeaseId id = mgr.leaseIdForToken(app.session());
-    ASSERT_NE(id, lease::kInvalidLeaseId);
-    EXPECT_GT(mgr.lease(id)->deferrals, 0u);
-    EXPECT_EQ(mgr.lastBehavior(id), lease::BehaviorType::LongHolding);
+    const lease::Lease *lease = mgr.table().findByToken(app.session());
+    ASSERT_NE(lease, nullptr);
+    EXPECT_GT(lease->deferrals, 0u);
+    EXPECT_EQ(lease->lastBehavior, lease::BehaviorType::LongHolding);
 }
 
 TEST_F(AudioLeakTest, LeaseOsRecoversMostOfTheLeak)
@@ -138,7 +138,7 @@ TEST_F(AudioLeakTest, ActivePlaybackIsNotDeferred)
     svc.startPlayback(t);
     device.start();
     device.runFor(10_min);
-    EXPECT_TRUE(svc.isEnabled(t));
+    EXPECT_TRUE(svc.records().at(t).enabled);
     EXPECT_EQ(device.leaseos()->manager().totalDeferrals(), 0u);
 }
 

@@ -34,7 +34,7 @@ struct BluetoothTest : OsFixture {
 TEST_F(BluetoothTest, ScanDrawsPowerAndDiscovers)
 {
     TokenId t = svc.startScan(kApp, &listener);
-    EXPECT_TRUE(svc.isActive(t));
+    EXPECT_TRUE(svc.isLive(t));
     EXPECT_TRUE(bluetooth.scanning());
     sim.runFor(1_min);
     EXPECT_GT(listener.found, 0);
@@ -61,23 +61,14 @@ TEST_F(BluetoothTest, SuspendSilencesScan)
     EXPECT_GT(listener.found, found);
 }
 
-TEST_F(BluetoothTest, NoNearbyDevicesNoDiscoveries)
-{
-    svc.setNearbyDevices(0);
-    svc.startScan(kApp, &listener);
-    sim.runFor(1_min);
-    EXPECT_EQ(listener.found, 0);
-    EXPECT_TRUE(bluetooth.scanning()); // still burning power, though
-}
-
 TEST_F(BluetoothTest, FilterGatesByUid)
 {
     TokenId t = svc.startScan(kApp, &listener);
     svc.setGlobalFilter([this](Uid u) { return u != kApp; });
-    EXPECT_FALSE(svc.isEnabled(t));
+    EXPECT_FALSE(svc.records().at(t).enabled);
     EXPECT_FALSE(bluetooth.scanning());
     svc.setGlobalFilter(nullptr);
-    EXPECT_TRUE(svc.isEnabled(t));
+    EXPECT_TRUE(svc.records().at(t).enabled);
 }
 
 // ---- Lease integration ------------------------------------------------------

@@ -32,7 +32,7 @@ struct LocationManagerTest : OsFixture {
 TEST_F(LocationManagerTest, RequestStartsGpsSearch)
 {
     TokenId t = lms.requestLocationUpdates(kApp, 10_s, &listener);
-    EXPECT_TRUE(lms.isActive(t));
+    EXPECT_TRUE(lms.isLive(t));
     EXPECT_EQ(gps.state(), power::GpsModel::State::Searching);
     sim.runFor(30_s);
     EXPECT_EQ(gps.state(), power::GpsModel::State::Tracking);
@@ -44,7 +44,7 @@ TEST_F(LocationManagerTest, RemoveUpdatesStopsGps)
     TokenId t = lms.requestLocationUpdates(kApp, 10_s, &listener);
     sim.runFor(30_s);
     lms.removeUpdates(t);
-    EXPECT_FALSE(lms.isActive(t));
+    EXPECT_FALSE(lms.isLive(t));
     EXPECT_EQ(gps.state(), power::GpsModel::State::Off);
     int fixes = listener.fixes;
     sim.runFor(60_s);
@@ -136,7 +136,7 @@ TEST_F(LocationManagerTest, DestroyCleansUp)
 {
     TokenId t = lms.requestLocationUpdates(kApp, 10_s, &listener);
     lms.destroy(t);
-    EXPECT_FALSE(lms.isActive(t));
+    EXPECT_FALSE(lms.isLive(t));
     EXPECT_EQ(gps.state(), power::GpsModel::State::Off);
     EXPECT_FALSE(lms.records().contains(t));
 }

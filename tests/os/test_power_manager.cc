@@ -21,10 +21,10 @@ TEST_F(PowerManagerTest, AcquireWakesCpu)
     EXPECT_FALSE(cpu.isAwake());
     pms.acquire(t);
     EXPECT_TRUE(cpu.isAwake());
-    EXPECT_TRUE(pms.isHeld(t));
-    EXPECT_TRUE(pms.isEnabled(t));
+    EXPECT_TRUE(pms.isLive(t));
+    EXPECT_TRUE(pms.records().at(t).enabled);
     pms.release(t);
-    EXPECT_FALSE(pms.isHeld(t));
+    EXPECT_FALSE(pms.isLive(t));
     sim.runFor(1_s);
     EXPECT_FALSE(cpu.isAwake());
 }
@@ -38,7 +38,6 @@ TEST_F(PowerManagerTest, HoldTimeAccrues)
     sim.runFor(30_s);
     EXPECT_NEAR(pms.heldSeconds(kApp), 30.0, 0.1);
     EXPECT_NEAR(pms.enabledSeconds(kApp), 30.0, 0.1);
-    EXPECT_NEAR(pms.heldSecondsForToken(t), 30.0, 0.1);
 }
 
 TEST_F(PowerManagerTest, SuspendRevokesWithoutAppVisibility)
@@ -48,15 +47,15 @@ TEST_F(PowerManagerTest, SuspendRevokesWithoutAppVisibility)
     sim.runFor(10_s);
     pms.suspend(t);
     // The app still "holds" the lock, but the CPU may sleep.
-    EXPECT_TRUE(pms.isHeld(t));
+    EXPECT_TRUE(pms.isLive(t));
     EXPECT_TRUE(pms.records().at(t).suspended);
-    EXPECT_FALSE(pms.isEnabled(t));
+    EXPECT_FALSE(pms.records().at(t).enabled);
     sim.runFor(10_s);
     EXPECT_FALSE(cpu.isAwake());
     EXPECT_NEAR(pms.heldSeconds(kApp), 20.0, 0.1);
     EXPECT_NEAR(pms.enabledSeconds(kApp), 10.0, 0.1);
     pms.restore(t);
-    EXPECT_TRUE(pms.isEnabled(t));
+    EXPECT_TRUE(pms.records().at(t).enabled);
     EXPECT_TRUE(cpu.isAwake());
 }
 
@@ -66,8 +65,8 @@ TEST_F(PowerManagerTest, AcquireDuringSuspensionPretendsSuccess)
     pms.acquire(t);
     pms.suspend(t);
     pms.acquire(t); // §4.6: the OS pretends the acquire succeeds
-    EXPECT_TRUE(pms.isHeld(t));
-    EXPECT_FALSE(pms.isEnabled(t));
+    EXPECT_TRUE(pms.isLive(t));
+    EXPECT_FALSE(pms.records().at(t).enabled);
     sim.runFor(1_s);
     EXPECT_FALSE(cpu.isAwake());
 }
@@ -79,8 +78,8 @@ TEST_F(PowerManagerTest, ReleaseDuringSuspensionSticks)
     pms.suspend(t);
     pms.release(t);
     pms.restore(t);
-    EXPECT_FALSE(pms.isHeld(t));
-    EXPECT_FALSE(pms.isEnabled(t));
+    EXPECT_FALSE(pms.isLive(t));
+    EXPECT_FALSE(pms.records().at(t).enabled);
     sim.runFor(1_s);
     EXPECT_FALSE(cpu.isAwake());
 }
@@ -90,11 +89,11 @@ TEST_F(PowerManagerTest, GlobalFilterDisablesUid)
     TokenId t = pms.newWakeLock(kApp, WakeLockType::Partial, "x");
     pms.acquire(t);
     pms.setGlobalFilter([this](Uid uid) { return uid != kApp; });
-    EXPECT_FALSE(pms.isEnabled(t));
+    EXPECT_FALSE(pms.records().at(t).enabled);
     sim.runFor(1_s);
     EXPECT_FALSE(cpu.isAwake());
     pms.clearGlobalFilter();
-    EXPECT_TRUE(pms.isEnabled(t));
+    EXPECT_TRUE(pms.records().at(t).enabled);
 }
 
 TEST_F(PowerManagerTest, FullLockForcesScreenOn)
@@ -130,8 +129,8 @@ TEST_F(PowerManagerTest, MultipleHoldersShareIdleCost)
     pms.acquire(b);
     sim.runFor(10_s);
     EXPECT_NEAR(acc.uidEnergyMj(kApp), acc.uidEnergyMj(kApp2), 1.0);
-    EXPECT_TRUE(pms.isEnabled(a));
-    EXPECT_TRUE(pms.isEnabled(b));
+    EXPECT_TRUE(pms.records().at(a).enabled);
+    EXPECT_TRUE(pms.records().at(b).enabled);
 }
 
 TEST_F(PowerManagerTest, DestroyedLockDropsWakeSource)
@@ -141,7 +140,7 @@ TEST_F(PowerManagerTest, DestroyedLockDropsWakeSource)
     pms.destroy(t);
     sim.runFor(1_s);
     EXPECT_FALSE(cpu.isAwake());
-    EXPECT_FALSE(pms.isHeld(t));
+    EXPECT_FALSE(pms.isLive(t));
 }
 
 TEST_F(PowerManagerTest, UnknownTokenOperationsAreSafe)
@@ -151,7 +150,7 @@ TEST_F(PowerManagerTest, UnknownTokenOperationsAreSafe)
     pms.suspend(999);
     pms.restore(999);
     pms.destroy(999);
-    EXPECT_FALSE(pms.isHeld(999));
+    EXPECT_FALSE(pms.isLive(999));
     EXPECT_FALSE(pms.records().contains(999));
 }
 

@@ -70,8 +70,8 @@ TEST_F(ResourceTableTest, QueriesListOnlyHeldTokensAfterAcquireChurn)
     }
     EXPECT_EQ(pms.heldTokens(kApp), held);
     EXPECT_EQ(pms.records().size(), std::size_t(kCycles) + 1);
-    for (TokenId t : held) EXPECT_TRUE(pms.isEnabled(t));
-    EXPECT_FALSE(pms.isEnabled(cycled));
+    for (TokenId t : held) EXPECT_TRUE(pms.records().at(t).enabled);
+    EXPECT_FALSE(pms.records().at(cycled).enabled);
     EXPECT_EQ(pms.acquireCount(kApp), 2u * kCycles);
     EXPECT_EQ(pms.releaseCount(kApp), 2u * kCycles - held.size());
 }
@@ -88,10 +88,10 @@ TEST_F(ResourceTableTest, SuspendedRecordAccruesNoEnabledTime)
     pms.acquire(t);
     pms.suspend(t);
     EXPECT_EQ(pms.heldTokens(kApp), std::vector<TokenId>{t});
-    EXPECT_FALSE(pms.isEnabled(t));
+    EXPECT_FALSE(pms.records().at(t).enabled);
 
     sim.runFor(10_s);
-    EXPECT_DOUBLE_EQ(pms.heldSecondsForToken(t), 10.0);
+    EXPECT_DOUBLE_EQ(pms.heldSeconds(kApp), 10.0);
     EXPECT_DOUBLE_EQ(pms.enabledSecondsForToken(t), 0.0);
     EXPECT_DOUBLE_EQ(pms.enabledSeconds(kApp), 0.0);
 
@@ -118,12 +118,12 @@ TEST_F(ResourceTableTest, RefilterFlipsOnlyLiveRecords)
     }
     bool allow = false;
     wms.setGlobalFilter([&allow](Uid) { return allow; });
-    for (TokenId t : held) EXPECT_FALSE(wms.isEnabled(t));
+    for (TokenId t : held) EXPECT_FALSE(wms.records().at(t).enabled);
 
     allow = true;
     wms.refilter();
-    for (TokenId t : held) EXPECT_TRUE(wms.isEnabled(t));
-    for (TokenId t : released) ASSERT_FALSE(wms.isEnabled(t));
+    for (TokenId t : held) EXPECT_TRUE(wms.records().at(t).enabled);
+    for (TokenId t : released) ASSERT_FALSE(wms.records().at(t).enabled);
 
     double before = wms.enabledSeconds(kApp);
     sim.runFor(10_s);

@@ -52,7 +52,7 @@ TEST_F(SensorManagerTest, RegistrationActivatesSensorAndDelivers)
 {
     TokenId t = sms.registerListener(kApp, power::SensorType::Orientation,
                                      1_s, &listener);
-    EXPECT_TRUE(sms.isActive(t));
+    EXPECT_TRUE(sms.isLive(t));
     EXPECT_NEAR(sensorMjOver(10_s), profile.orientationMw * 10.0, 1e-6);
     EXPECT_EQ(listener.events, 10);
     EXPECT_EQ(sms.eventCount(kApp), 10u);
@@ -145,7 +145,7 @@ TEST_F(WifiManagerTest, LockLifecycleAndPower)
 {
     TokenId t = wms.createWifiLock(kApp, "hiperf");
     wms.acquire(t);
-    EXPECT_TRUE(wms.isHeld(t));
+    EXPECT_TRUE(wms.isLive(t));
     sim.runFor(100_s);
     wms.release(t);
     EXPECT_NEAR(wms.heldSeconds(kApp), 100.0, 0.1);
@@ -158,13 +158,13 @@ TEST_F(WifiManagerTest, SuspendDropsRadioHold)
     wms.acquire(t);
     sim.runFor(10_s);
     wms.suspend(t);
-    EXPECT_TRUE(wms.isHeld(t));
-    EXPECT_FALSE(wms.isEnabled(t));
+    EXPECT_TRUE(wms.isLive(t));
+    EXPECT_FALSE(wms.records().at(t).enabled);
     sim.runFor(10_s);
     EXPECT_NEAR(wms.enabledSeconds(kApp), 10.0, 0.1);
     EXPECT_NEAR(wms.heldSeconds(kApp), 20.0, 0.1);
     wms.restore(t);
-    EXPECT_TRUE(wms.isEnabled(t));
+    EXPECT_TRUE(wms.records().at(t).enabled);
 }
 
 TEST_F(WifiManagerTest, FilterGatesByUid)
@@ -172,9 +172,9 @@ TEST_F(WifiManagerTest, FilterGatesByUid)
     TokenId t = wms.createWifiLock(kApp, "x");
     wms.acquire(t);
     wms.setGlobalFilter([this](Uid u) { return u != kApp; });
-    EXPECT_FALSE(wms.isEnabled(t));
+    EXPECT_FALSE(wms.records().at(t).enabled);
     wms.setGlobalFilter(nullptr);
-    EXPECT_TRUE(wms.isEnabled(t));
+    EXPECT_TRUE(wms.records().at(t).enabled);
 }
 
 // ---- DisplayManagerService -------------------------------------------------
@@ -198,9 +198,16 @@ TEST_F(DisplayManagerTest, ForcedOwnersKeepScreenOn)
     dms.setForcedOwners({kApp});
     EXPECT_TRUE(dms.screenOn());
     sim.runFor(10_s);
-    EXPECT_NEAR(dms.forcedOnSeconds(), 10.0, 0.1);
     dms.setForcedOwners({});
     EXPECT_FALSE(dms.screenOn());
+    sim.runFor(10_s);
+    // The forcing app pays for the 10 s it kept the panel lit.
+    const power::ChannelId panel = acc.channelByName("screen");
+    EXPECT_NEAR(acc.uidChannelEnergyMj(kApp, panel),
+                (profile.screenBaseMw +
+                 power::ScreenModel::kBrightness * profile.screenFullMw) *
+                    10.0,
+                1e-6);
 }
 
 TEST_F(DisplayManagerTest, UserOnScreenIsNotForced)
@@ -208,7 +215,6 @@ TEST_F(DisplayManagerTest, UserOnScreenIsNotForced)
     dms.userSetScreen(true);
     dms.setForcedOwners({kApp});
     sim.runFor(10_s);
-    EXPECT_DOUBLE_EQ(dms.forcedOnSeconds(), 0.0);
     // System pays for the user-on screen.
     EXPECT_DOUBLE_EQ(acc.uidEnergyMj(kApp), 0.0);
 }
@@ -232,15 +238,17 @@ TEST_F(AlarmManagerTest, WakeupAlarmWakesSleepingCpu)
 {
     bool ran = false;
     bool was_awake = false;
+    sim::Time ranAt;
     ams.setAlarm(kApp, 10_s, true, [&] {
         ran = true;
         was_awake = cpu.isAwake();
+        ranAt = sim.now();
     });
     EXPECT_FALSE(cpu.isAwake());
     sim.runFor(15_s);
     EXPECT_TRUE(ran);
     EXPECT_TRUE(was_awake);
-    EXPECT_EQ(ams.firedCount(), 1u);
+    EXPECT_EQ(ranAt, 10_s);
 }
 
 TEST_F(AlarmManagerTest, NonWakeupAlarmWaitsForWake)
@@ -254,28 +262,24 @@ TEST_F(AlarmManagerTest, NonWakeupAlarmWaitsForWake)
     EXPECT_TRUE(ran);
 }
 
-TEST_F(AlarmManagerTest, CancelPreventsFiring)
-{
-    bool ran = false;
-    TokenId t = ams.setAlarm(kApp, 10_s, true, [&] { ran = true; });
-    ams.cancelAlarm(t);
-    sim.runFor(20_s);
-    EXPECT_FALSE(ran);
-    EXPECT_EQ(ams.pendingCount(), 0u);
-}
-
 TEST_F(AlarmManagerTest, GateDefersAndRetries)
 {
     bool ran = false;
     bool allow = false;
+    sim::Time ranAt;
     ams.setGate([&](Uid) { return allow; });
-    ams.setAlarm(kApp, 10_s, true, [&] { ran = true; });
+    ams.setAlarm(kApp, 10_s, true, [&] {
+        ran = true;
+        ranAt = sim.now();
+    });
     sim.runFor(1_min);
     EXPECT_FALSE(ran);
-    EXPECT_GE(ams.deferredCount(), 1u);
     allow = true;
     sim.runFor(AlarmManagerService::kDeferRetry + 1_s);
     EXPECT_TRUE(ran);
+    // Gated at 10 s, the alarm runs at its first retry after the gate
+    // opened.
+    EXPECT_EQ(ranAt, 10_s + AlarmManagerService::kDeferRetry);
 }
 
 // ---- ActivityManagerService -----------------------------------------------
@@ -284,19 +288,8 @@ struct ActivityManagerTest : OsFixture {
     ActivityManagerService &am = server.activityManager();
 };
 
-TEST_F(ActivityManagerTest, AppRegistry)
-{
-    am.registerApp(kApp, "K-9 Mail");
-    am.registerApp(kApp2, "Kontalk");
-    EXPECT_TRUE(am.isRegistered(kApp));
-    EXPECT_EQ(am.appName(kApp), "K-9 Mail");
-    EXPECT_EQ(am.appName(12345), "<unknown>");
-    EXPECT_EQ(am.apps().size(), 2u);
-}
-
 TEST_F(ActivityManagerTest, ForegroundTracking)
 {
-    am.registerApp(kApp, "A");
     Uid seen = kInvalidUid;
     am.addForegroundListener([&](Uid u) { seen = u; });
     am.setForeground(kApp);
@@ -308,7 +301,6 @@ TEST_F(ActivityManagerTest, ForegroundTracking)
 
 TEST_F(ActivityManagerTest, ActivityLifetimeAccrues)
 {
-    am.registerApp(kApp, "A");
     am.activityStarted(kApp);
     sim.runFor(30_s);
     am.activityStopped(kApp);
@@ -319,7 +311,6 @@ TEST_F(ActivityManagerTest, ActivityLifetimeAccrues)
 
 TEST_F(ActivityManagerTest, NestedActivitiesCount)
 {
-    am.registerApp(kApp, "A");
     am.activityStarted(kApp);
     am.activityStarted(kApp);
     am.activityStopped(kApp);
@@ -348,7 +339,6 @@ TEST_F(ActivityManagerTest, ExceptionCountsBySeverity)
     eh.noteException(kApp, ExceptionSeverity::Minor);
     eh.noteException(kApp, ExceptionSeverity::Severe);
     EXPECT_EQ(eh.severeCount(kApp), 2u);
-    EXPECT_EQ(eh.totalCount(kApp), 3u);
     EXPECT_EQ(eh.severeCount(kApp2), 0u);
 }
 
@@ -481,19 +471,26 @@ TEST_F(LifecycleTest, EveryServiceFollowsOneLifecycle)
         ResourceServiceBase &service = c.get(server);
         listener.events.clear();
         service.addListener(&listener);
-        std::uint64_t ipcs = service.ipcCount();
+        // Each IPC charges a burst of CPU work to the calling app; the
+        // objects have no app callbacks, so nothing else runs as kApp.
+        double cpuSeconds = settledCpuSeconds(kApp);
+        const auto chargedIpc = [&] {
+            const double before = cpuSeconds;
+            cpuSeconds = settledCpuSeconds(kApp);
+            return cpuSeconds > before;
+        };
 
         TokenId t = c.create(server);
-        EXPECT_EQ(service.ipcCount(), ++ipcs);
+        EXPECT_TRUE(chargedIpc());
         if (c.acquire) {
             EXPECT_EQ(listener.events,
                       (std::vector<std::string>{"created"}));
             c.acquire(server, t);
-            EXPECT_EQ(service.ipcCount(), ++ipcs);
+            EXPECT_TRUE(chargedIpc());
         }
         EXPECT_TRUE(service.isLive(t));
         c.release(server, t);
-        EXPECT_EQ(service.ipcCount(), ++ipcs);
+        EXPECT_TRUE(chargedIpc());
         EXPECT_FALSE(service.isLive(t));
         // An object its create call also acquired (a subscription or an
         // audio session) is freed by its release; a lock outlives it.
@@ -504,13 +501,11 @@ TEST_F(LifecycleTest, EveryServiceFollowsOneLifecycle)
         EXPECT_EQ(server.tokens().live(t), c.acquire != nullptr);
 
         // Releasing again is a no-op: no IPC, no CPU time, no listener.
-        const double cpuSeconds = settledCpuSeconds(kApp);
         c.release(server, t);
-        EXPECT_EQ(service.ipcCount(), ipcs);
-        EXPECT_EQ(settledCpuSeconds(kApp), cpuSeconds);
+        EXPECT_FALSE(chargedIpc());
 
         c.destroy(server, t);
-        EXPECT_EQ(service.ipcCount(), ipcs);
+        EXPECT_FALSE(chargedIpc());
         EXPECT_EQ(listener.events,
                   (std::vector<std::string>{"created", "acquired",
                                             "released", "destroyed"}));

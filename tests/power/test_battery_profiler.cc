@@ -25,28 +25,7 @@ TEST(BatteryTest, DrainsWithAccountant)
     acc.setPower(ch, 1000.0, {kApp});
     sim.runFor(10_s);
     EXPECT_DOUBLE_EQ(battery.drainedMj(), 10000.0);
-    EXPECT_LT(battery.remainingFraction(), 1.0);
     EXPECT_FALSE(battery.empty());
-}
-
-TEST(BatteryTest, ProjectedLifeMatchesDraw)
-{
-    sim::Simulator sim;
-    EnergyAccountant acc(sim);
-    DeviceProfile p = profiles::pixelXl();
-    Battery battery(acc, p);
-    ChannelId ch = acc.makeChannel("x");
-    acc.setPower(ch, 1000.0, {kApp});
-    sim::Time life = battery.projectedLife();
-    EXPECT_NEAR(life.seconds(), p.batteryEnergyMj() / 1000.0, 1.0);
-}
-
-TEST(BatteryTest, ProjectedLifeInfiniteAtZeroDraw)
-{
-    sim::Simulator sim;
-    EnergyAccountant acc(sim);
-    Battery battery(acc, profiles::pixelXl());
-    EXPECT_EQ(battery.projectedLife(), sim::Time::max());
 }
 
 TEST(BatteryTest, RechargeResetsBaseline)

@@ -39,11 +39,12 @@ TEST_F(ComponentFixture, ScreenOffDrawsNothing)
 TEST_F(ComponentFixture, ScreenOnDrawsBasePlusBrightness)
 {
     ScreenModel screen(sim, acc, profile);
-    screen.setBrightness(1.0);
     screen.setOn(true);
     sim.runFor(10_s);
     EXPECT_DOUBLE_EQ(acc.totalEnergyMj(),
-                     (profile.screenBaseMw + profile.screenFullMw) * 10.0);
+                     (profile.screenBaseMw +
+                      ScreenModel::kBrightness * profile.screenFullMw) *
+                         10.0);
 }
 
 TEST_F(ComponentFixture, ScreenWakelockOwnerAttribution)
@@ -53,15 +54,6 @@ TEST_F(ComponentFixture, ScreenWakelockOwnerAttribution)
     sim.runFor(10_s);
     EXPECT_GT(acc.uidEnergyMj(kApp), 0.0);
     EXPECT_DOUBLE_EQ(acc.uidEnergyMj(kSystemUid), 0.0);
-}
-
-TEST_F(ComponentFixture, BrightnessClamped)
-{
-    ScreenModel screen(sim, acc, profile);
-    screen.setBrightness(5.0);
-    EXPECT_DOUBLE_EQ(screen.brightness(), 1.0);
-    screen.setBrightness(-1.0);
-    EXPECT_DOUBLE_EQ(screen.brightness(), 0.0);
 }
 
 // ---- GPS -------------------------------------------------------------------
@@ -77,13 +69,13 @@ TEST_F(ComponentFixture, GpsOffWithNoRequests)
 TEST_F(ComponentFixture, GpsAcquiresFixWithGoodSignal)
 {
     GpsModel gps(sim, acc, profile);
-    bool got_fix = false;
-    gps.addFixListener([&](bool fix) { got_fix = fix; });
     gps.setRequestOwners(kAppOnly);
     EXPECT_EQ(gps.state(), GpsModel::State::Searching);
-    sim.runFor(gps.fixAcquireDelay() + 1_s);
+    sim.runFor(GpsModel::kFixAcquireDelay - 1_s);
+    EXPECT_FALSE(gps.hasFix());
+    sim.runFor(2_s);
     EXPECT_EQ(gps.state(), GpsModel::State::Tracking);
-    EXPECT_TRUE(got_fix);
+    EXPECT_TRUE(gps.hasFix());
 }
 
 TEST_F(ComponentFixture, GpsStaysSearchingWithBadSignal)
@@ -102,7 +94,7 @@ TEST_F(ComponentFixture, GpsSignalLossRegressesToSearching)
 {
     GpsModel gps(sim, acc, profile);
     gps.setRequestOwners(kAppOnly);
-    sim.runFor(gps.fixAcquireDelay() + 1_s);
+    sim.runFor(GpsModel::kFixAcquireDelay + 1_s);
     ASSERT_TRUE(gps.hasFix());
     gps.setSignalGood(false);
     EXPECT_EQ(gps.state(), GpsModel::State::Searching);
@@ -124,12 +116,12 @@ TEST_F(ComponentFixture, GpsTrackingCheaperThanSearching)
 {
     GpsModel gps(sim, acc, profile);
     gps.setRequestOwners(kAppOnly);
-    sim.runFor(gps.fixAcquireDelay() + 100_s);
+    sim.runFor(GpsModel::kFixAcquireDelay + 100_s);
     EXPECT_EQ(gps.state(), GpsModel::State::Tracking);
     EXPECT_TRUE(gps.hasFix());
     // Searching until the fix, then 100 s of the cheaper tracking draw.
     EXPECT_NEAR(acc.uidEnergyMj(kApp),
-                profile.gpsSearchMw * gps.fixAcquireDelay().seconds() +
+                profile.gpsSearchMw * GpsModel::kFixAcquireDelay.seconds() +
                     profile.gpsTrackMw * 100.0,
                 1e-6);
     EXPECT_LT(profile.gpsTrackMw, profile.gpsSearchMw);
@@ -162,9 +154,12 @@ TEST_F(ComponentFixture, WifiTransferBurst)
     RadioModel radio(sim, acc, profile);
     auto dur = radio.transferWifi(kApp, 2500000); // 2.5 MB at 2.5 MB/s = 1 s
     EXPECT_NEAR(dur.seconds(), 1.0, 1e-9);
-    EXPECT_TRUE(radio.wifiBusy());
+    // Active draw for the burst's 1 s, billed to the sender, then none.
+    const ChannelId wifi = acc.channelByName("wifi");
+    sim.runFor(sim::Time::fromMillis(500));
+    EXPECT_NEAR(acc.uidChannelEnergyMj(kApp, wifi),
+                profile.wifiActiveMw * 0.5, 1e-6);
     sim.runFor(2_s);
-    EXPECT_FALSE(radio.wifiBusy());
     EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.wifiActiveMw * 1.0, 1e-6);
 }
 
@@ -176,12 +171,11 @@ TEST_F(ComponentFixture, SensorDrawsWhileRegistered)
     const std::pair<SensorType, Uid> uses[] = {
         {SensorType::Orientation, kApp}};
     sensors.setUses(uses);
-    EXPECT_DOUBLE_EQ(acc.totalPowerMw(), profile.orientationMw);
     sim.runFor(10_s);
     sensors.setUses({});
-    EXPECT_DOUBLE_EQ(acc.totalPowerMw(), 0.0);
     sim.runFor(10_s);
     EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.orientationMw * 10.0, 1e-6);
+    EXPECT_NEAR(acc.totalEnergyMj(), profile.orientationMw * 10.0, 1e-6);
 }
 
 TEST_F(ComponentFixture, SensorSharedAcrossUids)
@@ -207,18 +201,11 @@ TEST_F(ComponentFixture, SensorNestedRegistrationCounts)
     sensors.setUses(uses);
     sim.runFor(10_s);
     sensors.setUses(std::span(uses).first(1));
-    EXPECT_DOUBLE_EQ(acc.totalPowerMw(), profile.gyroscopeMw);
     sim.runFor(10_s);
     EXPECT_NEAR(acc.uidEnergyMj(kApp), profile.gyroscopeMw * 20.0, 1e-6);
     sensors.setUses({});
-    EXPECT_DOUBLE_EQ(acc.totalPowerMw(), 0.0);
-}
-
-TEST_F(ComponentFixture, SensorTypeNames)
-{
-    EXPECT_STREQ(sensorTypeName(SensorType::Accelerometer),
-                 "accelerometer");
-    EXPECT_STREQ(sensorTypeName(SensorType::Orientation), "orientation");
+    sim.runFor(10_s);
+    EXPECT_NEAR(acc.totalEnergyMj(), profile.gyroscopeMw * 20.0, 1e-6);
 }
 
 // ---- Audio -------------------------------------------------------------

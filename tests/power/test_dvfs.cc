@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the DVFS extension (§8): governor behaviour, superlinear
- * power savings, per-level accounting, and the frequency-normalised
- * utilisation metric.
+ * power savings, and the frequency-normalised utilisation metric. The
+ * operating point shows in the busy channel's draw: each level has its
+ * own power factor.
  */
 
 #include <gtest/gtest.h>
@@ -29,28 +30,51 @@ struct DvfsFixture : ::testing::Test {
         cpu.setScreenOn(true); // keep awake; screen is a separate model
         cpu.setDvfsEnabled(true);
     }
+
+    /** Busy-channel energy drawn so far, in mJ. */
+    double
+    busyMj() const
+    {
+        return acc.channelEnergyMj(acc.channelByName("cpu_busy"));
+    }
+
+    /** Busy energy of @p load cores for @p seconds at @p level. */
+    double
+    levelMj(double load, std::size_t level, double seconds) const
+    {
+        return load * profile.cpuActivePerCoreMw *
+            profile.dvfsLevels[level].powerFactor * seconds;
+    }
+
+    /** Busy energy of one second of @p load cores run alone. */
+    double
+    oneSecondOf(double load)
+    {
+        const double before = busyMj();
+        cpu.runWorkFor(kApp, load, 1_s);
+        sim.runFor(2_s);
+        return busyMj() - before;
+    }
 };
 
 TEST_F(DvfsFixture, IdleSitsAtLowestOperatingPoint)
 {
-    EXPECT_EQ(cpu.dvfsLevel(), 0u);
     EXPECT_TRUE(cpu.dvfsEnabled());
+    sim.runFor(5_s);
+    EXPECT_DOUBLE_EQ(busyMj(), 0.0);
+    // The first light work after idle runs at the lowest point.
+    EXPECT_NEAR(oneSecondOf(0.4), levelMj(0.4, 0, 1.0), 1e-9);
 }
 
 TEST_F(DvfsFixture, GovernorFollowsLoad)
 {
-    auto heavy = cpu.beginWork(kApp, 3.5); // ~88 % of 4 cores
-    EXPECT_EQ(cpu.dvfsLevel(), profile.dvfsLevels.size() - 1);
-    cpu.endWork(heavy);
-    EXPECT_EQ(cpu.dvfsLevel(), 0u);
-
-    auto light = cpu.beginWork(kApp, 0.8); // needs ~0.26 of top freq
-    EXPECT_EQ(cpu.dvfsLevel(), 0u);
-    cpu.endWork(light);
-
-    auto medium = cpu.beginWork(kApp, 2.0); // needs ~0.65
-    EXPECT_EQ(cpu.dvfsLevel(), 1u);
-    cpu.endWork(medium);
+    const std::size_t top = profile.dvfsLevels.size() - 1;
+    // ~88 % of 4 cores needs the top point.
+    EXPECT_NEAR(oneSecondOf(3.5), levelMj(3.5, top, 1.0), 1e-9);
+    // Needs ~0.26 of top freq: back to the lowest point.
+    EXPECT_NEAR(oneSecondOf(0.8), levelMj(0.8, 0, 1.0), 1e-9);
+    // Needs ~0.65: the middle point.
+    EXPECT_NEAR(oneSecondOf(2.0), levelMj(2.0, 1, 1.0), 1e-9);
 }
 
 TEST_F(DvfsFixture, LightLoadDrawsSuperlinearlyLess)
@@ -71,13 +95,14 @@ TEST_F(DvfsFixture, LightLoadDrawsSuperlinearlyLess)
     EXPECT_LT(with_dvfs, 0.5 * without);
 }
 
-TEST_F(DvfsFixture, LevelSecondsAccrue)
+TEST_F(DvfsFixture, BusyEnergyFollowsTheOperatingPoint)
 {
-    cpu.runWorkFor(kApp, 3.5, 5_s); // top level for 5 s
+    // 5 s at the top point, then 5 s idle at the lowest: only the work
+    // draws busy power, at the top point's factor.
+    const std::size_t top = profile.dvfsLevels.size() - 1;
+    cpu.runWorkFor(kApp, 3.5, 5_s);
     sim.runFor(10_s);
-    EXPECT_NEAR(cpu.levelSeconds(profile.dvfsLevels.size() - 1), 5.0,
-                0.1);
-    EXPECT_NEAR(cpu.levelSeconds(0), 5.0, 0.1);
+    EXPECT_NEAR(busyMj(), levelMj(3.5, top, 5.0), 1e-9);
 }
 
 TEST_F(DvfsFixture, NormalizedSecondsWeightByFrequency)

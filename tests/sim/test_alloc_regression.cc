@@ -285,8 +285,8 @@ TEST(AllocRegressionTest, SensorSuspendRestoreIsAllocationFree)
     EXPECT_EQ(after, before)
         << "sensor suspend/restore cycles allocated " << (after - before)
         << " times in 1k cycles";
-    EXPECT_TRUE(sms.isEnabled(regs[0]));
-    EXPECT_TRUE(sms.isEnabled(regs[1]));
+    EXPECT_TRUE(sms.records().at(regs[0]).enabled);
+    EXPECT_TRUE(sms.records().at(regs[1]).enabled);
     EXPECT_GT(sms.eventCount(kFirstAppUid), 0u);
 }
 

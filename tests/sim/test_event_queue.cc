@@ -184,14 +184,12 @@ TEST(EventQueueTest, SizeAndPendingConsistentUnderMixedChurn)
 {
     EventQueue q;
     std::vector<EventId> all;
-    std::size_t scheduled = 0;
     std::size_t cursor = 0; // next id to cancel
     for (int round = 0; round < 50; ++round) {
         for (int i = 0; i < 10; ++i) {
             all.push_back(
                 q.schedule(Time::fromMillis(131 * (round * 10 + i) % 700),
                            [] {}));
-            ++scheduled;
         }
         // Cancel three (possibly already popped), pop two, every round.
         for (int i = 0; i < 3; ++i) q.cancel(all[cursor++]);
@@ -199,7 +197,6 @@ TEST(EventQueueTest, SizeAndPendingConsistentUnderMixedChurn)
             q.pop();
         }
     }
-    EXPECT_EQ(q.scheduledCount(), scheduled);
     // size() must agree exactly with pending() over every id issued.
     std::size_t stillPending = 0;
     for (EventId id : all)
@@ -270,18 +267,6 @@ TEST(EventQueueTest, CallbacksNeverCopiedDuringSift)
     while (!q.empty()) q.pop().second(); // sift-down churn on every pop
     EXPECT_EQ(CopyCounter::copies, afterSchedule)
         << "heap maintenance copied a callback";
-}
-
-TEST(EventQueueTest, ScheduledCountCountsEverySchedule)
-{
-    EventQueue q;
-    EXPECT_EQ(q.scheduledCount(), 0u);
-    EventId a = q.schedule(1_s, [] {});
-    q.schedule(2_s, [] {});
-    q.cancel(a);
-    q.pop();
-    q.schedule(3_s, [] {});
-    EXPECT_EQ(q.scheduledCount(), 3u);
 }
 
 } // namespace

@@ -13,7 +13,7 @@ Widget::Widget(Registry &registry) : label_("widget"), loads_(0)
 void
 Widget::makeChannels(Registry &registry)
 {
-    registry.gauge("widget.load");
+    registry.histogram("widget.load");
 }
 
 } // namespace fix

@@ -831,7 +831,7 @@ TEST(RegistryContract, HotCallerPoisonsTheHelper)
         "src/obs/w.cc",
         "Widget::Widget() { addChannel(); }\n"
         "void Widget::tick() { addChannel(); }\n"
-        "void Widget::addChannel() { metrics_->gauge(\"g\"); }\n"));
+        "void Widget::addChannel() { metrics_->boundGauge(\"g\", f); }\n"));
     LintReport report = runLint(files, {"registry-contract"});
     ASSERT_EQ(report.findings.size(), 1u);
     EXPECT_NE(report.findings[0].message.find("addChannel"),

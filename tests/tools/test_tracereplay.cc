@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/registry.h"
@@ -166,6 +167,48 @@ TEST(TraceReplayTest, LoadReportsMissingFileAndBadLines)
     Trace trace = loadTrace(path);
     EXPECT_FALSE(trace.ok());
     EXPECT_NE(trace.error.find("line 2"), std::string::npos) << trace.error;
+}
+
+TEST(TraceReplayTest, IntegerFieldsAreParsedExactly)
+{
+    // Each field is read from its raw token: an exponent, a fraction, a
+    // sign the field cannot hold or an out-of-range value is an error
+    // that names the field, never a cast of the double.
+    const auto event = [](const char *t, const char *uid, const char *lease,
+                          const char *payload) {
+        return std::string("{\"t\":") + t +
+            ",\"cat\":\"lease\",\"ev\":\"x\",\"uid\":" + uid +
+            ",\"lease\":" + lease + ",\"payload\":" + payload + "}\n";
+    };
+    const std::pair<const char *, std::string> bad[] = {
+        {"t", event("1e999999", "1", "1", "0")},
+        {"t", event("1.5", "1", "1", "0")},
+        {"uid", event("1", "1e20", "1", "0")},
+        {"lease", event("1", "1", "-1", "0")},
+        {"payload", event("1", "1", "1", "18446744073709551616")},
+    };
+    ScratchDir dir("leaseos_replay_ints");
+    for (const auto &[field, text] : bad) {
+        Trace trace = loadTrace(writeFile(dir, "bad.jsonl", text));
+        EXPECT_FALSE(trace.ok()) << text;
+        EXPECT_EQ(trace.error.rfind(
+                      std::string("line 1: ") + field + " is not a decimal",
+                      0),
+                  0u)
+            << trace.error;
+    }
+
+    // The extremes each type holds still load, and uid -1 is allowed.
+    Trace edge = loadTrace(writeFile(
+        dir, "edge.jsonl",
+        event("9223372036854775807", "-1", "18446744073709551615",
+              "18446744073709551615")));
+    ASSERT_TRUE(edge.ok()) << edge.error;
+    ASSERT_EQ(edge.events.size(), 1u);
+    EXPECT_EQ(edge.events[0].timeNs, INT64_MAX);
+    EXPECT_EQ(edge.events[0].uid, -1);
+    EXPECT_EQ(edge.events[0].leaseId, UINT64_MAX);
+    EXPECT_EQ(edge.events[0].payload, UINT64_MAX);
 }
 
 // ---- validate -----------------------------------------------------------

@@ -5,7 +5,7 @@
 # Baselines refreshed:
 #   BENCH_eventqueue.json        perf-bench gates allocs_per_op at zero
 #                                tolerance against this committed file
-#                                (ns_per_op is report-only noise).
+#                                (ns/op is wall time: stdout only).
 #   BENCH_fleet.json             committed reference fleet artifact.
 #
 # The nightly trend gate needs NO refresh here: its baseline is last

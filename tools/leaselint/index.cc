@@ -73,8 +73,8 @@ isControlKeyword(const std::string &name)
     return false;
 }
 
-const char *const kRegMethods[] = {"counter", "gauge", "histogram",
-                                   "boundCounter", "boundGauge"};
+const char *const kRegMethods[] = {"counter", "histogram", "boundCounter",
+                                   "boundGauge"};
 
 /**
  * Blank every preprocessor line (first non-ws char '#', plus backslash

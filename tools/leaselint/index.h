@@ -17,7 +17,7 @@
  *  - call sites (callee's unqualified name, enclosing function, whether
  *    the call is through `.`/`->`);
  *  - acquire/release resource sites against the OS-service API pairs;
- *  - MetricRegistry registration sites (counter/gauge/histogram/bound*);
+ *  - MetricRegistry registration sites (counter/histogram/bound*);
  *  - `enum class` definitions and `switch` descriptors for the
  *    switch-exhaustive link rule.
  */
@@ -64,7 +64,7 @@ struct ResourceSite {
     std::size_t indent = 0; ///< leading spaces (for fix-it rendering)
 };
 
-/** MetricRegistry registration call (counter/gauge/histogram/bound*). */
+/** MetricRegistry registration call (counter/histogram/bound*). */
 struct RegSite {
     std::uint32_t func = kNoFunc;
     std::string methodName;

@@ -3,10 +3,10 @@
  * registry-contract: MetricRegistry registration reachable from
  * post-construction / hot code.
  *
- * Registration (counter/gauge/histogram/boundCounter/boundGauge) is
+ * Registration (counter/histogram/boundCounter/boundGauge) is
  * explicitly single-threaded and allocating — the header says "do it
  * before workers start", and DESIGN.md §8's zero-allocation discipline
- * bans it from the steady state. The hot operations (add/set/observe)
+ * bans it from the steady state. The hot operations (add/observe)
  * are the only part meant to run per event.
  *
  * A registration call site is legal when every path to it starts in
@@ -122,7 +122,7 @@ linkRegistryContract(const RepoIndex &repo, const CallGraph &graph,
                      graph.def(id).name + "() [" + firstBadCaller(id) +
                      "]: registration allocates and is not thread-safe — "
                      "confine it to constructors or init/setup paths "
-                     "(hot paths may only add/set/observe)"});
+                     "(hot paths may only add/observe)"});
         }
     }
 }

@@ -1,8 +1,11 @@
 #include "tracereplay/replay.h"
 
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -22,13 +25,48 @@ struct TrackedLease {
     bool inferred = false; ///< first seen mid-life (ring wrap)
 };
 
+/**
+ * Integer fields are parsed from the raw decimal token, never from the
+ * double: lease and payload use all 64 bits (a payload may be a bit-cast
+ * double), and casting an out-of-range double is undefined. A token with
+ * an exponent, a fraction, a sign the type cannot hold, or a value out of
+ * range is rejected.
+ */
 bool
 parseU64(const std::string &raw, std::uint64_t &out)
 {
-    if (raw.empty()) return false;
+    if (raw.empty() || raw[0] < '0' || raw[0] > '9') return false;
     char *end = nullptr;
-    out = std::strtoull(raw.c_str(), &end, 10);
-    return end && *end == '\0';
+    errno = 0;
+    const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
+    if (errno == ERANGE || *end != '\0') return false;
+    out = v;
+    return true;
+}
+
+bool
+parseI64(const std::string &raw, std::int64_t &out)
+{
+    const std::size_t first = raw.size() > 1 && raw[0] == '-' ? 1 : 0;
+    if (raw.size() <= first || raw[first] < '0' || raw[first] > '9')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(raw.c_str(), &end, 10);
+    if (errno == ERANGE || *end != '\0') return false;
+    out = v;
+    return true;
+}
+
+bool
+parseI32(const std::string &raw, std::int32_t &out)
+{
+    std::int64_t v = 0;
+    if (!parseI64(raw, v) || v < std::numeric_limits<std::int32_t>::min() ||
+        v > std::numeric_limits<std::int32_t>::max())
+        return false;
+    out = static_cast<std::int32_t>(v);
+    return true;
 }
 
 bool
@@ -48,20 +86,24 @@ parseEventObject(const minijson::Value &obj, ReplayEvent &out,
                 "(t/cat/ev/uid/lease/payload)";
         return false;
     }
-    out.timeNs = static_cast<std::int64_t>(t->number);
-    out.cat = cat->raw;
-    out.ev = ev->raw;
-    out.uid = static_cast<std::int32_t>(uid->number);
-    // lease and payload are full 64-bit fields (payload may be a bit-cast
-    // double): parse the raw token, not the 53-bit double.
+    if (!parseI64(t->raw, out.timeNs)) {
+        error = "t is not a decimal int64: " + t->raw;
+        return false;
+    }
+    if (!parseI32(uid->raw, out.uid)) {
+        error = "uid is not a decimal int32: " + uid->raw;
+        return false;
+    }
     if (!parseU64(leaseId->raw, out.leaseId)) {
-        error = "lease id is not a decimal integer: " + leaseId->raw;
+        error = "lease is not a decimal uint64: " + leaseId->raw;
         return false;
     }
     if (!parseU64(payload->raw, out.payload)) {
-        error = "payload is not a decimal integer: " + payload->raw;
+        error = "payload is not a decimal uint64: " + payload->raw;
         return false;
     }
+    out.cat = cat->raw;
+    out.ev = ev->raw;
     out.payloadRaw = payload->raw;
     return true;
 }

@@ -66,7 +66,6 @@ main()
         "marks the resources whose Use semantics differ (GPS/sensor "
         "utilisation is Activity-bound-lifetime, not physical use).");
 
-    BehaviorClassifier classifier;
     const struct {
         ResourceType rtype;
         const char *label;
@@ -94,8 +93,7 @@ main()
         ResultSink::Row row{
             {"Resource", ResultSink::Value::str(res.label)}};
         for (const auto &column : columns) {
-            BehaviorType got =
-                classifier.classify(res.rtype, statFor(column.behavior));
+            BehaviorType got = classify(res.rtype, statFor(column.behavior));
             bool reachable = got == column.behavior;
             std::string mark = reachable ? "yes" : "no";
             if (reachable && res.starredUse &&

@@ -40,7 +40,6 @@ runCase(harness::MitigationMode mode, Installer installer)
 {
     harness::DeviceConfig cfg;
     cfg.mode = mode;
-    cfg.throttleHoldLimit = sim::Time::fromMinutes(5.0);
     harness::Device device(cfg);
     device.gpsEnv().setVelocity(2.5, 0.5); // RunKeeper user is out running
     device.motion().setStationary(false);

@@ -25,7 +25,6 @@ runWorld(harness::MitigationMode mode, const char *label)
 {
     harness::DeviceConfig config;
     config.mode = mode;
-    config.throttleHoldLimit = 5_min;
     harness::Device device(config);
 
     // The user is out on a run, phone in an armband.

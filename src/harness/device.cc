@@ -77,20 +77,19 @@ Device::Device(DeviceConfig config)
         break;
       case MitigationMode::Doze:
         doze_ = std::make_unique<mitigation::DozeController>(
-            sim_, *server_, *motion_, mitigation::DozeConfig{});
+            sim_, *server_, *motion_);
         break;
       case MitigationMode::DozeAggressive:
         doze_ = std::make_unique<mitigation::DozeController>(
-            sim_, *server_, *motion_,
-            mitigation::DozeConfig{.aggressive = true});
+            sim_, *server_, *motion_, true);
         break;
       case MitigationMode::DefDroid:
         defdroid_ = std::make_unique<mitigation::DefDroidController>(
-            sim_, *server_, mitigation::DefDroidConfig{});
+            sim_, *server_);
         break;
       case MitigationMode::OneShotThrottle:
         throttler_ = std::make_unique<mitigation::OneShotThrottler>(
-            sim_, *server_, config_.throttleHoldLimit);
+            sim_, *server_);
         break;
     }
 

@@ -64,7 +64,6 @@ struct DeviceConfig {
     power::DeviceProfile profile = power::profiles::pixelXl();
     MitigationMode mode = MitigationMode::None;
     lease::LeasePolicy leasePolicy;
-    sim::Time throttleHoldLimit = sim::Time::fromMinutes(5.0);
     std::uint64_t seed = 0x1ea5e05;
     /** Unused (nothing is sampled); kept because leasebench sets it. */
     sim::Time profilerPeriod = sim::Time::fromMillis(100);

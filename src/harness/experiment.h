@@ -26,14 +26,6 @@ namespace leaseos::harness {
 /** Options for a Table 5 cell run. */
 struct MitigationRunOptions {
     sim::Time duration = sim::Time::fromMinutes(30.0);
-    power::DeviceProfile profile = power::profiles::pixelXl();
-    /**
-     * Periodic user glances (screen + motion blips). On = the realistic
-     * "phone on the desk but alive" condition that interrupts Doze.
-     */
-    bool userGlances = true;
-    sim::Time glanceInterval = sim::Time::fromMinutes(10.0);
-    sim::Time glanceLength = sim::Time::fromSeconds(20.0);
     std::uint64_t seed = 0x1ea5e05;
 };
 

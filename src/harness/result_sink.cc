@@ -10,6 +10,7 @@
 
 #include "harness/figure.h"
 #include "harness/table.h"
+#include "obs/trace_export.h"
 
 namespace leaseos::harness {
 
@@ -28,39 +29,13 @@ std::string
 ResultSink::Value::toJson() const
 {
     switch (kind) {
-      case Kind::Text: return "\"" + jsonEscape(text) + "\"";
+      case Kind::Text: return "\"" + obs::jsonEscape(text) + "\"";
       case Kind::Number:
         if (!std::isfinite(number)) return "null";
         return TextTable::fmt(number, precision);
       case Kind::Integer: return std::to_string(integer);
     }
     return "null";
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 std::string
@@ -196,15 +171,15 @@ JsonSink::document() const
 {
     std::ostringstream os;
     os << "{\n";
-    os << "  \"bench\": \"" << jsonEscape(benchId_) << "\",\n";
-    os << "  \"caption\": \"" << jsonEscape(caption_) << "\",\n";
+    os << "  \"bench\": \"" << obs::jsonEscape(benchId_) << "\",\n";
+    os << "  \"caption\": \"" << obs::jsonEscape(caption_) << "\",\n";
     os << "  \"rows\": [\n";
     for (std::size_t r = 0; r < rows_.size(); ++r) {
         os << "    {";
         const Row &row = rows_[r];
         for (std::size_t i = 0; i < row.size(); ++i) {
             if (i) os << ", ";
-            os << "\"" << jsonEscape(row[i].first)
+            os << "\"" << obs::jsonEscape(row[i].first)
                << "\": " << row[i].second.toJson();
         }
         os << "}" << (r + 1 < rows_.size() ? "," : "") << "\n";

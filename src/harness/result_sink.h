@@ -177,9 +177,6 @@ class TeeSink : public ResultSink
     std::vector<ResultSink *> sinks_;
 };
 
-/** JSON string escaping (quotes, backslashes, control characters). */
-std::string jsonEscape(const std::string &s);
-
 /** CSV field escaping: quote (doubling inner quotes) only when needed. */
 std::string csvEscape(const std::string &s);
 

@@ -59,15 +59,9 @@ installGlanceScript(Device &device, sim::Time interval, sim::Time length)
 RunResult
 runScenario(const RunSpec &spec)
 {
-    return runScenario(spec, spec.config);
-}
-
-RunResult
-runScenario(const RunSpec &spec, const DeviceConfig &config)
-{
     // A one-step session. Stepping the same session in several calls
     // gives the same result (tests/harness/test_runner.cc pins this).
-    ScenarioSession session(spec, config);
+    ScenarioSession session(spec, spec.config);
     session.advanceTo(spec.duration);
     return session.finish();
 }
@@ -154,9 +148,8 @@ ParallelRunner::parseArgs(int argc, char **argv)
 }
 
 ParallelRunner::ParallelRunner(RunnerOptions options)
-    : options_(options)
+    : jobs_(options.jobs > 0 ? options.jobs : defaultJobs())
 {
-    jobs_ = options.jobs > 0 ? options.jobs : defaultJobs();
 }
 
 std::vector<RunResult>
@@ -180,18 +173,9 @@ ParallelRunner::run(const std::vector<RunSpec> &specs,
             std::size_t i = next.fetch_add(1);
             if (i >= specs.size()) return;
             try {
-                // Specs are shared read-only across workers: reseeding
-                // clones only the DeviceConfig, never the spec's app/
-                // setup/probe closures.
-                const RunSpec &spec = specs[i];
-                RunResult r;
-                if (options_.baseSeed) {
-                    DeviceConfig config = spec.config;
-                    config.seed = deriveSeed(*options_.baseSeed, i);
-                    r = runScenario(spec, config);
-                } else {
-                    r = runScenario(spec);
-                }
+                // Specs are shared read-only across workers: the spec's
+                // app/setup/probe closures are never copied.
+                RunResult r = runScenario(specs[i]);
                 r.specIndex = i;
                 if (onResult) {
                     std::lock_guard<std::mutex> lock(reportMutex);

@@ -247,13 +247,6 @@ struct RunResult {
 RunResult runScenario(const RunSpec &spec);
 
 /**
- * As above, but with @p config in place of spec.config — lets callers
- * (e.g. ParallelRunner's reseeding) vary device parameters without
- * copying the whole spec. RunResult::seed reports config.seed.
- */
-RunResult runScenario(const RunSpec &spec, const DeviceConfig &config);
-
-/**
  * Install the lightly-attended-device script: screen on briefly + motion
  * blip every @p interval (what RunSpec::userGlances uses internally).
  * The script stops when the returned handle is cancelled or destroyed;
@@ -277,22 +270,16 @@ struct RunnerOptions {
      * hardware_concurrency.
      */
     int jobs = 0;
-
-    /**
-     * When set, every spec's seed is overridden with
-     * deriveSeed(*baseSeed, specIndex) — use for sweeps that want
-     * independent randomness per cell without hand-writing seeds. When
-     * unset (default), each spec's own config.seed is used verbatim.
-     */
-    std::optional<std::uint64_t> baseSeed;
 };
 
 /**
  * Fixed worker-pool executor for lists of independent RunSpecs.
  *
  * Results are collected in spec order no matter which worker finished
- * first, and every run's seed depends only on (spec, index) — never on
- * scheduling — so a sweep is bit-identical across job counts.
+ * first, and every run takes its seed from its own spec, never from
+ * scheduling, so a sweep is bit-identical across job counts. A sweep
+ * that wants independent randomness per cell sets each spec's seed to
+ * deriveSeed(base, index).
  */
 class ParallelRunner
 {
@@ -335,7 +322,6 @@ class ParallelRunner
 
   private:
     int jobs_ = 1;
-    RunnerOptions options_;
 };
 
 } // namespace leaseos::harness

@@ -19,45 +19,8 @@
 
 namespace leaseos::lease {
 
-/**
- * Tunable thresholds; defaults follow the paper's characterisation
- * (ultralow utilisation < 1-5 %, utility scale 0-100).
- */
-struct ClassifierThresholds {
-    /** Requesting must cover at least this fraction of the term (FAB). */
-    double fabMinRequestRatio = 0.3;
-    /** Success ratio below this is "rarely gets it" (FAB). */
-    double fabMaxSuccessRatio = 0.2;
-
-    /** Holding must cover at least this fraction of the term (LHB/LUB). */
-    double minHoldingRatio = 0.5;
-    /** Utilisation below this is ultralow (LHB). */
-    double lhbMaxUtilization = 0.05;
-
-    /** Utility score below this marks Low-Utility (LUB). */
-    double lubMaxUtilityScore = 20.0;
-
-    /** Usage above this fraction of the term marks heavy use (EUB). */
-    double eubMinUsageRatio = 0.5;
-};
-
-/**
- * Stateless behaviour classifier.
- */
-class BehaviorClassifier
-{
-  public:
-    explicit BehaviorClassifier(ClassifierThresholds thresholds = {})
-        : thresholds_(thresholds) {}
-
-    /** Classify one term's stats for a resource of type @p rtype. */
-    BehaviorType classify(ResourceType rtype, const LeaseStat &stat) const;
-
-    const ClassifierThresholds &thresholds() const { return thresholds_; }
-
-  private:
-    ClassifierThresholds thresholds_;
-};
+/** Classify one term's stats for a resource of type @p rtype. */
+BehaviorType classify(ResourceType rtype, const LeaseStat &stat);
 
 } // namespace leaseos::lease
 

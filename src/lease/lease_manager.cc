@@ -3,6 +3,7 @@
 #include "sim/state_digest.h"
 
 #include "analysis/invariants.h"
+#include "lease/behavior_classifier.h"
 #include "lease/utility/generic_utility.h"
 #include "obs/trace.h"
 
@@ -44,7 +45,7 @@ classifyCode(BehaviorType b)
 LeaseManagerService::LeaseManagerService(sim::Simulator &sim,
                                          power::CpuModel &cpu,
                                          LeasePolicy policy)
-    : sim_(sim), cpu_(cpu), policy_(policy), classifier_(policy.thresholds),
+    : sim_(sim), cpu_(cpu), policy_(policy),
       metrics_(obs::MetricRegistry::current())
 {
     if (metrics_) initMetrics();
@@ -298,7 +299,7 @@ LeaseManagerService::onTermEnd(LeaseId id)
 
     TermRecord record;
     record.stat = stat;
-    record.behavior = classifier_.classify(lease->rtype, stat);
+    record.behavior = classify(lease->rtype, stat);
     ++behaviorCounts_[record.behavior];
     LEASEOS_TRACE(emit(sim_.now(), obs::TraceCategory::Classifier,
                        classifyCode(record.behavior), lease->uid, lease->id,

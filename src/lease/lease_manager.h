@@ -22,7 +22,6 @@
 
 #include "common/ids.h"
 #include "common/utility_counter.h"
-#include "lease/behavior_classifier.h"
 #include "obs/metric_registry.h"
 #include "lease/lease.h"
 #include "lease/lease_policy.h"
@@ -166,7 +165,6 @@ class LeaseManagerService
     sim::Simulator &sim_;
     power::CpuModel &cpu_;
     LeasePolicy policy_;
-    BehaviorClassifier classifier_;
     LeaseTable table_;
     std::map<std::pair<Uid, ResourceType>, Reputation> reputations_;
     /** One proxy per resource type; map nodes keep their addresses. */

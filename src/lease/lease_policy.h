@@ -16,13 +16,18 @@
  * ~92-98 % reductions of Table 5. bench_ablation_policy quantifies it.
  */
 
-#include "lease/behavior_classifier.h"
+#include "lease/resource_type.h"
 #include "sim/time.h"
 
 namespace leaseos::lease {
 
 /**
- * All tunables of the lease manager.
+ * The lease manager's policy. Only the six fields that an experiment
+ * varies are settable: initialTerm and deferralInterval (Fig. 9,
+ * Fig. 12), adaptiveTerm and escalateDeferral (Fig. 9, Fig. 12,
+ * bench_ablation_policy), and gpsConfirmTerms and rememberMisbehavior
+ * (bench_ablation_policy). The static constexpr members are the paper's
+ * fixed numbers.
  */
 struct LeasePolicy {
     /** Initial (and post-misbehaviour) lease term. */
@@ -33,15 +38,17 @@ struct LeasePolicy {
 
     // ---- Common-case optimisation (§5.2) -------------------------------
     bool adaptiveTerm = true;
-    int mediumTermAfter = 12;  ///< consecutive normal terms → mediumTerm
-    sim::Time mediumTerm = sim::Time::fromMinutes(1.0);
-    int longTermAfter = 120;   ///< consecutive normal terms → longTerm
-    sim::Time longTerm = sim::Time::fromMinutes(5.0);
+    /** Consecutive normal terms → mediumTerm. */
+    static constexpr int mediumTermAfter = 12;
+    static constexpr sim::Time mediumTerm = sim::Time::fromMinutes(1.0);
+    /** Consecutive normal terms → longTerm. */
+    static constexpr int longTermAfter = 120;
+    static constexpr sim::Time longTerm = sim::Time::fromMinutes(5.0);
 
     // ---- Deferral escalation ---------------------------------------------
     bool escalateDeferral = true;
-    double deferralGrowth = 2.0;
-    sim::Time maxDeferral = sim::Time::fromMinutes(5.0);
+    static constexpr double deferralGrowth = 2.0;
+    static constexpr sim::Time maxDeferral = sim::Time::fromMinutes(5.0);
 
     /**
      * Misbehaviour on subscription-style resources (GPS, sensors) must
@@ -55,7 +62,7 @@ struct LeasePolicy {
      * paper's n = 1 analysis in §5.1).
      */
     int gpsConfirmTerms = 2;
-    int sensorConfirmTerms = 2;
+    static constexpr int sensorConfirmTerms = 2;
 
     /** Confirmation terms required before deferring a resource type. */
     int
@@ -82,9 +89,7 @@ struct LeasePolicy {
     bool rememberMisbehavior = false;
 
     /** How long a dead lease's bad reputation lingers. */
-    sim::Time reputationWindow = sim::Time::fromMinutes(3.0);
-
-    ClassifierThresholds thresholds;
+    static constexpr sim::Time reputationWindow = sim::Time::fromMinutes(3.0);
 
     /** Term length for a lease with @p consecutiveNormal good terms. */
     sim::Time

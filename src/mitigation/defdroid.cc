@@ -3,9 +3,8 @@
 namespace leaseos::mitigation {
 
 DefDroidController::DefDroidController(sim::Simulator &sim,
-                                       os::SystemServer &server,
-                                       DefDroidConfig config)
-    : sim_(sim), server_(server), config_(config)
+                                       os::SystemServer &server)
+    : sim_(sim), server_(server)
 {
 }
 
@@ -20,8 +19,7 @@ DefDroidController::start()
     gpsWatcher_.listen();
     sensorWatcher_.listen();
     wifiWatcher_.listen();
-    pollTick_ = sim_.schedulePeriodicScoped(config_.pollInterval,
-                                            [this] { poll(); });
+    pollTick_ = sim_.schedulePeriodicScoped(kPollInterval, [this] { poll(); });
 }
 
 void
@@ -44,7 +42,7 @@ DefDroidController::noteAcquired(os::TokenId token, Uid uid, Kind kind,
         GpsPressure &pressure = gpsPressure_[uid];
         if (!pressure.anyActive &&
             (pressure.lastRelease == sim::Time::zero() ||
-             sim_.now() - pressure.lastRelease > config_.gpsChurnGap)) {
+             sim_.now() - pressure.lastRelease > kGpsChurnGap)) {
             pressure.holdStart = sim_.now();
         }
         pressure.anyActive = true;
@@ -84,41 +82,12 @@ DefDroidController::noteReleased(os::TokenId token)
     tracked_.erase(token);
 }
 
-sim::Time
-DefDroidController::holdLimit(Kind kind) const
-{
-    switch (kind) {
-      case Kind::Wakelock: return config_.wakelockHoldLimit;
-      case Kind::Screen: return config_.screenHoldLimit;
-      case Kind::Gps: return config_.gpsHoldLimit;
-      case Kind::Sensor: return config_.sensorHoldLimit;
-      case Kind::Wifi: return config_.wifiHoldLimit;
-    }
-    return config_.wakelockHoldLimit;
-}
-
-sim::Time
-DefDroidController::backoff(Kind kind) const
-{
-    switch (kind) {
-      case Kind::Wakelock: return config_.wakelockBackoff;
-      case Kind::Screen: return config_.screenBackoff;
-      case Kind::Gps: return config_.gpsBackoff;
-      case Kind::Sensor: return config_.sensorBackoff;
-      case Kind::Wifi: return config_.wifiBackoff;
-    }
-    return config_.wakelockBackoff;
-}
-
 void
 DefDroidController::poll()
 {
     for (auto &[token, tracked] : tracked_) {
         if (tracked.throttled) continue;
-        if (config_.spareForeground &&
-            server_.activityManager().isForeground(tracked.uid)) {
-            continue;
-        }
+        if (server_.activityManager().isForeground(tracked.uid)) continue;
         // GPS uses the per-uid continuous-pressure clock so request
         // churn (new kernel object per attempt) cannot dodge the limit.
         sim::Time held_since = tracked.heldSince;
@@ -127,10 +96,10 @@ DefDroidController::poll()
             if (it != gpsPressure_.end())
                 held_since = it->second.holdStart;
         }
-        if (sim_.now() - held_since >= holdLimit(tracked.kind)) {
+        if (sim_.now() - held_since >= limit(tracked.kind).hold) {
             if (tracked.kind == Kind::Gps) {
                 gpsPressure_[tracked.uid].backoffUntil =
-                    sim_.now() + backoff(Kind::Gps);
+                    sim_.now() + limit(Kind::Gps).backoff;
             }
             throttle(token, tracked);
         }
@@ -144,7 +113,7 @@ DefDroidController::throttle(os::TokenId token, Tracked &tracked)
     tracked.service->suspend(token);
     Kind kind = tracked.kind;
     os::ResourceServiceBase *service = tracked.service;
-    sim_.schedule(backoff(kind), [this, token, kind, service] {
+    sim_.schedule(limit(kind).backoff, [this, token, kind, service] {
         unthrottle(token, kind, *service);
     });
 }

@@ -22,44 +22,14 @@
 
 namespace leaseos::mitigation {
 
-/** Per-resource throttle thresholds (holding limits + back-offs). */
-struct DefDroidConfig {
-    sim::Time pollInterval = sim::Time::fromSeconds(10.0);
-
-    sim::Time wakelockHoldLimit = sim::Time::fromSeconds(60.0);
-    sim::Time wakelockBackoff = sim::Time::fromSeconds(180.0);
-
-    sim::Time screenHoldLimit = sim::Time::fromSeconds(60.0);
-    sim::Time screenBackoff = sim::Time::fromSeconds(240.0);
-
-    sim::Time gpsHoldLimit = sim::Time::fromSeconds(90.0);
-    sim::Time gpsBackoff = sim::Time::fromSeconds(60.0);
-
-    /**
-     * Gaps shorter than this between one GPS request ending and the next
-     * starting count as continuous pressure from the uid — the
-     * BetterWeather re-request churn must not reset the holding clock.
-     */
-    sim::Time gpsChurnGap = sim::Time::fromSeconds(45.0);
-
-    sim::Time sensorHoldLimit = sim::Time::fromSeconds(60.0);
-    sim::Time sensorBackoff = sim::Time::fromSeconds(120.0);
-
-    sim::Time wifiHoldLimit = sim::Time::fromSeconds(60.0);
-    sim::Time wifiBackoff = sim::Time::fromSeconds(240.0);
-
-    /** Foreground apps are never throttled. */
-    bool spareForeground = true;
-};
-
 /**
- * Holding-time throttler over all resource services.
+ * Holding-time throttler over all resource services. Foreground apps are
+ * never throttled.
  */
 class DefDroidController
 {
   public:
-    DefDroidController(sim::Simulator &sim, os::SystemServer &server,
-                       DefDroidConfig config = {});
+    DefDroidController(sim::Simulator &sim, os::SystemServer &server);
     ~DefDroidController();
 
     void start();
@@ -67,6 +37,28 @@ class DefDroidController
   private:
     /** Which service a tracked token belongs to. */
     enum class Kind { Wakelock, Screen, Gps, Sensor, Wifi };
+
+    /** How long a background app may hold one kind of object, and how
+     *  long the throttled object stays suspended. */
+    struct Limit {
+        sim::Time hold;
+        sim::Time backoff;
+    };
+    /** Indexed by Kind: wakelock, screen, GPS, sensor, Wi-Fi. */
+    static constexpr Limit kLimits[] = {
+        {sim::Time::fromSeconds(60.0), sim::Time::fromSeconds(180.0)},
+        {sim::Time::fromSeconds(60.0), sim::Time::fromSeconds(240.0)},
+        {sim::Time::fromSeconds(90.0), sim::Time::fromSeconds(60.0)},
+        {sim::Time::fromSeconds(60.0), sim::Time::fromSeconds(120.0)},
+        {sim::Time::fromSeconds(60.0), sim::Time::fromSeconds(240.0)},
+    };
+    static constexpr sim::Time kPollInterval = sim::Time::fromSeconds(10.0);
+    /**
+     * Gaps shorter than this between one GPS request ending and the next
+     * starting count as continuous pressure from the uid — the
+     * BetterWeather re-request churn must not reset the holding clock.
+     */
+    static constexpr sim::Time kGpsChurnGap = sim::Time::fromSeconds(45.0);
 
     struct Tracked {
         Uid uid;
@@ -120,12 +112,14 @@ class DefDroidController
     void throttle(os::TokenId token, Tracked &tracked);
     void unthrottle(os::TokenId token, Kind kind,
                     os::ResourceServiceBase &service);
-    sim::Time holdLimit(Kind kind) const;
-    sim::Time backoff(Kind kind) const;
+    static const Limit &
+    limit(Kind kind)
+    {
+        return kLimits[static_cast<int>(kind)];
+    }
 
     sim::Simulator &sim_;
     os::SystemServer &server_;
-    DefDroidConfig config_;
     bool started_ = false;
     /** Owns the poll loop: destroying the controller stops polling. */
     sim::PeriodicHandle pollTick_;

@@ -4,8 +4,8 @@ namespace leaseos::mitigation {
 
 DozeController::DozeController(sim::Simulator &sim,
                                os::SystemServer &server,
-                               env::MotionModel &motion, DozeConfig config)
-    : sim_(sim), server_(server), motion_(motion), config_(config),
+                               env::MotionModel &motion, bool aggressive)
+    : sim_(sim), server_(server), motion_(motion), aggressive_(aggressive),
       screenOffSince_(sim.now())
 {
 }
@@ -31,7 +31,7 @@ DozeController::start()
         if (dozing_) exit();
     });
 
-    if (config_.aggressive) forceEnter();
+    if (aggressive_) forceEnter();
     scheduleIdleCheck();
 }
 
@@ -45,8 +45,7 @@ void
 DozeController::idleCheck()
 {
     if (!dozing_) {
-        sim::Time needed = config_.aggressive ? config_.aggressiveReentry
-                                              : config_.idleThreshold;
+        sim::Time needed = aggressive_ ? kAggressiveReentry : kIdleThreshold;
         bool idle_long_enough = !screenOn_ && motion_.stationary() &&
             sim_.now() - screenOffSince_ >= needed &&
             motion_.stillFor() >= needed;
@@ -104,8 +103,7 @@ DozeController::enter()
     dozing_ = true;
     maintenance_ = false;
     applyFilters();
-    sim_.schedule(config_.maintenanceInterval,
-                  [this] { openMaintenanceWindow(); });
+    sim_.schedule(kMaintenanceInterval, [this] { openMaintenanceWindow(); });
 }
 
 void
@@ -127,8 +125,7 @@ DozeController::openMaintenanceWindow()
     server_.wifiManager().refilter();
     server_.locationManager().refilter();
     server_.sensorManager().refilter();
-    sim_.schedule(config_.maintenanceWindow,
-                  [this] { closeMaintenanceWindow(); });
+    sim_.schedule(kMaintenanceWindow, [this] { closeMaintenanceWindow(); });
 }
 
 void
@@ -140,8 +137,7 @@ DozeController::closeMaintenanceWindow()
     server_.wifiManager().refilter();
     server_.locationManager().refilter();
     server_.sensorManager().refilter();
-    sim_.schedule(config_.maintenanceInterval,
-                  [this] { openMaintenanceWindow(); });
+    sim_.schedule(kMaintenanceInterval, [this] { openMaintenanceWindow(); });
 }
 
 } // namespace leaseos::mitigation

@@ -20,47 +20,41 @@
 
 namespace leaseos::mitigation {
 
-/** Doze timing parameters. */
-struct DozeConfig {
-    /** Unused time (screen off + no motion) before entering doze. */
-    sim::Time idleThreshold = sim::Time::fromMinutes(30.0);
-
-    /** Spacing of maintenance windows while dozing. */
-    sim::Time maintenanceInterval = sim::Time::fromMinutes(15.0);
-
-    /** Length of each maintenance window. */
-    sim::Time maintenanceWindow = sim::Time::fromSeconds(30.0);
-
-    /**
-     * Enter doze immediately at start() and re-enter after a short idle
-     * instead of the full threshold (the Table 5 '*' variant forced via
-     * adb). Interruptions still exit doze — the reason aggressive Doze
-     * trails LeaseOS.
-     */
-    bool aggressive = false;
-
-    /** Idle needed to re-enter when aggressive. */
-    sim::Time aggressiveReentry = sim::Time::fromMinutes(1.0);
-};
-
 /**
  * System-wide idle deferral controller.
  */
 class DozeController
 {
   public:
+    /**
+     * @p aggressive enters doze at start() and re-enters after a short
+     * idle instead of the full threshold (the Table 5 '*' variant forced
+     * via adb). Interruptions still exit doze — the reason aggressive
+     * Doze trails LeaseOS.
+     */
     DozeController(sim::Simulator &sim, os::SystemServer &server,
-                   env::MotionModel &motion, DozeConfig config = {});
+                   env::MotionModel &motion, bool aggressive = false);
 
     /** Arm idle detection (and force-enter if aggressive). */
     void start();
 
     bool dozing() const { return dozing_; }
 
+  private:
+    /** Unused time (screen off + no motion) before entering doze. */
+    static constexpr sim::Time kIdleThreshold = sim::Time::fromMinutes(30.0);
+    /** Idle needed to re-enter when aggressive. */
+    static constexpr sim::Time kAggressiveReentry =
+        sim::Time::fromMinutes(1.0);
+    /** Spacing of maintenance windows while dozing. */
+    static constexpr sim::Time kMaintenanceInterval =
+        sim::Time::fromMinutes(15.0);
+    /** Length of each maintenance window. */
+    static constexpr sim::Time kMaintenanceWindow =
+        sim::Time::fromSeconds(30.0);
+
     /** Force doze on right now (the adb command of §7.3). */
     void forceEnter();
-
-  private:
     void enter();
     void exit();
     void applyFilters();
@@ -76,7 +70,7 @@ class DozeController
     sim::Simulator &sim_;
     os::SystemServer &server_;
     env::MotionModel &motion_;
-    DozeConfig config_;
+    bool aggressive_;
 
     bool started_ = false;
     bool dozing_ = false;

@@ -3,9 +3,8 @@
 namespace leaseos::mitigation {
 
 OneShotThrottler::OneShotThrottler(sim::Simulator &sim,
-                                   os::SystemServer &server,
-                                   sim::Time holdLimit)
-    : sim_(sim), server_(server), holdLimit_(holdLimit)
+                                   os::SystemServer &server)
+    : sim_(sim), server_(server)
 {
 }
 
@@ -25,7 +24,7 @@ OneShotThrottler::noteAcquired(os::TokenId token,
                                os::ResourceServiceBase &service)
 {
     if (!tracked_.insert(token).second) return;
-    sim_.schedule(holdLimit_, [this, token, &service] {
+    sim_.schedule(kHoldLimit, [this, token, &service] {
         if (!tracked_.count(token)) return;
         service.suspend(token);
     });

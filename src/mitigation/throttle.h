@@ -25,8 +25,10 @@ namespace leaseos::mitigation {
 class OneShotThrottler
 {
   public:
-    OneShotThrottler(sim::Simulator &sim, os::SystemServer &server,
-                     sim::Time holdLimit = sim::Time::fromMinutes(5.0));
+    /** Holding time after which a background object is revoked. */
+    static constexpr sim::Time kHoldLimit = sim::Time::fromMinutes(5.0);
+
+    OneShotThrottler(sim::Simulator &sim, os::SystemServer &server);
 
     void start();
 
@@ -71,7 +73,6 @@ class OneShotThrottler
 
     sim::Simulator &sim_;
     os::SystemServer &server_;
-    sim::Time holdLimit_;
     bool started_ = false;
 
     Watcher powerWatcher_{*this, server_.powerManager()};

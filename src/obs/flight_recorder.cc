@@ -39,26 +39,7 @@ sanitizeLabel(std::string label)
 void
 writeJsonString(const std::string &s, std::ostream &out)
 {
-    out << '"';
-    for (char c : s) {
-        switch (c) {
-        case '"': out << "\\\""; break;
-        case '\\': out << "\\\\"; break;
-        case '\n': out << "\\n"; break;
-        case '\r': out << "\\r"; break;
-        case '\t': out << "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(c) & 0xff);
-                out << buf;
-            } else {
-                out << c;
-            }
-        }
-    }
-    out << '"';
+    out << '"' << jsonEscape(s) << '"';
 }
 
 void

@@ -39,6 +39,12 @@ void writeChromeTrace(const TraceBuffer &buffer, std::ostream &out);
 /** Export to @p path, format chosen by extension. False on I/O error. */
 bool writeTraceFile(const TraceBuffer &buffer, const std::string &path);
 
+/**
+ * JSON string escaping (quotes, backslashes, control characters), shared
+ * by the flight recorder and the harness's result sinks.
+ */
+std::string jsonEscape(const std::string &s);
+
 } // namespace leaseos::obs
 
 #endif // LEASEOS_OBS_TRACE_EXPORT_H

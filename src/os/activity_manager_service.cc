@@ -19,6 +19,7 @@ ActivityManagerService::advance()
         return;
     }
     double dt = (now - lastAdvance_).seconds();
+    // A uid seen only through its UI counters has no live Activity.
     for (auto &[uid, rec] : apps_)
         if (rec.liveActivities > 0) rec.activitySeconds += dt;
     lastAdvance_ = now;
@@ -57,30 +58,22 @@ ActivityManagerService::activityStopped(Uid uid)
 bool
 ActivityManagerService::hasLiveActivity(Uid uid) const
 {
-    auto it = apps_.find(uid);
-    return it != apps_.end() && it->second.liveActivities > 0;
+    return app(uid).liveActivities > 0;
 }
 
 double
 ActivityManagerService::activityAliveSeconds(Uid uid)
 {
     advance();
+    return app(uid).activitySeconds;
+}
+
+const ActivityManagerService::AppRecord &
+ActivityManagerService::app(Uid uid) const
+{
+    static const AppRecord zero{};
     auto it = apps_.find(uid);
-    return it == apps_.end() ? 0.0 : it->second.activitySeconds;
-}
-
-std::uint64_t
-ActivityManagerService::uiUpdateCount(Uid uid) const
-{
-    auto it = uiUpdates_.find(uid);
-    return it == uiUpdates_.end() ? 0 : it->second;
-}
-
-std::uint64_t
-ActivityManagerService::userInteractionCount(Uid uid) const
-{
-    auto it = interactions_.find(uid);
-    return it == interactions_.end() ? 0 : it->second;
+    return it == apps_.end() ? zero : it->second;
 }
 
 } // namespace leaseos::os

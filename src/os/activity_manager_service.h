@@ -54,25 +54,33 @@ class ActivityManagerService : public Service
 
     // ---- UI telemetry ---------------------------------------------------
 
-    void noteUiUpdate(Uid uid) { ++uiUpdates_[uid]; }
-    void noteUserInteraction(Uid uid) { ++interactions_[uid]; }
+    void noteUiUpdate(Uid uid) { ++apps_[uid].uiUpdates; }
+    void noteUserInteraction(Uid uid) { ++apps_[uid].interactions; }
 
-    std::uint64_t uiUpdateCount(Uid uid) const;
-    std::uint64_t userInteractionCount(Uid uid) const;
+    std::uint64_t uiUpdateCount(Uid uid) const { return app(uid).uiUpdates; }
+    std::uint64_t
+    userInteractionCount(Uid uid) const
+    {
+        return app(uid).interactions;
+    }
 
   private:
     void advance();
 
+    /** Everything kept per uid. */
     struct AppRecord {
         int liveActivities = 0;
         double activitySeconds = 0.0;
+        std::uint64_t uiUpdates = 0;
+        std::uint64_t interactions = 0;
     };
+
+    /** @p uid's record; a zero record for a uid never seen. */
+    const AppRecord &app(Uid uid) const;
 
     std::map<Uid, AppRecord> apps_;
     Uid foreground_ = kInvalidUid;
     std::vector<std::function<void(Uid)>> foregroundListeners_;
-    std::map<Uid, std::uint64_t> uiUpdates_;
-    std::map<Uid, std::uint64_t> interactions_;
     sim::Time lastAdvance_;
 };
 

@@ -16,7 +16,6 @@
 #include <map>
 
 #include "common/ids.h"
-#include "sim/simulator.h"
 
 namespace leaseos::os {
 
@@ -29,8 +28,6 @@ enum class ExceptionSeverity { Minor, Severe };
 class ExceptionNoteHandler
 {
   public:
-    explicit ExceptionNoteHandler(sim::Simulator &sim) : sim_(sim) {}
-
     /** Called from the app runtime when an exception propagates. */
     void
     noteException(Uid uid, ExceptionSeverity severity)
@@ -46,7 +43,6 @@ class ExceptionNoteHandler
     }
 
   private:
-    sim::Simulator &sim_;
     std::map<Uid, std::uint64_t> severe_;
 };
 

@@ -24,7 +24,7 @@ SystemServer::SystemServer(sim::Simulator &sim, power::CpuModel &cpu,
     alarmManager_ =
         std::make_unique<AlarmManagerService>(sim, cpu, tokens_);
     activityManager_ = std::make_unique<ActivityManagerService>(sim, cpu);
-    exceptionHandler_ = std::make_unique<ExceptionNoteHandler>(sim);
+    exceptionHandler_ = std::make_unique<ExceptionNoteHandler>();
     audioSessions_ = std::make_unique<AudioSessionService>(
         sim, cpu, audio, accountant, tokens_);
     bluetoothService_ =

@@ -197,15 +197,13 @@ TEST(InvariantOracle, Table5CellAuditsCleanUnderLeaseOS)
     // cleanest Long-Holding row) under LeaseOS with the standard glance
     // script, then run every pull-style audit.
     const apps::BuggyAppSpec &spec = apps::buggySpec("torch");
-    harness::MitigationRunOptions opt;
-    harness::Device device(harness::DeviceConfig{}
-                               .withMode(harness::MitigationMode::LeaseOS)
-                               .withProfile(opt.profile)
-                               .withSeed(opt.seed));
+    harness::RunSpec cell = harness::mitigationCellSpec(
+        spec, harness::MitigationMode::LeaseOS);
+    harness::Device device(cell.config);
     spec.install(device);
     spec.trigger(device);
     sim::PeriodicHandle glances = harness::installGlanceScript(
-        device, opt.glanceInterval, opt.glanceLength);
+        device, cell.glanceInterval, cell.glanceLength);
     device.start();
     device.runFor(10_min);
 

@@ -160,7 +160,6 @@ TEST_F(NormalAppsTest, ThrottlingDisruptsSpotify)
 {
     harness::DeviceConfig cfg;
     cfg.mode = harness::MitigationMode::OneShotThrottle;
-    cfg.throttleHoldLimit = 5_min;
     harness::Device device(cfg);
     auto &app = device.install<Spotify>();
     device.start();
@@ -173,7 +172,6 @@ TEST_F(NormalAppsTest, ThrottlingDisruptsHaven)
 {
     harness::DeviceConfig cfg;
     cfg.mode = harness::MitigationMode::OneShotThrottle;
-    cfg.throttleHoldLimit = 5_min;
     harness::Device device(cfg);
     auto &app = device.install<Haven>();
     device.start();

@@ -130,11 +130,7 @@ TEST(ExperimentTest, GlanceScriptWakesDeviceBriefly)
 {
     DeviceConfig cfg;
     Device device(cfg);
-    MitigationRunOptions opt;
-    opt.glanceInterval = 2_min;
-    opt.glanceLength = 10_s;
-    sim::PeriodicHandle glances =
-        installGlanceScript(device, opt.glanceInterval, opt.glanceLength);
+    sim::PeriodicHandle glances = installGlanceScript(device, 2_min, 10_s);
     device.start();
     device.runFor(10_min);
     // ~5 glances x 10 s of screen-on.

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "harness/result_sink.h"
+#include "obs/trace_export.h"
 
 namespace leaseos::harness {
 namespace {
@@ -213,8 +214,8 @@ TEST(JsonSinkTest, JsonCarriesTheFieldsTheTextTableShows)
 
 TEST(JsonSinkTest, EscapesControlAndQuoteCharacters)
 {
-    EXPECT_EQ(jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
+    EXPECT_EQ(obs::jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    EXPECT_EQ(obs::jsonEscape(std::string(1, '\x01')), "\\u0001");
 }
 
 TEST(JsonSinkTest, WritesFileOnFinish)

@@ -189,8 +189,8 @@ TEST(RunScenarioTest, MitigationCellSpecDescribesTheStandardCell)
     ASSERT_EQ(cell.apps.size(), 1u);
     ASSERT_EQ(cell.setup.size(), 1u);
     EXPECT_TRUE(cell.userGlances);
-    EXPECT_EQ(cell.glanceInterval, opt.glanceInterval);
-    EXPECT_EQ(cell.glanceLength, opt.glanceLength);
+    EXPECT_EQ(cell.glanceInterval, 10_min);
+    EXPECT_EQ(cell.glanceLength, 20_s);
     // The spec is executable as-is and yields a plausible cell result.
     RunResult direct = runScenario(cell);
     EXPECT_EQ(direct.name, cell.name);
@@ -253,26 +253,11 @@ TEST(ParallelRunnerTest, DerivedSeedsAreDistinctAndDeterministic)
     EXPECT_NE(deriveSeed(42, 7), deriveSeed(43, 7));
 }
 
-TEST(ParallelRunnerTest, BaseSeedOverridesSpecSeeds)
-{
-    std::vector<RunSpec> specs(2, RunSpec{}
-                                      .withConfig(DeviceConfig{})
-                                      .withDuration(1_min));
-    RunnerOptions options;
-    options.jobs = 2;
-    options.baseSeed = 123;
-    ParallelRunner runner(options);
-    auto results = runner.run(specs);
-    EXPECT_EQ(results[0].seed, deriveSeed(123, 0));
-    EXPECT_EQ(results[1].seed, deriveSeed(123, 1));
-    EXPECT_NE(results[0].seed, results[1].seed);
-}
-
 TEST(ParallelRunnerTest, HooksAreNotCopiedPerRun)
 {
     // The worker loop runs each spec by const ref; the std::function
     // hook vectors must not be cloned per run (they were, when the loop
-    // copied whole RunSpecs), even when baseSeed forces a config clone.
+    // copied whole RunSpecs).
     struct CopyTracker {
         std::shared_ptr<int> copies;
         CopyTracker() : copies(std::make_shared<int>(0)) {}
@@ -294,7 +279,6 @@ TEST(ParallelRunnerTest, HooksAreNotCopiedPerRun)
 
     RunnerOptions options;
     options.jobs = 1;
-    options.baseSeed = 99; // forces the DeviceConfig clone path
     ParallelRunner runner(options);
     int copiesBeforeRun = *copies;
     auto results = runner.run(specs);

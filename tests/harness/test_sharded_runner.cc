@@ -56,14 +56,13 @@ cellSpecs()
 }
 
 /**
- * Advance a fresh session for @p spec under @p config to each cut (a
- * fraction of the duration), then to the end, and collect its result.
+ * Advance a fresh session for @p spec to each cut (a fraction of the
+ * duration), then to the end, and collect its result.
  */
 RunResult
-runInSteps(const RunSpec &spec, const DeviceConfig &config,
-           const std::vector<double> &cuts)
+runInSteps(const RunSpec &spec, const std::vector<double> &cuts)
 {
-    ScenarioSession session(spec, config);
+    ScenarioSession session(spec, spec.config);
     for (double cut : cuts)
         session.advanceTo(sim::Time::fromNanos(static_cast<std::int64_t>(
             cut * static_cast<double>(spec.duration.nanos()))));
@@ -73,12 +72,12 @@ runInSteps(const RunSpec &spec, const DeviceConfig &config,
 
 /** Run @p spec in @p shards equal slices. */
 RunResult
-runSharded(const RunSpec &spec, const DeviceConfig &config, int shards)
+runSharded(const RunSpec &spec, int shards)
 {
     std::vector<double> cuts;
     for (int k = 1; k < shards; ++k)
         cuts.push_back(static_cast<double>(k) / shards);
-    return runInSteps(spec, config, cuts);
+    return runInSteps(spec, cuts);
 }
 
 TEST(ShardedRunTest, BitIdenticalToSingleShot)
@@ -92,7 +91,7 @@ TEST(ShardedRunTest, BitIdenticalToSingleShot)
         ASSERT_EQ(expected.checkpoints.size(), 4u);
         for (int shards : {1, 3, 4, 7}) {
             SCOPED_TRACE("shards=" + std::to_string(shards));
-            EXPECT_EQ(runSharded(spec, spec.config, shards), expected);
+            EXPECT_EQ(runSharded(spec, shards), expected);
         }
     }
 }
@@ -106,9 +105,8 @@ TEST(ScenarioSessionTest, ResultIndependentOfStepping)
         SCOPED_TRACE(spec.name);
         RunResult expected = runScenario(spec);
         ASSERT_EQ(expected.checkpoints.size(), 4u);
-        EXPECT_EQ(runInSteps(spec, spec.config, {0.13, 0.58}), expected);
-        EXPECT_EQ(runInSteps(spec, spec.config,
-                             {0.05, 0.11, 0.25, 0.31, 0.5, 0.77, 0.9}),
+        EXPECT_EQ(runInSteps(spec, {0.13, 0.58}), expected);
+        EXPECT_EQ(runInSteps(spec, {0.05, 0.11, 0.25, 0.31, 0.5, 0.77, 0.9}),
                   expected);
 
         // Taking a state digest has no side effect on the simulation.
@@ -178,14 +176,15 @@ TEST(ScenarioSessionTest, MidRunReadsMoveNoBit)
 
 TEST(ShardedRunTest, MatchesParallelRunnerWithDerivedSeeds)
 {
-    // A sharded session under the config ParallelRunner derives for spec
-    // i (baseSeed reseeding) reproduces that runner's result i, so the
-    // half-vanilla/half-LeaseOS device-index pairing in bench_fleet does
-    // not depend on how a device's run is stepped.
+    // A sharded session of spec i, seeded with deriveSeed(base, i),
+    // reproduces ParallelRunner's result i, so the half-vanilla/
+    // half-LeaseOS device-index pairing in bench_fleet does not depend on
+    // how a device's run is stepped.
     std::vector<RunSpec> specs;
     for (int i = 0; i < 6; ++i) {
         MitigationRunOptions opt;
         opt.duration = 2_min;
+        opt.seed = deriveSeed(0x5eedULL, static_cast<std::uint64_t>(i));
         specs.push_back(mitigationCellSpec(
             apps::buggySpec("torch"),
             i % 2 == 0 ? MitigationMode::None : MitigationMode::LeaseOS,
@@ -195,7 +194,6 @@ TEST(ShardedRunTest, MatchesParallelRunnerWithDerivedSeeds)
 
     RunnerOptions options;
     options.jobs = 4;
-    options.baseSeed = 0x5eedULL;
     std::vector<RunResult> parallel = ParallelRunner(options).run(specs);
 
     ASSERT_EQ(parallel.size(), specs.size());
@@ -205,9 +203,7 @@ TEST(ShardedRunTest, MatchesParallelRunnerWithDerivedSeeds)
         EXPECT_EQ(parallel[i].specIndex, i);
         EXPECT_EQ(parallel[i].seed, deriveSeed(0x5eedULL, i));
 
-        DeviceConfig config = specs[i].config;
-        config.seed = deriveSeed(0x5eedULL, i);
-        RunResult sharded = runSharded(specs[i], config, 3);
+        RunResult sharded = runSharded(specs[i], 3);
         sharded.specIndex = i;
         EXPECT_EQ(sharded, parallel[i]);
     }

@@ -255,6 +255,14 @@ struct TermLog {
     }
 };
 
+/** Seed spec i of @p specs with deriveSeed(@p base, i). */
+void
+deriveSeeds(std::vector<RunSpec> &specs, std::uint64_t base)
+{
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        specs[i].config.seed = deriveSeed(base, i);
+}
+
 std::string
 goldenPath(const std::string &file)
 {
@@ -316,9 +324,9 @@ TEST(DeterminismGoldenTest, RunnerSweepByteIdentical)
             specs.push_back(
                 mitigationCellSpec(apps::buggySpec(key), mode, opt));
 
+    deriveSeeds(specs, 0x601dca5cULL);
     RunnerOptions options;
     options.jobs = 4;
-    options.baseSeed = 0x601dca5cULL;
     ParallelRunner runner(options);
     auto results = runner.run(specs);
 
@@ -383,9 +391,9 @@ TEST(DeterminismGoldenTest, ResourceServicesByteIdentical)
         }
     }
 
+    deriveSeeds(specs, 0x5e71ce5ULL);
     RunnerOptions options;
     options.jobs = 4;
-    options.baseSeed = 0x5e71ce5ULL;
     ParallelRunner runner(options);
     auto results = runner.run(specs);
 
@@ -450,9 +458,9 @@ TEST(DeterminismGoldenTest, TermRecordsByteIdentical)
         });
     }
 
+    deriveSeeds(specs, 0x7e53ec0dULL);
     RunnerOptions options;
     options.jobs = 4;
-    options.baseSeed = 0x7e53ec0dULL;
     ParallelRunner runner(options);
     runner.run(specs);
 

@@ -23,105 +23,80 @@ baseStat(double term_s = 5.0)
 
 TEST(ClassifierTest, IdleTermIsNormal)
 {
-    BehaviorClassifier c;
-    EXPECT_EQ(c.classify(ResourceType::Wakelock, baseStat()),
+    EXPECT_EQ(classify(ResourceType::Wakelock, baseStat()),
               BehaviorType::Normal);
 }
 
 TEST(ClassifierTest, LongHoldingOnUltralowUtilization)
 {
-    BehaviorClassifier c;
     LeaseStat s = baseStat();
     s.holdingSeconds = 5.0;
     s.usageSeconds = 0.01; // 0.2 % utilisation
     s.utilityScore = 60.0;
-    EXPECT_EQ(c.classify(ResourceType::Wakelock, s),
-              BehaviorType::LongHolding);
+    EXPECT_EQ(classify(ResourceType::Wakelock, s), BehaviorType::LongHolding);
 }
 
 TEST(ClassifierTest, LowUtilityOnBusyUselessWork)
 {
-    BehaviorClassifier c;
     LeaseStat s = baseStat();
     s.holdingSeconds = 5.0;
     s.usageSeconds = 5.5; // >100 %, like Fig. 4
     s.utilityScore = 5.0;
-    EXPECT_EQ(c.classify(ResourceType::Wakelock, s),
-              BehaviorType::LowUtility);
+    EXPECT_EQ(classify(ResourceType::Wakelock, s), BehaviorType::LowUtility);
 }
 
 TEST(ClassifierTest, ExcessiveUseOnHeavyUsefulWork)
 {
-    BehaviorClassifier c;
     LeaseStat s = baseStat();
     s.holdingSeconds = 5.0;
     s.usageSeconds = 4.0;
     s.utilityScore = 90.0;
-    EXPECT_EQ(c.classify(ResourceType::Wakelock, s),
-              BehaviorType::ExcessiveUse);
+    EXPECT_EQ(classify(ResourceType::Wakelock, s), BehaviorType::ExcessiveUse);
 }
 
 TEST(ClassifierTest, ModerateUsefulWorkIsNormal)
 {
-    BehaviorClassifier c;
     LeaseStat s = baseStat();
     s.holdingSeconds = 5.0;
     s.usageSeconds = 1.0;
     s.utilityScore = 70.0;
-    EXPECT_EQ(c.classify(ResourceType::Wakelock, s), BehaviorType::Normal);
+    EXPECT_EQ(classify(ResourceType::Wakelock, s), BehaviorType::Normal);
 }
 
 TEST(ClassifierTest, FrequentAskForGpsOnly)
 {
-    BehaviorClassifier c;
     LeaseStat s = baseStat();
     s.requestSeconds = 3.0;        // 60 % of the term requesting
     s.failedRequestSeconds = 3.0;  // none of it succeeded
-    EXPECT_EQ(c.classify(ResourceType::Gps, s), BehaviorType::FrequentAsk);
+    EXPECT_EQ(classify(ResourceType::Gps, s), BehaviorType::FrequentAsk);
     // The same stat on a wakelock cannot be FAB (Table 1).
-    EXPECT_EQ(c.classify(ResourceType::Wakelock, s), BehaviorType::Normal);
+    EXPECT_EQ(classify(ResourceType::Wakelock, s), BehaviorType::Normal);
 }
 
 TEST(ClassifierTest, GpsWithGoodFixesNotFab)
 {
-    BehaviorClassifier c;
     LeaseStat s = baseStat();
     s.requestSeconds = 5.0;
     s.failedRequestSeconds = 0.2;
     s.holdingSeconds = 5.0;
     s.usageSeconds = 5.0;
     s.utilityScore = 80.0;
-    EXPECT_NE(c.classify(ResourceType::Gps, s), BehaviorType::FrequentAsk);
+    EXPECT_NE(classify(ResourceType::Gps, s), BehaviorType::FrequentAsk);
 }
 
 TEST(ClassifierTest, ShortHoldIsNormalEvenIfIdle)
 {
-    BehaviorClassifier c;
     LeaseStat s = baseStat();
-    s.holdingSeconds = 1.0; // 20 % of term — below minHoldingRatio
+    s.holdingSeconds = 1.0; // 20 % of term — below the 50 % holding cut-off
     s.usageSeconds = 0.0;
     s.utilityScore = 50.0;
-    EXPECT_EQ(c.classify(ResourceType::Wakelock, s), BehaviorType::Normal);
+    EXPECT_EQ(classify(ResourceType::Wakelock, s), BehaviorType::Normal);
 }
 
 TEST(ClassifierTest, ZeroLengthTermIsNormal)
 {
-    BehaviorClassifier c;
     LeaseStat s;
-    EXPECT_EQ(c.classify(ResourceType::Wakelock, s), BehaviorType::Normal);
-}
-
-TEST(ClassifierTest, CustomThresholdsRespected)
-{
-    ClassifierThresholds th;
-    th.lhbMaxUtilization = 0.5; // very aggressive
-    BehaviorClassifier c(th);
-    LeaseStat s = baseStat();
-    s.holdingSeconds = 5.0;
-    s.usageSeconds = 1.0; // 20 % utilisation
-    s.utilityScore = 70.0;
-    EXPECT_EQ(c.classify(ResourceType::Wakelock, s),
-              BehaviorType::LongHolding);
+    EXPECT_EQ(classify(ResourceType::Wakelock, s), BehaviorType::Normal);
 }
 
 // ---- Parameterised sweep: utilisation boundary --------------------------
@@ -137,12 +112,11 @@ class UtilizationSweep : public ::testing::TestWithParam<UtilizationCase>
 
 TEST_P(UtilizationSweep, BoundaryAtLhbThreshold)
 {
-    BehaviorClassifier c;
     LeaseStat s = baseStat();
     s.holdingSeconds = 5.0;
     s.usageSeconds = GetParam().utilization * s.holdingSeconds;
     s.utilityScore = 60.0;
-    EXPECT_EQ(c.classify(ResourceType::Wakelock, s), GetParam().expected);
+    EXPECT_EQ(classify(ResourceType::Wakelock, s), GetParam().expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -166,12 +140,11 @@ class UtilitySweep : public ::testing::TestWithParam<UtilityCase>
 
 TEST_P(UtilitySweep, BoundaryAtLubThreshold)
 {
-    BehaviorClassifier c;
     LeaseStat s = baseStat();
     s.holdingSeconds = 5.0;
     s.usageSeconds = 1.0;
     s.utilityScore = GetParam().score;
-    EXPECT_EQ(c.classify(ResourceType::Wakelock, s), GetParam().expected);
+    EXPECT_EQ(classify(ResourceType::Wakelock, s), GetParam().expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -194,11 +167,10 @@ class FabSweep : public ::testing::TestWithParam<FabCase>
 
 TEST_P(FabSweep, BoundaryAtSuccessRatio)
 {
-    BehaviorClassifier c;
     LeaseStat s = baseStat();
     s.requestSeconds = 4.0;
     s.failedRequestSeconds = GetParam().failed_fraction * s.requestSeconds;
-    BehaviorType got = c.classify(ResourceType::Gps, s);
+    BehaviorType got = classify(ResourceType::Gps, s);
     EXPECT_EQ(got == BehaviorType::FrequentAsk, GetParam().expect_fab);
 }
 

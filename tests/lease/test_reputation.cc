@@ -10,7 +10,6 @@ namespace leaseos::lease {
 namespace {
 
 using sim::operator""_s;
-using sim::operator""_min;
 using testing::LeaseFixtureBase;
 
 struct ReputationFixture : LeaseFixtureBase {
@@ -47,9 +46,7 @@ TEST_F(ReputationFixture, ChurnedLeaseInheritsEscalation)
 
 TEST_F(ReputationFixture, ReputationExpiresAfterWindow)
 {
-    LeasePolicy p = policy(true);
-    p.reputationWindow = 1_min;
-    LeaseOsRuntime leaseos(sim, cpu, radio, server, p);
+    LeaseOsRuntime leaseos(sim, cpu, radio, server, policy(true));
     auto &mgr = leaseos.manager();
     auto &pms = server.powerManager();
 
@@ -58,10 +55,14 @@ TEST_F(ReputationFixture, ReputationExpiresAfterWindow)
     sim.runFor(10_s);
     pms.destroy(a);
 
-    sim.runFor(2_min); // past the window
+    // A second before the 3 min window closes, a new object inherits;
+    // two seconds later, the next one starts clean.
+    sim.runFor(LeasePolicy::reputationWindow - 1_s);
     os::TokenId b = pms.newWakeLock(kApp, os::WakeLockType::Partial, "b");
-    EXPECT_EQ(mgr.table().findByToken(b)->consecutiveMisbehaved,
-              0);
+    EXPECT_GT(mgr.table().findByToken(b)->consecutiveMisbehaved, 0);
+    sim.runFor(2_s);
+    os::TokenId c = pms.newWakeLock(kApp, os::WakeLockType::Partial, "c");
+    EXPECT_EQ(mgr.table().findByToken(c)->consecutiveMisbehaved, 0);
 }
 
 TEST_F(ReputationFixture, DisabledByDefault)

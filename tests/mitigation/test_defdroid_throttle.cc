@@ -3,6 +3,9 @@
  * Unit tests for the DefDroid-style throttler and the one-shot throttler.
  */
 
+#include <functional>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "apps/buggy/better_weather.h"
@@ -28,33 +31,95 @@ struct DefDroidTest : ::testing::Test {
     }
 };
 
-TEST_F(DefDroidTest, ThrottlesLongHeldWakelock)
+/** One kind of object DefDroid limits, with its limits in seconds. */
+struct LimitCase {
+    const char *name;
+    /** Create and hold one object for kApp; return its suspended flag. */
+    std::function<bool()> (*hold)(os::SystemServer &server);
+    int holdLimitS;
+    int backoffS;
+};
+
+std::function<bool()>
+holdWakeLock(os::PowerManagerService &pms, os::WakeLockType type)
 {
-    harness::Device device(config());
-    auto &pms = device.server().powerManager();
-    device.start();
-    os::TokenId t =
-        pms.newWakeLock(kApp, os::WakeLockType::Partial, "leak");
+    os::TokenId t = pms.newWakeLock(kApp, type, "held");
     pms.acquire(t);
-    device.runFor(2_min); // past the 60 s hold limit
-    EXPECT_TRUE(pms.records().at(t).suspended);
+    return [&pms, t] { return pms.records().at(t).suspended; };
 }
 
-TEST_F(DefDroidTest, RestoresAfterBackoff)
+struct DefDroidLimitTest : DefDroidTest,
+                           ::testing::WithParamInterface<LimitCase> {
+};
+
+TEST_P(DefDroidLimitTest, SuspendsAtHoldLimitAndRestoresAfterBackoff)
 {
+    // Polls land on multiples of 10 s, and every limit is one, so the
+    // object is suspended exactly at its hold limit and restored exactly
+    // one back-off later.
     harness::Device device(config());
-    auto &pms = device.server().powerManager();
     device.start();
-    os::TokenId t =
-        pms.newWakeLock(kApp, os::WakeLockType::Partial, "leak");
-    pms.acquire(t);
-    device.runFor(2_min);
-    ASSERT_TRUE(pms.records().at(t).suspended);
-    // Throttled at ~70 s; the 180 s backoff ends at ~250 s. Probe inside
-    // the restored window before the next 60 s hold limit re-trips.
-    device.runFor(135_s);
-    EXPECT_FALSE(pms.records().at(t).suspended);
+    std::function<bool()> suspended = GetParam().hold(device.server());
+    const sim::Time limit = sim::Time::fromSeconds(GetParam().holdLimitS);
+    device.runFor(limit - 1_s);
+    EXPECT_FALSE(suspended()) << "1 s before the hold limit";
+    device.runFor(2_s);
+    EXPECT_TRUE(suspended()) << "1 s after the hold limit";
+    device.runFor(sim::Time::fromSeconds(GetParam().backoffS) - 2_s);
+    EXPECT_TRUE(suspended()) << "1 s before the back-off ends";
+    device.runFor(2_s);
+    EXPECT_FALSE(suspended()) << "1 s after the back-off ends";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, DefDroidLimitTest,
+    ::testing::Values(
+        LimitCase{"Wakelock",
+                  [](os::SystemServer &s) {
+                      return holdWakeLock(s.powerManager(),
+                                          os::WakeLockType::Partial);
+                  },
+                  60, 180},
+        LimitCase{"Screen",
+                  [](os::SystemServer &s) {
+                      return holdWakeLock(s.powerManager(),
+                                          os::WakeLockType::Full);
+                  },
+                  60, 240},
+        LimitCase{"Gps",
+                  [](os::SystemServer &s) -> std::function<bool()> {
+                      auto &lms = s.locationManager();
+                      os::TokenId t =
+                          lms.requestLocationUpdates(kApp, 10_s, nullptr);
+                      return [&lms, t] {
+                          return lms.records().at(t).suspended;
+                      };
+                  },
+                  90, 60},
+        LimitCase{"Sensor",
+                  [](os::SystemServer &s) -> std::function<bool()> {
+                      auto &sms = s.sensorManager();
+                      os::TokenId t = sms.registerListener(
+                          kApp, power::SensorType::Accelerometer, 1_s,
+                          nullptr);
+                      return [&sms, t] {
+                          return sms.records().at(t).suspended;
+                      };
+                  },
+                  60, 120},
+        LimitCase{"Wifi",
+                  [](os::SystemServer &s) -> std::function<bool()> {
+                      auto &wms = s.wifiManager();
+                      os::TokenId t = wms.createWifiLock(kApp, "held");
+                      wms.acquire(t);
+                      return [&wms, t] {
+                          return wms.records().at(t).suspended;
+                      };
+                  },
+                  60, 240}),
+    [](const ::testing::TestParamInfo<LimitCase> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST_F(DefDroidTest, SparesForegroundApps)
 {
@@ -122,14 +187,15 @@ TEST_F(ThrottleTest, RevokesOnceAfterHoldLimit)
 {
     harness::DeviceConfig cfg;
     cfg.mode = harness::MitigationMode::OneShotThrottle;
-    cfg.throttleHoldLimit = 1_min;
     harness::Device device(cfg);
     auto &pms = device.server().powerManager();
     device.start();
     os::TokenId t =
         pms.newWakeLock(kApp, os::WakeLockType::Partial, "x");
     pms.acquire(t);
-    device.runFor(2_min);
+    device.runFor(5_min - 1_s); // the hold limit is 5 min
+    EXPECT_FALSE(pms.records().at(t).suspended);
+    device.runFor(2_s);
     EXPECT_TRUE(pms.records().at(t).suspended);
     // One-shot: never restored.
     device.runFor(30_min);
@@ -140,16 +206,15 @@ TEST_F(ThrottleTest, ReleaseBeforeLimitIsSafe)
 {
     harness::DeviceConfig cfg;
     cfg.mode = harness::MitigationMode::OneShotThrottle;
-    cfg.throttleHoldLimit = 1_min;
     harness::Device device(cfg);
     auto &pms = device.server().powerManager();
     device.start();
     os::TokenId t =
         pms.newWakeLock(kApp, os::WakeLockType::Partial, "x");
     pms.acquire(t);
-    device.runFor(30_s);
+    device.runFor(4_min);
     pms.release(t);
-    device.runFor(5_min);
+    device.runFor(10_min);
     EXPECT_FALSE(pms.records().at(t).suspended);
 }
 

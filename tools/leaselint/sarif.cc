@@ -1,43 +1,14 @@
 #include "leaselint/sarif.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "leaselint/rules.h"
+#include "support/minijson.h"
 
 namespace leaselint {
 
-namespace {
-
-/** JSON string escaping (local: leaselint has no dependency on leaseos). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
+using leaseos::minijson::escape;
 
 std::string
 sarifReport(const LintReport &report)
@@ -57,9 +28,9 @@ sarifReport(const LintReport &report)
     os << "          \"rules\": [\n";
     const auto &rules = allRules();
     for (std::size_t i = 0; i < rules.size(); ++i) {
-        os << "            {\"id\": \"" << jsonEscape(rules[i].name)
+        os << "            {\"id\": \"" << escape(rules[i].name)
            << "\", \"shortDescription\": {\"text\": \""
-           << jsonEscape(rules[i].description) << "\"}}"
+           << escape(rules[i].description) << "\"}}"
            << (i + 1 < rules.size() ? "," : "") << "\n";
     }
     os << "          ]\n";
@@ -69,27 +40,27 @@ sarifReport(const LintReport &report)
     const auto &findings = report.findings;
     for (std::size_t i = 0; i < findings.size(); ++i) {
         const Finding &f = findings[i];
-        os << "        {\"ruleId\": \"" << jsonEscape(f.rule)
+        os << "        {\"ruleId\": \"" << escape(f.rule)
            << "\", \"level\": \"error\", \"message\": {\"text\": \""
-           << jsonEscape(f.message)
+           << escape(f.message)
            << "\"}, \"locations\": [{\"physicalLocation\": "
               "{\"artifactLocation\": {\"uri\": \""
-           << jsonEscape(f.path) << "\"}, \"region\": {\"startLine\": "
+           << escape(f.path) << "\"}, \"region\": {\"startLine\": "
            << (f.line > 0 ? f.line : 1) << "}}}]";
         if (f.fix) {
             // A fix-it: insert fix->insertText at the start of fix->line
             // (zero-length deletedRegion = pure insertion).
             os << ", \"fixes\": [{\"description\": {\"text\": \""
-               << jsonEscape(f.fix->description)
+               << escape(f.fix->description)
                << "\"}, \"artifactChanges\": [{\"artifactLocation\": "
                   "{\"uri\": \""
-               << jsonEscape(f.path)
+               << escape(f.path)
                << "\"}, \"replacements\": [{\"deletedRegion\": "
                   "{\"startLine\": "
                << (f.fix->line > 0 ? f.fix->line : 1)
                << ", \"startColumn\": 1, \"endColumn\": 1}, "
                   "\"insertedContent\": {\"text\": \""
-               << jsonEscape(f.fix->insertText) << "\"}}]}]}]";
+               << escape(f.fix->insertText) << "\"}}]}]}]";
         }
         os << "}" << (i + 1 < findings.size() ? "," : "") << "\n";
     }

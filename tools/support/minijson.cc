@@ -1,5 +1,6 @@
 #include "support/minijson.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 namespace leaseos::minijson {
@@ -306,6 +307,32 @@ ParseResult
 parse(std::string_view text)
 {
     return Parser(text).run();
+}
+
+std::string
+escape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x",
+                              static_cast<unsigned char>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
 }
 
 } // namespace leaseos::minijson

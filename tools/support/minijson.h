@@ -4,7 +4,8 @@
 /**
  * @file
  * minijson — the small recursive-descent JSON reader shared by the
- * offline tools (tools/tracereplay, tools/metricsdiff). The repo's
+ * offline tools (tools/tracereplay, tools/metricsdiff), and the string
+ * escaper that metricsdiff and leaselint's SARIF writer share. The repo's
  * emitters (result_sink JsonSink, trace_export, flight_recorder) write
  * plain ASCII JSON; this reader covers full JSON anyway so hand-edited
  * fixtures and third-party files parse too.
@@ -68,6 +69,9 @@ struct ParseResult {
 
 /** Parse one complete JSON document (trailing whitespace allowed). */
 ParseResult parse(std::string_view text);
+
+/** JSON string escaping (quotes, backslashes, control characters). */
+std::string escape(std::string_view s);
 
 } // namespace leaseos::minijson
 
